@@ -31,12 +31,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="overrides the config's output_dir",
     )
-    run.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker threads for sweep points (default 1)",
-    )
 
     val = sub.add_parser("validate", help="check a config without running it")
     val.add_argument("config", type=Path)
@@ -58,13 +52,10 @@ def main(argv=None) -> int:
             validate_config(load_config(args.config))
             print(f"ok: {args.config}")
             return 0
-        if args.threads < 1:
-            raise ConfigError("--threads must be at least 1")
         out = run_scenario(
             load_config(args.config),
             config_dir=args.config.resolve().parent,
             output_dir=args.output_dir,
-            threads=args.threads,
         )
         print(f"wrote {out}")
         return 0

@@ -28,11 +28,8 @@ class Pulse:
     peak_rabi: float
     center: float
     width: float
-    shape: str = "gaussian"
 
     def __post_init__(self):
-        if self.shape != "gaussian":
-            raise ValueError(f"unsupported pulse shape {self.shape!r}")
         if self.peak_rabi < 0.0:
             raise ValueError("peak Rabi frequency must be non-negative")
         if self.width <= 0.0:

@@ -17,332 +17,274 @@ import io
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 from jsonschema import Draft202012Validator
 
 from . import dynamics, levels, protocols, relaxation, screening, spin, vibronic
-from .errors import ConfigError, HostGuestError
-from .units import FrequencyGrid, Quantity, Unit, convert
+from .errors import ConfigError, DomainError
+from .units import GAMMA_PROTON, FrequencyGrid, Quantity, Unit, convert
 
 SCHEMA_VERSION = 1
 
 _ANGULAR_UNITS = ["eV", "THz", "GHz", "MHz", "kHz", "rad/s"]
+_REQUIRED = object()
 
-_QUANTITY = {
-    "type": "object",
-    "properties": {
-        "value": {"type": "number"},
-        "unit": {"enum": _ANGULAR_UNITS + ["K", "T", "s", "1"]},
-    },
-    "required": ["value", "unit"],
-    "additionalProperties": False,
-}
 
-_GRID = {
-    "type": "object",
-    "properties": {
-        "start": _QUANTITY,
-        "stop": _QUANTITY,
-        "points": {"type": "integer", "minimum": 2},
-    },
-    "required": ["start", "stop", "points"],
-    "additionalProperties": False,
-}
+# --- parameter fields --------------------------------------------------------
+#
+# Each parameter is declared once, as a Field in the table of its scenario
+# kind. The field yields its JSON-schema fragment and its coercion from a
+# schema-valid node to the plain value the runners take: quantities become
+# floats in rad/s, s or K, and every number must be finite.
 
-_PULSE = {
-    "type": "object",
-    "properties": {
-        "peak_rabi": _QUANTITY,
-        "center": _QUANTITY,
-        "width": _QUANTITY,
-    },
-    "required": ["peak_rabi", "center", "width"],
-    "additionalProperties": False,
-}
 
-_PHONON_DENSITY = {
-    "type": "object",
-    "properties": {
-        "coupling_weight": {"type": "number", "minimum": 0},
-        "peak_frequency": _QUANTITY,
-        "cutoff_frequency": _QUANTITY,
-    },
-    "required": ["coupling_weight", "peak_frequency", "cutoff_frequency"],
-    "additionalProperties": False,
-}
+@dataclass(frozen=True)
+class Field:
+    """One parameter: JSON-schema fragment, coercion and default.
 
-_NUCLEUS = {
-    "type": "object",
-    "properties": {
-        "spin": {"type": "string"},
-        "hyperfine_tensor": {
-            "type": "array",
-            "items": {
-                "type": "array",
-                "items": {"type": "number"},
-                "minItems": 3,
-                "maxItems": 3,
+    ``coerce(node, where)`` maps a node that passed ``schema`` to its value;
+    ``where`` is the node's dotted path, named in any ConfigError. A field
+    whose default is ``_REQUIRED`` must be present in its record.
+    """
+
+    schema: dict
+    coerce: Callable[[object, str], object] = lambda node, where: node
+    default: object = _REQUIRED
+
+
+def _finite(x, where: str) -> float:
+    x = float(x)
+    if not math.isfinite(x):
+        raise ConfigError(f"at {where}: must be a finite number, got {x!r}")
+    return x
+
+
+def _quantity(target: Unit, units: list[str], default) -> Field:
+    def coerce(node, where):
+        value = _finite(node["value"], f"{where}.value")
+        try:
+            return convert(Quantity(value, Unit(node["unit"])), target).value
+        except DomainError:
+            raise ConfigError(
+                f"at {where}: {value!r} {node['unit']} is not finite in {target.value}"
+            ) from None
+
+    schema = {
+        "type": "object",
+        "properties": {"value": {"type": "number"}, "unit": {"enum": units}},
+        "required": ["value", "unit"],
+        "additionalProperties": False,
+    }
+    return Field(schema, coerce, default)
+
+
+def angular(default=_REQUIRED) -> Field:
+    """A frequency, rate or energy; coerces to rad/s."""
+    return _quantity(Unit.RAD_PER_S, _ANGULAR_UNITS, default)
+
+
+def seconds(default=_REQUIRED) -> Field:
+    """A time; coerces to s."""
+    return _quantity(Unit.SECOND, [Unit.SECOND.value], default)
+
+
+def kelvin(default=_REQUIRED) -> Field:
+    """A temperature; coerces to K."""
+    return _quantity(Unit.KELVIN, [Unit.KELVIN.value], default)
+
+
+def number(default=_REQUIRED, **bounds) -> Field:
+    """A finite float; ``bounds`` are JSON-schema keywords such as minimum."""
+    return Field({"type": "number", **bounds}, _finite, default)
+
+
+def integer(minimum: int) -> Field:
+    return Field({"type": "integer", "minimum": minimum}, lambda node, where: int(node))
+
+
+def enum(*values) -> Field:
+    return Field({"enum": list(values)})
+
+
+def array(item: Field, length: int | None = None, default=_REQUIRED) -> Field:
+    """A list of ``item``, of exactly ``length`` entries if given; coerces to a tuple."""
+    schema = {"type": "array", "items": item.schema}
+    if length is not None:
+        schema.update(minItems=length, maxItems=length)
+
+    def coerce(node, where):
+        return tuple(item.coerce(x, f"{where}.{i}") for i, x in enumerate(node))
+
+    return Field(schema, coerce, default)
+
+
+def record(default=_REQUIRED, **fields: Field) -> Field:
+    """An object with at most these keys; coerces to a dict holding every key,
+    where a key left out takes its field's default."""
+    schema = {
+        "type": "object",
+        "properties": {key: f.schema for key, f in fields.items()},
+        "required": [key for key, f in fields.items() if f.default is _REQUIRED],
+        "additionalProperties": False,
+    }
+
+    def coerce(node, where):
+        return {
+            key: f.coerce(node[key], f"{where}.{key}") if key in node else f.default
+            for key, f in fields.items()
+        }
+
+    return Field(schema, coerce, default)
+
+
+def nullable(field: Field) -> Field:
+    """``field`` or null; null and absence both coerce to None."""
+
+    def coerce(node, where):
+        return None if node is None else field.coerce(node, where)
+
+    return Field({"oneOf": [{"type": "null"}, field.schema]}, coerce, None)
+
+
+def _nucleus() -> Field:
+    """A nuclear spin. Its hyperfine tensor coerces to rad/s through the
+    sibling ``hyperfine_unit``; the result holds NucleusSpec's keywords."""
+    fields = record(
+        spin=_STRING,
+        hyperfine_tensor=array(array(number(), 3), 3),
+        hyperfine_unit=enum(*_ANGULAR_UNITS),
+        gyromagnetic_ratio=number(default=GAMMA_PROTON),
+    )
+
+    def coerce(node, where):
+        nucleus = fields.coerce(node, where)
+        unit = Unit(nucleus.pop("hyperfine_unit"))
+        factor = convert(Quantity(1.0, unit), Unit.RAD_PER_S).value
+        nucleus["hyperfine_tensor"] = [
+            [_finite(factor * x, f"{where}.hyperfine_tensor") for x in row]
+            for row in nucleus["hyperfine_tensor"]
+        ]
+        return nucleus
+
+    return Field(fields.schema, coerce)
+
+
+_STRING = Field({"type": "string"})
+_GRID = record(start=angular(), stop=angular(), points=integer(2))
+_TIME_AXIS = record(stop=seconds(), points=integer(2))
+_PULSE = record(peak_rabi=angular(), center=seconds(), width=seconds())
+_PHONON_DENSITY = record(
+    coupling_weight=number(minimum=0),
+    peak_frequency=angular(),
+    cutoff_frequency=angular(),
+)
+_SPIN_SYSTEM = record(
+    zfs_d=angular(),
+    zfs_e=angular(),
+    magnetic_field_tesla=array(number(), 3, default=(0.0, 0.0, 0.0)),
+    g_electron=number(default=spin.G_ELECTRON_DEFAULT),
+    nuclei=array(_nucleus(), default=()),
+)
+_TWO_LEVEL = record(
+    rabi=angular(), detuning=angular(), decay=angular(), dephasing=angular(default=0.0)
+)
+
+PARAMETERS = {
+    "spin_spectrum": record(spin_system=_SPIN_SYSTEM, grid=_GRID, linewidth=angular()),
+    "odmr": record(
+        network=record(
+            states=array(_STRING),
+            rates=array(record(source=_STRING, target=_STRING, rate=angular())),
+            emissive=array(_STRING),
+        ),
+        mw_pair=array(enum("x", "y", "z"), 2),
+        mw_mixing_rate=angular(),
+    ),
+    "crot": record(
+        spin_system=_SPIN_SYSTEM,
+        drive_frequency=angular(),
+        rabi_frequency=angular(),
+        duration=seconds(),
+        drive_axis=array(number(), 3, default=(1.0, 0.0, 0.0)),
+    ),
+    "emission_spectrum": record(
+        model=record(
+            zpl_frequency=angular(),
+            radiative_rate=angular(),
+            temperature=kelvin(),
+            vibron_modes=array(
+                record(
+                    frequency=angular(),
+                    huang_rhys=number(minimum=0),
+                    relaxation_rate=angular(),
+                ),
+                default=(),
+            ),
+            phonon_density=nullable(_PHONON_DENSITY),
+            extra_linewidth=angular(default=0.0),
+        ),
+        grid=_GRID,
+    ),
+    "relaxation_classify": record(
+        vibron_frequency=angular(),
+        phonon_cutoff=angular(),
+        other_vibrons=array(angular(), default=()),
+        rate_model=record(
+            density=_PHONON_DENSITY, coupling=number(), temperature=kelvin(), default=None
+        ),
+    ),
+    "lindblad": record(
+        system=_TWO_LEVEL, initial_state=enum("ground", "excited"), times=_TIME_AXIS
+    ),
+    "g2": record(system=_TWO_LEVEL, taus=_TIME_AXIS),
+    "raman_memory": record(
+        gamma0=angular(),
+        kappa_v=angular(),
+        detuning=angular(),
+        signal_pulse=_PULSE,
+        control_pulse=_PULSE,
+        storage_hold=seconds(),
+    ),
+    "cavity_interface": record(
+        g=angular(),
+        kappa=angular(),
+        kappa_in=angular(),
+        kappa_out=angular(),
+        gamma=angular(),
+        emitter_coupled=Field({"type": "boolean"}, default=True),
+        grid=_GRID,
+    ),
+    "optomech": record(
+        g0=angular(),
+        omega_v=angular(),
+        kappa_v=angular(),
+        gamma0=angular(),
+        temperature=kelvin(),
+        n_bar=nullable(number(minimum=0)),
+    ),
+    "screening": record(
+        input_csv=_STRING,
+        criteria=record(
+            min_t1_ev=number(default=screening.DEFAULT_MIN_T1_EV),
+            max_s1_ev=number(default=screening.DEFAULT_MAX_S1_EV),
+            default={
+                "min_t1_ev": screening.DEFAULT_MIN_T1_EV,
+                "max_s1_ev": screening.DEFAULT_MAX_S1_EV,
             },
-            "minItems": 3,
-            "maxItems": 3,
-        },
-        "hyperfine_unit": {"enum": _ANGULAR_UNITS},
-        "gyromagnetic_ratio": {"type": "number"},
-    },
-    "required": ["spin", "hyperfine_tensor", "hyperfine_unit"],
-    "additionalProperties": False,
+        ),
+    ),
 }
 
-_SPIN_SYSTEM = {
-    "type": "object",
-    "properties": {
-        "zfs_d": _QUANTITY,
-        "zfs_e": _QUANTITY,
-        "magnetic_field_tesla": {
-            "type": "array",
-            "items": {"type": "number"},
-            "minItems": 3,
-            "maxItems": 3,
-        },
-        "g_electron": {"type": "number"},
-        "nuclei": {"type": "array", "items": _NUCLEUS},
-    },
-    "required": ["zfs_d", "zfs_e"],
-    "additionalProperties": False,
-}
-
-_TWO_LEVEL = {
-    "type": "object",
-    "properties": {
-        "rabi": _QUANTITY,
-        "detuning": _QUANTITY,
-        "decay": _QUANTITY,
-        "dephasing": _QUANTITY,
-    },
-    "required": ["rabi", "detuning", "decay"],
-    "additionalProperties": False,
-}
-
-_TIME_AXIS = {
-    "type": "object",
-    "properties": {
-        "stop": _QUANTITY,
-        "points": {"type": "integer", "minimum": 2},
-    },
-    "required": ["stop", "points"],
-    "additionalProperties": False,
-}
-
-PARAMETER_SCHEMAS = {
-    "spin_spectrum": {
-        "type": "object",
-        "properties": {
-            "spin_system": _SPIN_SYSTEM,
-            "grid": _GRID,
-            "linewidth": _QUANTITY,
-        },
-        "required": ["spin_system", "grid", "linewidth"],
-        "additionalProperties": False,
-    },
-    "odmr": {
-        "type": "object",
-        "properties": {
-            "network": {
-                "type": "object",
-                "properties": {
-                    "states": {"type": "array", "items": {"type": "string"}},
-                    "rates": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "properties": {
-                                "source": {"type": "string"},
-                                "target": {"type": "string"},
-                                "rate": _QUANTITY,
-                            },
-                            "required": ["source", "target", "rate"],
-                            "additionalProperties": False,
-                        },
-                    },
-                    "emissive": {"type": "array", "items": {"type": "string"}},
-                },
-                "required": ["states", "rates", "emissive"],
-                "additionalProperties": False,
-            },
-            "mw_pair": {
-                "type": "array",
-                "items": {"enum": ["x", "y", "z"]},
-                "minItems": 2,
-                "maxItems": 2,
-            },
-            "mw_mixing_rate": _QUANTITY,
-        },
-        "required": ["network", "mw_pair", "mw_mixing_rate"],
-        "additionalProperties": False,
-    },
-    "crot": {
-        "type": "object",
-        "properties": {
-            "spin_system": _SPIN_SYSTEM,
-            "drive_frequency": _QUANTITY,
-            "rabi_frequency": _QUANTITY,
-            "duration": _QUANTITY,
-            "drive_axis": {
-                "type": "array",
-                "items": {"type": "number"},
-                "minItems": 3,
-                "maxItems": 3,
-            },
-        },
-        "required": ["spin_system", "drive_frequency", "rabi_frequency", "duration"],
-        "additionalProperties": False,
-    },
-    "emission_spectrum": {
-        "type": "object",
-        "properties": {
-            "model": {
-                "type": "object",
-                "properties": {
-                    "zpl_frequency": _QUANTITY,
-                    "radiative_rate": _QUANTITY,
-                    "temperature": _QUANTITY,
-                    "vibron_modes": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "properties": {
-                                "frequency": _QUANTITY,
-                                "huang_rhys": {"type": "number", "minimum": 0},
-                                "relaxation_rate": _QUANTITY,
-                            },
-                            "required": ["frequency", "huang_rhys", "relaxation_rate"],
-                            "additionalProperties": False,
-                        },
-                    },
-                    "phonon_density": {
-                        "oneOf": [{"type": "null"}, _PHONON_DENSITY]
-                    },
-                    "extra_linewidth": _QUANTITY,
-                },
-                "required": ["zpl_frequency", "radiative_rate", "temperature"],
-                "additionalProperties": False,
-            },
-            "grid": _GRID,
-        },
-        "required": ["model", "grid"],
-        "additionalProperties": False,
-    },
-    "relaxation_classify": {
-        "type": "object",
-        "properties": {
-            "vibron_frequency": _QUANTITY,
-            "phonon_cutoff": _QUANTITY,
-            "other_vibrons": {"type": "array", "items": _QUANTITY},
-            "rate_model": {
-                "type": "object",
-                "properties": {
-                    "density": _PHONON_DENSITY,
-                    "coupling": {"type": "number"},
-                    "temperature": _QUANTITY,
-                },
-                "required": ["density", "coupling", "temperature"],
-                "additionalProperties": False,
-            },
-        },
-        "required": ["vibron_frequency", "phonon_cutoff"],
-        "additionalProperties": False,
-    },
-    "lindblad": {
-        "type": "object",
-        "properties": {
-            "system": _TWO_LEVEL,
-            "initial_state": {"enum": ["ground", "excited"]},
-            "times": _TIME_AXIS,
-        },
-        "required": ["system", "initial_state", "times"],
-        "additionalProperties": False,
-    },
-    "g2": {
-        "type": "object",
-        "properties": {"system": _TWO_LEVEL, "taus": _TIME_AXIS},
-        "required": ["system", "taus"],
-        "additionalProperties": False,
-    },
-    "raman_memory": {
-        "type": "object",
-        "properties": {
-            "gamma0": _QUANTITY,
-            "kappa_v": _QUANTITY,
-            "detuning": _QUANTITY,
-            "signal_pulse": _PULSE,
-            "control_pulse": _PULSE,
-            "storage_hold": _QUANTITY,
-        },
-        "required": [
-            "gamma0",
-            "kappa_v",
-            "detuning",
-            "signal_pulse",
-            "control_pulse",
-            "storage_hold",
-        ],
-        "additionalProperties": False,
-    },
-    "cavity_interface": {
-        "type": "object",
-        "properties": {
-            "g": _QUANTITY,
-            "kappa": _QUANTITY,
-            "kappa_in": _QUANTITY,
-            "kappa_out": _QUANTITY,
-            "gamma": _QUANTITY,
-            "emitter_coupled": {"type": "boolean"},
-            "grid": _GRID,
-        },
-        "required": ["g", "kappa", "kappa_in", "kappa_out", "gamma", "grid"],
-        "additionalProperties": False,
-    },
-    "optomech": {
-        "type": "object",
-        "properties": {
-            "g0": _QUANTITY,
-            "omega_v": _QUANTITY,
-            "kappa_v": _QUANTITY,
-            "gamma0": _QUANTITY,
-            "temperature": _QUANTITY,
-            "n_bar": {"oneOf": [{"type": "null"}, {"type": "number", "minimum": 0}]},
-        },
-        "required": ["g0", "omega_v", "kappa_v", "gamma0", "temperature"],
-        "additionalProperties": False,
-    },
-    "screening": {
-        "type": "object",
-        "properties": {
-            "input_csv": {"type": "string"},
-            "criteria": {
-                "type": "object",
-                "properties": {
-                    "min_t1_ev": {"type": "number"},
-                    "max_s1_ev": {"type": "number"},
-                },
-                "required": [],
-                "additionalProperties": False,
-            },
-        },
-        "required": ["input_csv"],
-        "additionalProperties": False,
-    },
-}
-
-SCENARIO_KINDS = tuple(sorted(PARAMETER_SCHEMAS))
+SCENARIO_KINDS = tuple(sorted(PARAMETERS))
 
 
 def config_schema(kind: str) -> dict:
     """The full JSON schema for one scenario kind."""
-    if kind not in PARAMETER_SCHEMAS:
+    if kind not in PARAMETERS:
         raise ConfigError(
             f"unknown scenario kind {kind!r}; expected one of {', '.join(SCENARIO_KINDS)}"
         )
@@ -352,7 +294,7 @@ def config_schema(kind: str) -> dict:
         "properties": {
             "schema_version": {"const": SCHEMA_VERSION},
             "scenario_kind": {"const": kind},
-            "parameters": PARAMETER_SCHEMAS[kind],
+            "parameters": PARAMETERS[kind].schema,
             "sweep": {
                 "type": "object",
                 "properties": {
@@ -374,100 +316,79 @@ def config_schema(kind: str) -> dict:
     }
 
 
-def validate_config(config) -> None:
+def _check(schema: dict, instance, where: str) -> None:
     """Raise ConfigError describing the first (deepest-path) violation."""
-    if not isinstance(config, dict):
-        raise ConfigError("config must be a JSON object")
-    kind = config.get("scenario_kind")
-    if not isinstance(kind, str) or kind not in PARAMETER_SCHEMAS:
-        raise ConfigError(
-            f"scenario_kind must be one of {', '.join(SCENARIO_KINDS)}, got {kind!r}"
-        )
-    validator = Draft202012Validator(config_schema(kind))
     errors = sorted(
-        validator.iter_errors(config), key=lambda e: (-len(e.absolute_path), str(e.absolute_path))
+        Draft202012Validator(schema).iter_errors(instance),
+        key=lambda e: (-len(e.absolute_path), str(e.absolute_path)),
     )
     if errors:
         err = errors[0]
-        where = ".".join(str(p) for p in err.absolute_path) or "<root>"
-        raise ConfigError(f"at {where}: {err.message}")
+        path = ".".join([where, *map(str, err.absolute_path)]).lstrip(".")
+        raise ConfigError(f"at {path or '<root>'}: {err.message}")
 
 
-# --- quantity coercion helpers ---------------------------------------------
+def _leaf_schema(schema: dict, dotted: str) -> dict:
+    """The schema of the node at a dotted parameter path."""
+    for tok in dotted.split("."):
+        schema = next((s for s in schema.get("oneOf", ()) if s != {"type": "null"}), schema)
+        if "properties" in schema and tok in schema["properties"]:
+            schema = schema["properties"][tok]
+        elif "items" in schema:
+            schema = schema["items"]
+        else:
+            raise ConfigError(f"sweep parameter path {dotted!r} does not resolve")
+    return schema
 
 
-def _quantity(node: dict) -> Quantity:
-    return Quantity(float(node["value"]), Unit(node["unit"]))
+def validate_config(config) -> list[dict]:
+    """Check a config and coerce its parameters.
 
-
-def _angular(node: dict, where: str) -> float:
-    try:
-        return _quantity(node).rad_per_s
-    except HostGuestError:
-        raise ConfigError(f"{where} must carry a frequency or energy unit") from None
-
-
-def _in_unit(node: dict, unit: Unit, where: str) -> float:
-    try:
-        return convert(_quantity(node), unit).value
-    except HostGuestError:
-        raise ConfigError(f"{where} must carry a {unit.value} unit") from None
-
-
-def _grid(node: dict, where: str) -> FrequencyGrid:
-    return FrequencyGrid(
-        start=_angular(node["start"], f"{where}.start"),
-        stop=_angular(node["stop"], f"{where}.stop"),
-        points=int(node["points"]),
-    )
-
-
-def _phonon_density(node: dict, where: str) -> vibronic.PhononSpectralDensity:
-    return vibronic.PhononSpectralDensity(
-        coupling_weight=float(node["coupling_weight"]),
-        peak_frequency=_angular(node["peak_frequency"], f"{where}.peak_frequency"),
-        cutoff_frequency=_angular(node["cutoff_frequency"], f"{where}.cutoff_frequency"),
-    )
-
-
-def _spin_system(node: dict, where: str) -> spin.SpinSystemSpec:
-    nuclei = []
-    for idx, nuc in enumerate(node.get("nuclei", ())):
-        unit = Unit(nuc["hyperfine_unit"])
-        factor = convert(Quantity(1.0, unit), Unit.RAD_PER_S).value
-        tensor = [[factor * x for x in row] for row in nuc["hyperfine_tensor"]]
-        kwargs = {}
-        if "gyromagnetic_ratio" in nuc:
-            kwargs["gyromagnetic_ratio"] = float(nuc["gyromagnetic_ratio"])
-        try:
-            nuclei.append(
-                spin.NucleusSpec(spin=nuc["spin"], hyperfine_tensor=tensor, **kwargs)
-            )
-        except ValueError as exc:
-            raise ConfigError(f"at {where}.nuclei.{idx}: {exc}") from None
-    try:
-        return spin.SpinSystemSpec(
-            zfs_d=_angular(node["zfs_d"], f"{where}.zfs_d"),
-            zfs_e=_angular(node["zfs_e"], f"{where}.zfs_e"),
-            magnetic_field=tuple(node.get("magnetic_field_tesla", (0.0, 0.0, 0.0))),
-            g_electron=float(node.get("g_electron", spin.G_ELECTRON_DEFAULT)),
-            nuclei=tuple(nuclei),
+    Returns the coerced parameters to run: one entry for a plain run, or one
+    per sweep value, in order. A sweep value is checked against the schema of
+    the swept leaf only. Raises ConfigError naming the path of the first
+    violation.
+    """
+    if not isinstance(config, dict):
+        raise ConfigError("config must be a JSON object")
+    kind = config.get("scenario_kind")
+    if not isinstance(kind, str) or kind not in PARAMETERS:
+        raise ConfigError(
+            f"scenario_kind must be one of {', '.join(SCENARIO_KINDS)}, got {kind!r}"
         )
-    except ValueError as exc:
-        raise ConfigError(f"at {where}: {exc}") from None
+    _check(config_schema(kind), config, "")
+    table = PARAMETERS[kind]
+    sweep = config.get("sweep")
+    if not sweep:
+        return [table.coerce(config["parameters"], "parameters")]
+    dotted = sweep["parameter"]
+    leaf = _leaf_schema(table.schema, dotted)
+    points = []
+    for value in sweep["values"]:
+        _check(leaf, value, f"parameters.{dotted}")
+        params = copy.deepcopy(config["parameters"])
+        _set_path(params, dotted, value)
+        points.append(table.coerce(params, "parameters"))
+    return points
 
 
-def _two_level(node: dict) -> dynamics.OpenSystem:
-    rabi = _angular(node["rabi"], "system.rabi")
-    delta = _angular(node["detuning"], "system.detuning")
-    decay = _angular(node["decay"], "system.decay")
-    dephasing = _angular(node.get("dephasing", {"value": 0.0, "unit": "rad/s"}), "system.dephasing")
+def _spin_system(p: dict) -> spin.SpinSystemSpec:
+    return spin.SpinSystemSpec(
+        zfs_d=p["zfs_d"],
+        zfs_e=p["zfs_e"],
+        magnetic_field=p["magnetic_field_tesla"],
+        g_electron=p["g_electron"],
+        nuclei=tuple(spin.NucleusSpec(**n) for n in p["nuclei"]),
+    )
+
+
+def _two_level(p: dict) -> dynamics.OpenSystem:
     lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # basis (g, e)
     project_e = np.diag([0.0, 1.0]).astype(complex)
-    h = delta * project_e + 0.5 * rabi * (lower + lower.conj().T)
-    channels = [(lower, decay)]
-    if dephasing > 0.0:
-        channels.append((project_e, dephasing))
+    h = p["detuning"] * project_e + 0.5 * p["rabi"] * (lower + lower.conj().T)
+    channels = [(lower, p["decay"])]
+    if p["dephasing"] > 0.0:
+        channels.append((project_e, p["dephasing"]))
     return dynamics.OpenSystem(h, tuple(channels))
 
 
@@ -510,19 +431,20 @@ def _json_bytes(payload) -> bytes:
 
 # --- scenario runners --------------------------------------------------------
 #
-# Each runner maps validated parameters to (scalars, artifacts); scalars are
+# Each runner maps coerced parameters to (scalars, artifacts); scalars are
 # flat key -> scalar (these populate result.json and sweep columns),
-# artifacts are file name -> bytes.
+# artifacts are file name -> bytes. A runner owns the coerced dict it is
+# given and may replace entries in it by the objects built from them.
 
 _TWO_PI = 2.0 * math.pi
 
 
 def _run_spin_spectrum(params, _ctx):
-    system = _spin_system(params["spin_system"], "spin_system")
-    grid = _grid(params["grid"], "grid")
-    linewidth = _angular(params["linewidth"], "linewidth")
-    freqs, response = spin.odmr_spectrum(system, grid, linewidth)
+    system = _spin_system(params["spin_system"])
     eig = spin.diagonalize(spin.build_spin_hamiltonian(system))
+    freqs, response = spin.odmr_spectrum(
+        system, FrequencyGrid(**params["grid"]), params["linewidth"], eig
+    )
     gaps = np.diff(eig.energies)
     scalars = {
         "level_count": len(eig.energies),
@@ -547,7 +469,7 @@ def _parse_network(node):
     rates = {}
     for item in node["rates"]:
         key = (levels.parse_ket(item["source"]), levels.parse_ket(item["target"]))
-        rates[key] = _angular(item["rate"], "network.rates")
+        rates[key] = item["rate"]
     flags = {k: False for k in states}
     for s in node["emissive"]:
         flags[levels.parse_ket(s)] = True
@@ -559,22 +481,17 @@ def _run_odmr(params, _ctx):
         network = _parse_network(params["network"])
     except ValueError as exc:
         raise ConfigError(f"at network: {exc}") from None
-    contrast = dynamics.odmr_contrast(
-        network,
-        tuple(params["mw_pair"]),
-        _angular(params["mw_mixing_rate"], "mw_mixing_rate"),
-    )
+    contrast = dynamics.odmr_contrast(network, params["mw_pair"], params["mw_mixing_rate"])
     return {"contrast": contrast}, {}
 
 
 def _run_crot(params, _ctx):
-    system = _spin_system(params["spin_system"], "spin_system")
     result = spin.crot_gate(
-        system,
-        drive_frequency=_angular(params["drive_frequency"], "drive_frequency"),
-        rabi_frequency=_angular(params["rabi_frequency"], "rabi_frequency"),
-        duration=_in_unit(params["duration"], Unit.SECOND, "duration"),
-        drive_axis=tuple(params.get("drive_axis", (1.0, 0.0, 0.0))),
+        _spin_system(params["spin_system"]),
+        drive_frequency=params["drive_frequency"],
+        rabi_frequency=params["rabi_frequency"],
+        duration=params["duration"],
+        drive_axis=params["drive_axis"],
     )
     u = result.unitary
     header = []
@@ -596,39 +513,16 @@ def _run_crot(params, _ctx):
 
 def _run_emission_spectrum(params, _ctx):
     node = params["model"]
-    modes = tuple(
-        vibronic.VibronMode(
-            frequency=_angular(m["frequency"], "model.vibron_modes.frequency"),
-            huang_rhys=float(m["huang_rhys"]),
-            relaxation_rate=_angular(m["relaxation_rate"], "model.vibron_modes.relaxation_rate"),
-        )
-        for m in node.get("vibron_modes", ())
-    )
-    density_node = node.get("phonon_density")
-    try:
-        model = vibronic.VibronicModel(
-            zpl_frequency=_angular(node["zpl_frequency"], "model.zpl_frequency"),
-            radiative_rate=_angular(node["radiative_rate"], "model.radiative_rate"),
-            vibron_modes=modes,
-            phonon_density=(
-                _phonon_density(density_node, "model.phonon_density")
-                if density_node
-                else None
-            ),
-            temperature=_in_unit(node["temperature"], Unit.KELVIN, "model.temperature"),
-            extra_linewidth=(
-                _angular(node["extra_linewidth"], "model.extra_linewidth")
-                if "extra_linewidth" in node
-                else 0.0
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"at model: {exc}") from None
-    grid = _grid(params["grid"], "grid")
-    spectrum = vibronic.emission_spectrum(model, grid)
+    node["vibron_modes"] = tuple(vibronic.VibronMode(**m) for m in node["vibron_modes"])
+    if node["phonon_density"] is not None:
+        node["phonon_density"] = vibronic.PhononSpectralDensity(**node["phonon_density"])
+    model = vibronic.VibronicModel(**node)
+    spectrum = vibronic.emission_spectrum(model, FrequencyGrid(**params["grid"]))
+    # The ZPL branching ratio equals the Debye-Waller factor by construction.
+    debye_waller = vibronic.debye_waller(model)
     scalars = {
-        "debye_waller": vibronic.debye_waller(model),
-        "zpl_branching_ratio": vibronic.zpl_branching_ratio(model),
+        "debye_waller": debye_waller,
+        "zpl_branching_ratio": debye_waller,
         "zpl_linewidth_hz": model.zpl_linewidth / _TWO_PI,
     }
     artifact = _csv_bytes(
@@ -639,33 +533,23 @@ def _run_emission_spectrum(params, _ctx):
 
 
 def _run_relaxation_classify(params, _ctx):
-    try:
-        data = relaxation.RelaxationInput(
-            vibron_frequency=_angular(params["vibron_frequency"], "vibron_frequency"),
-            phonon_cutoff=_angular(params["phonon_cutoff"], "phonon_cutoff"),
-            other_vibrons=tuple(
-                _angular(w, "other_vibrons") for w in params.get("other_vibrons", ())
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"at parameters: {exc}") from None
+    rm = params.pop("rate_model")
+    data = relaxation.RelaxationInput(**params)
     channel = relaxation.classify_relaxation(data)
     scalars = {"channel": channel.value, "two_phonon_rate": 0.0}
-    if "rate_model" in params and channel is relaxation.RelaxationChannel.TWO_PHONON:
-        rm = params["rate_model"]
+    if rm is not None and channel is relaxation.RelaxationChannel.TWO_PHONON:
         scalars["two_phonon_rate"] = relaxation.two_phonon_rate(
             data.vibron_frequency,
-            _phonon_density(rm["density"], "rate_model.density"),
-            coupling=float(rm["coupling"]),
-            temperature=_in_unit(rm["temperature"], Unit.KELVIN, "rate_model.temperature"),
+            vibronic.PhononSpectralDensity(**rm["density"]),
+            coupling=rm["coupling"],
+            temperature=rm["temperature"],
         )
     return scalars, {}
 
 
 def _run_lindblad(params, _ctx):
     system = _two_level(params["system"])
-    stop = _in_unit(params["times"]["stop"], Unit.SECOND, "times.stop")
-    points = int(params["times"]["points"])
+    stop, points = params["times"]["stop"], params["times"]["points"]
     if stop <= 0.0:
         raise ConfigError("times.stop must be positive")
     times = np.linspace(0.0, stop, points)
@@ -696,8 +580,7 @@ def _run_lindblad(params, _ctx):
 
 def _run_g2(params, _ctx):
     system = _two_level(params["system"])
-    stop = _in_unit(params["taus"]["stop"], Unit.SECOND, "taus.stop")
-    points = int(params["taus"]["points"])
+    stop, points = params["taus"]["stop"], params["taus"]["points"]
     if stop <= 0.0:
         raise ConfigError("taus.stop must be positive")
     taus = np.linspace(0.0, stop, points)
@@ -708,36 +591,16 @@ def _run_g2(params, _ctx):
 
 
 def _run_raman_memory(params, _ctx):
-    def pulse(node, where):
-        return protocols.Pulse(
-            peak_rabi=_angular(node["peak_rabi"], f"{where}.peak_rabi"),
-            center=_in_unit(node["center"], Unit.SECOND, f"{where}.center"),
-            width=_in_unit(node["width"], Unit.SECOND, f"{where}.width"),
-        )
-
-    spec = protocols.RamanMemorySpec(
-        gamma0=_angular(params["gamma0"], "gamma0"),
-        kappa_v=_angular(params["kappa_v"], "kappa_v"),
-        detuning=_angular(params["detuning"], "detuning"),
-        signal_pulse=pulse(params["signal_pulse"], "signal_pulse"),
-        control_pulse=pulse(params["control_pulse"], "control_pulse"),
-        storage_hold=_in_unit(params["storage_hold"], Unit.SECOND, "storage_hold"),
-    )
+    for name in ("signal_pulse", "control_pulse"):
+        params[name] = protocols.Pulse(**params[name])
+    spec = protocols.RamanMemorySpec(**params)
     storage, total = protocols.raman_memory_efficiency(spec)
     return {"storage_efficiency": storage, "total_efficiency": total}, {}
 
 
 def _run_cavity_interface(params, _ctx):
-    spec = protocols.CavityInterfaceSpec(
-        g=_angular(params["g"], "g"),
-        kappa=_angular(params["kappa"], "kappa"),
-        kappa_in=_angular(params["kappa_in"], "kappa_in"),
-        kappa_out=_angular(params["kappa_out"], "kappa_out"),
-        gamma=_angular(params["gamma"], "gamma"),
-        emitter_coupled=bool(params.get("emitter_coupled", True)),
-    )
-    grid = _grid(params["grid"], "grid")
-    detunings = grid.frequencies
+    detunings = FrequencyGrid(**params.pop("grid")).frequencies
+    spec = protocols.CavityInterfaceSpec(**params)
     reflection, transmission = protocols.cavity_response(spec, detunings)
     reflectance = np.abs(reflection) ** 2
     transmittance = np.abs(transmission) ** 2
@@ -757,15 +620,8 @@ def _run_cavity_interface(params, _ctx):
 
 
 def _run_optomech(params, _ctx):
-    p = protocols.OptomechParams(
-        g0=_angular(params["g0"], "g0"),
-        omega_v=_angular(params["omega_v"], "omega_v"),
-        kappa_v=_angular(params["kappa_v"], "kappa_v"),
-        gamma0=_angular(params["gamma0"], "gamma0"),
-        temperature=_in_unit(params["temperature"], Unit.KELVIN, "temperature"),
-    )
-    n_bar = params.get("n_bar")
-    result = protocols.optomech_cooperativity(p, None if n_bar is None else float(n_bar))
+    n_bar = params.pop("n_bar")
+    result = protocols.optomech_cooperativity(protocols.OptomechParams(**params), n_bar)
     scalars = {
         "cooperativity": result.cooperativity,
         "thermal_occupation": result.thermal_occupation,
@@ -778,11 +634,7 @@ def _run_screening(params, ctx):
     raw = Path(params["input_csv"])
     path = raw if raw.is_absolute() else ctx["config_dir"] / raw
     result = screening.ingest(path)
-    crit_node = params.get("criteria", {})
-    criteria = screening.SelectionCriteria(
-        min_t1_ev=float(crit_node.get("min_t1_ev", screening.DEFAULT_MIN_T1_EV)),
-        max_s1_ev=float(crit_node.get("max_s1_ev", screening.DEFAULT_MAX_S1_EV)),
-    )
+    criteria = screening.SelectionCriteria(**params["criteria"])
     chosen = screening.select_candidates(result, criteria)
     fit = screening.fit_linear_scaling(result)
     scalars = {
@@ -874,19 +726,14 @@ def load_config(path) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
 
 
-def run_scenario(
-    config: dict,
-    config_dir,
-    output_dir=None,
-    threads: int = 1,
-) -> Path:
+def run_scenario(config: dict, config_dir, output_dir=None) -> Path:
     """Validate and execute one scenario; returns the output directory.
 
     The manifest plus all artifacts are staged in memory and written
     atomically at the end, so a failing run leaves no partial artifact
     behind.
     """
-    validate_config(config)
+    points = validate_config(config)
     kind = config["scenario_kind"]
     seed = int(config.get("seed", 0))
     out = Path(output_dir) if output_dir else Path(config.get("output_dir", "."))
@@ -898,32 +745,15 @@ def run_scenario(
     files: dict[str, bytes] = {}
     sweep = config.get("sweep")
     if sweep:
-        dotted = sweep["parameter"]
-        # Resolve once against the pristine parameters so bad paths fail
-        # before any computation.
-        probe = copy.deepcopy(config["parameters"])
-        _set_path(probe, dotted, sweep["values"][0])
-
-        def run_point(value):
-            point = copy.deepcopy(config)
-            _set_path(point["parameters"], dotted, value)
-            validate_config(point)
-            scalars, _ = _invoke(runner, point["parameters"], ctx)
-            return scalars
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(run_point, sweep["values"]))
-        else:
-            results = [run_point(v) for v in sweep["values"]]
+        results = [_invoke(runner, params, ctx)[0] for params in points]
         columns = sorted(results[0])
         rows = [
             [value] + [point[c] for c in columns]
             for value, point in zip(sweep["values"], results)
         ]
-        files["sweep.csv"] = _csv_bytes([dotted] + columns, rows)
+        files["sweep.csv"] = _csv_bytes([sweep["parameter"]] + columns, rows)
     else:
-        scalars, artifacts = _invoke(runner, config["parameters"], ctx)
+        scalars, artifacts = _invoke(runner, points[0], ctx)
         files.update(artifacts)
         files["result.json"] = _json_bytes(
             {k: _json_scalar(v) for k, v in scalars.items()}

@@ -229,10 +229,8 @@ def diagonalize(hamiltonian: np.ndarray) -> SpinEigensystem:
     return SpinEigensystem(energies=energies, states=states)
 
 
-def _transition_lines(spec: SpinSystemSpec):
+def _transition_lines(spec: SpinSystemSpec, eig: SpinEigensystem):
     """All upward eigenpair transitions with spin matrix-element weights."""
-    h = build_spin_hamiltonian(spec)
-    eig = diagonalize(h)
     (sx, sy, sz), _ = _product_operators(spec)
     v = eig.states
     weights = sum(
@@ -243,19 +241,25 @@ def _transition_lines(spec: SpinSystemSpec):
     for i in range(n):
         for f in range(i + 1, n):
             lines.append((float(eig.energies[f] - eig.energies[i]), float(weights[f, i])))
-    return lines, eig
+    return lines
 
 
-def odmr_spectrum(spec: SpinSystemSpec, grid, linewidth: float):
+def odmr_spectrum(
+    spec: SpinSystemSpec, grid, linewidth: float, eigensystem: SpinEigensystem | None = None
+):
     """Magnetic-dipole stick spectrum convolved with a Lorentzian.
 
     Every eigenpair gap is weighted by |<f|Sx|i>|^2 + |<f|Sy|i>|^2 +
     |<f|Sz|i>|^2 and broadened to the given FWHM (rad/s). Returns the grid
-    frequencies and the response sampled on them.
+    frequencies and the response sampled on them. A caller that already
+    holds the diagonalized Hamiltonian of ``spec`` passes it as
+    ``eigensystem`` so that it is not computed again.
     """
     if linewidth <= 0.0:
         raise ValueError(f"linewidth must be positive, got {linewidth}")
-    lines, _ = _transition_lines(spec)
+    if eigensystem is None:
+        eigensystem = diagonalize(build_spin_hamiltonian(spec))
+    lines = _transition_lines(spec, eigensystem)
     freqs = grid.frequencies
     response = np.zeros_like(freqs)
     half = 0.5 * linewidth

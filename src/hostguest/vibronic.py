@@ -68,11 +68,8 @@ class PhononSpectralDensity:
     coupling_weight: float
     peak_frequency: float
     cutoff_frequency: float
-    shape: str = "superohmic_exp"
 
     def __post_init__(self):
-        if self.shape != "superohmic_exp":
-            raise ValueError(f"unsupported spectral-density shape {self.shape!r}")
         if not (self.cutoff_frequency > self.peak_frequency > 0.0):
             raise ValueError("need cutoff_frequency > peak_frequency > 0")
         if self.coupling_weight < 0.0:

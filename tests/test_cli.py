@@ -1,5 +1,6 @@
-import copy
 import json
+import math
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,8 @@ from hostguest.scenarios import (
     run_scenario,
     validate_config,
 )
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def _lindblad_config(output_dir, rabi_mhz=5.0, points=101):
@@ -68,8 +71,14 @@ def test_validate_subcommand(tmp_path, capsys):
 def test_schema_subcommand_lists_required_keys(capsys):
     assert main(["schema", "lindblad"]) == 0
     schema = json.loads(capsys.readouterr().out)
-    assert "system" in schema["properties"]["parameters"]["properties"]
+    params = schema["properties"]["parameters"]["properties"]
+    assert "system" in params
     assert schema["additionalProperties"] is False
+    # each quantity's unit enum names only the units valid for it
+    assert params["system"]["properties"]["rabi"]["properties"]["unit"]["enum"] == [
+        "eV", "THz", "GHz", "MHz", "kHz", "rad/s"
+    ]
+    assert params["times"]["properties"]["stop"]["properties"]["unit"]["enum"] == ["s"]
 
 
 def test_all_kinds_have_schemas():
@@ -112,22 +121,15 @@ def test_missing_file_and_bad_json_exit_1(tmp_path, capsys):
     assert "config error" in err
 
 
-def test_sweep_preserves_value_order_and_threads_agree(tmp_path):
+def test_sweep_preserves_value_order(tmp_path):
     values = [2.0, 8.0, 0.5, 4.0]
     base = _lindblad_config(tmp_path / "serial")
     base["sweep"] = {"parameter": "system.rabi.value", "values": values}
     serial_dir = run_scenario(
         load_config(_write(tmp_path, base, "serial.json")), tmp_path
     )
-    threaded = copy.deepcopy(base)
-    threaded["output_dir"] = str(tmp_path / "threaded")
-    threaded_dir = run_scenario(
-        load_config(_write(tmp_path, threaded, "threaded.json")), tmp_path, threads=3
-    )
 
     serial_rows = (serial_dir / "sweep.csv").read_text().splitlines()
-    threaded_rows = (threaded_dir / "sweep.csv").read_text().splitlines()
-    assert serial_rows == threaded_rows
     header = serial_rows[0].split(",")
     assert header[0] == "system.rabi.value"
     assert header[1:] == sorted(header[1:])
@@ -206,10 +208,39 @@ def test_rerun_is_byte_identical(tmp_path):
     assert first == second
 
 
-def test_threads_must_be_positive(tmp_path, capsys):
-    path = _write(tmp_path, _lindblad_config(tmp_path / "out"))
-    assert main(["run", str(path), "--threads", "0"]) == 1
-    assert "config error" in capsys.readouterr().err
+def _set(tree, dotted, value):
+    *head, leaf = dotted.split(".")
+    for tok in head:
+        tree = tree[int(tok)] if isinstance(tree, list) else tree[tok]
+    tree[int(leaf) if isinstance(tree, list) else leaf] = value
+
+
+@pytest.mark.parametrize(
+    "kind, dotted, value, where",
+    [
+        ("spin_spectrum", "parameters.spin_system.zfs_d.unit", "K", None),
+        ("raman_memory", "parameters.storage_hold.unit", "GHz", None),
+        ("optomech", "parameters.temperature.unit", "MHz", None),
+        ("lindblad", "parameters.system.rabi.value", math.nan, None),
+        ("emission_spectrum", "parameters.model.vibron_modes.0.huang_rhys", math.nan, None),
+        (
+            "lindblad",
+            "sweep",
+            {"parameter": "system.rabi.unit", "values": ["MHz", "K"]},
+            "parameters.system.rabi.unit",
+        ),
+    ],
+)
+def test_validate_rejects_what_run_rejects(tmp_path, capsys, kind, dotted, value, where):
+    config = load_config(SCENARIO_DIR / f"{kind}.json")
+    config["output_dir"] = str(tmp_path / "out")
+    _set(config, dotted, value)
+    path = _write(tmp_path, config)
+    assert main(["validate", str(path)]) == 1
+    assert f"at {where or dotted}:" in capsys.readouterr().err
+    assert main(["run", str(path)]) == 1
+    assert f"at {where or dotted}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_scenario_kind(tmp_path):

@@ -1,0 +1,78 @@
+"""Golden fixture: the artifacts of every shipped scenario, pinned by SHA-256.
+
+Criterion 12 only checks that two runs in one process agree; this test
+checks that they agree with the recorded outputs, so a refactor that
+changes any byte of any artifact fails here. Artifacts are pinned, not
+manifest bytes, so provenance fields in the manifest may change freely. A
+change that alters outputs on purpose updates the hashes below and says so
+in CHANGES.md.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from hostguest.scenarios import load_config, run_scenario
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+
+GOLDEN = {
+    "cavity_interface": {
+        "response.csv": "99e875e435ede9914a764be0382f7710953b633ba2c19f05ec8a05271bd72860",
+        "result.json": "1bedc03080a8c39681befffc7f7cd4aa6dfaf18ae67350d20423a8f01f1b2aa6",
+    },
+    "crot": {
+        "result.json": "75b6b767ae42f05d35e5cf78174731b7ec81541e619d2ef024fbead7574567f4",
+        "unitary.csv": "1d0d1bde692898b2e4df86546445fc0c3f9807404df2114831b535e940ff6cc8",
+    },
+    "emission_spectrum": {
+        "result.json": "13cdab359a24da3f9e372e05699c6a4e65732c095115da71260ca81ab2c7f717",
+        "spectrum.csv": "24b2c3eab8d49057b02420374c3c634525da1340e1fc8a2fc91f0960b12fca13",
+    },
+    "g2": {
+        "g2.csv": "5409ce7fd96ae5dfece3dc6242eb3177baaf99af4237b5b8cd44e953545f42db",
+        "result.json": "3a29c61824c895e9ebee84ff534d9bf72c2e72f157486771df0d949f05260003",
+    },
+    "lindblad": {
+        "result.json": "417a81c181fb65880f2e32482cfcce93cd20a1ba2634a5808b6904dce18471ea",
+        "trajectory.csv": "a12a7c66113d110f122fada9aa9726df467b934eea8ae9ad70391c121e72d333",
+    },
+    "odmr": {
+        "result.json": "691759ab72f6ca4d300bffd1f121de818fbb447d8a9f021d139294df4a6b55ab",
+    },
+    "optomech": {
+        "result.json": "e9036fc21f554c1d2bd41b202684c5cb5842aca83062f6bc6b455550c76718a8",
+    },
+    "raman_memory": {
+        "result.json": "0601b5dc46a4cd687b63ce312de792c6dd090cdeb85f4fd75835be7a018e3220",
+    },
+    "relaxation_classify": {
+        "result.json": "246135926c797eae048c76f06235efa106cd3fcfb2d899d4aa24d48b7623f9bc",
+    },
+    "screening": {
+        "candidates.csv": "b234b3029b7ecd48b1e7c39c5c44a242f8181bb123234bc6dc6bee3ae850da29",
+        "result.json": "9e19f393a7e44a0d242fdb1e586445813cddcf654768166af693f7ba50dfb4be",
+    },
+    "spin_spectrum": {
+        "levels.csv": "05154ae09dba743a8644eb1e3485631f3067a18e2efab77b55ccc226cc5c80f5",
+        "result.json": "08141a6c1b25bb1e033124324341ab1fbf3081a827b715d370e92abc274714dd",
+        "spectrum.csv": "a5ed17f910c4114cf79e5eb023e0585a7b1ea0985175d2948ccb003eef30b92c",
+    },
+}
+
+
+def test_every_shipped_scenario_is_pinned():
+    assert sorted(p.stem for p in SCENARIO_DIR.glob("*.json")) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_shipped_artifacts_match_golden_hashes(name, tmp_path):
+    path = SCENARIO_DIR / f"{name}.json"
+    out = run_scenario(load_config(path), SCENARIO_DIR, output_dir=tmp_path / "out")
+    hashes = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.iterdir())
+        if p.name != "manifest.json"
+    }
+    assert hashes == GOLDEN[name]

@@ -30,8 +30,6 @@ def test_pulse_validation():
         Pulse(peak_rabi=-1.0, center=0.0, width=1.0)
     with pytest.raises(ValueError):
         Pulse(peak_rabi=1.0, center=0.0, width=0.0)
-    with pytest.raises(ValueError):
-        Pulse(peak_rabi=1.0, center=0.0, width=1.0, shape="square")
 
 
 def _memory_spec(control_peak, hold=1e-6, gamma0=5e7, kappa_v=1e3):
