@@ -9,7 +9,7 @@ a vibrational mode read out through the zero-phonon line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -220,22 +220,20 @@ def vacuum_rabi_splitting(spec: CavityInterfaceSpec, detunings) -> float:
     return float(peak_right - peak_left)
 
 
-def spin_photon_fidelity(spec: CavityInterfaceSpec) -> float:
+def spin_photon_fidelity(spec: CavityInterfaceSpec, on_resonance=None) -> float:
     """Overlap fidelity of the reflection/transmission spin-photon gate.
 
     The singlet branch reflects with the coupled on-resonance amplitude
     r_on -> -C/(1+C); the shelved branch transmits with the bare amplitude
     t_off. The ideal map has r = -1, t = +1, giving
-    F = |t_off - r_on|^2 / 4, monotone in the cooperativity.
+    F = |t_off - r_on|^2 / 4, monotone in the cooperativity. A caller that
+    already holds ``cavity_response(spec, 0.0)`` passes it as
+    ``on_resonance`` so that it is not computed again.
     """
-    coupled = CavityInterfaceSpec(
-        spec.g, spec.kappa, spec.kappa_in, spec.kappa_out, spec.gamma, True
-    )
-    shelved = CavityInterfaceSpec(
-        spec.g, spec.kappa, spec.kappa_in, spec.kappa_out, spec.gamma, False
-    )
-    r_on, _ = cavity_response(coupled, 0.0)
-    _, t_off = cavity_response(shelved, 0.0)
+    r0, t0 = cavity_response(spec, 0.0) if on_resonance is None else on_resonance
+    other = replace(spec, emitter_coupled=not spec.emitter_coupled)
+    r1, t1 = cavity_response(other, 0.0)
+    r_on, t_off = (r0, t1) if spec.emitter_coupled else (r1, t0)
     return float(abs(t_off[0] - r_on[0]) ** 2) / 4.0
 
 

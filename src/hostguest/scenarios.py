@@ -601,16 +601,17 @@ def _run_raman_memory(params, _ctx):
 def _run_cavity_interface(params, _ctx):
     detunings = FrequencyGrid(**params.pop("grid")).frequencies
     spec = protocols.CavityInterfaceSpec(**params)
-    reflection, transmission = protocols.cavity_response(spec, detunings)
-    reflectance = np.abs(reflection) ** 2
-    transmittance = np.abs(transmission) ** 2
+    # Detuning 0 rides along as one extra point at the end of the grid.
+    reflection, transmission = protocols.cavity_response(spec, np.append(detunings, 0.0))
+    r0, t0 = reflection[-1:], transmission[-1:]
+    reflectance = np.abs(reflection[:-1]) ** 2
+    transmittance = np.abs(transmission[:-1]) ** 2
     loss = 1.0 - reflectance - transmittance
-    r0, t0 = protocols.cavity_response(spec, 0.0)
     scalars = {
         "cooperativity": spec.cooperativity,
         "on_resonance_reflectance": float(abs(r0[0]) ** 2),
         "on_resonance_transmittance": float(abs(t0[0]) ** 2),
-        "spin_photon_fidelity": protocols.spin_photon_fidelity(spec),
+        "spin_photon_fidelity": protocols.spin_photon_fidelity(spec, (r0, t0)),
     }
     artifact = _csv_bytes(
         ("detuning_hz", "reflectance", "transmittance", "loss"),

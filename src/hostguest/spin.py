@@ -118,22 +118,26 @@ def zfs_tensor(zfs_d: float, zfs_e: float) -> np.ndarray:
     )
 
 
-def _product_operators(spec: SpinSystemSpec):
-    """Electron and per-nucleus vector operators embedded in the product space."""
-    dims = [3] + [n.dimension for n in spec.nuclei]
-    ops = [angular_momentum_operators(Fraction(1))] + [
-        angular_momentum_operators(n.spin) for n in spec.nuclei
-    ]
+def _nuclear_operators(nuclei: tuple[NucleusSpec, ...]):
+    """Per-nucleus vector operators embedded in the nuclear product space."""
+    dims = [n.dimension for n in nuclei]
     embedded = []
-    for k, triple in enumerate(ops):
-        out = []
-        for op in triple:
-            full = np.eye(1, dtype=complex)
-            for j, d in enumerate(dims):
-                full = np.kron(full, op if j == k else np.eye(d, dtype=complex))
-            out.append(full)
-        embedded.append(tuple(out))
-    return embedded[0], embedded[1:]
+    for k, nuc in enumerate(nuclei):
+        before = np.eye(math.prod(dims[:k]), dtype=complex)
+        after = np.eye(math.prod(dims[k + 1 :]), dtype=complex)
+        embedded.append(
+            tuple(
+                np.kron(np.kron(before, op), after)
+                for op in angular_momentum_operators(nuc.spin)
+            )
+        )
+    return embedded
+
+
+def _electron_operators(spec: SpinSystemSpec):
+    """Electron vector operator S_a (x) I over the full product space."""
+    identity = np.eye(spec.dimension // 3, dtype=complex)
+    return tuple(np.kron(op, identity) for op in angular_momentum_operators(Fraction(1)))
 
 
 def assemble_spin_hamiltonian(
@@ -150,7 +154,8 @@ def assemble_spin_hamiltonian(
     hyperfine, and ZFS all rotated together) can be assembled; the
     convenience wrapper :func:`build_spin_hamiltonian` uses the principal
     (D, E) parametrization. hyperfine_tensors, when given, overrides the
-    per-nucleus tensors (same order).
+    per-nucleus tensors (same order). Every term is built directly as a
+    Kronecker product of an electron factor and a nuclear factor.
     """
     spec_like = SpinSystemSpec(zfs_d=1.0, zfs_e=0.0, nuclei=nuclei)
     if spec_like.dimension > dimension_cap:
@@ -163,31 +168,32 @@ def assemble_spin_hamiltonian(
     ):
         raise ValueError("zfs tensor must be a symmetric 3x3 matrix")
     b = np.asarray(magnetic_field, dtype=float)
-    (sx, sy, sz), nuclear_ops = _product_operators(spec_like)
-    svec = (sx, sy, sz)
+    svec = angular_momentum_operators(Fraction(1))
+    nuclear_identity = np.eye(spec_like.dimension // 3, dtype=complex)
+    electron_identity = np.eye(3, dtype=complex)
 
-    h = np.zeros_like(sx)
+    h = np.zeros((spec_like.dimension,) * 2, dtype=complex)
     for a in range(3):
         for c in range(3):
             if zfs[a, c] != 0.0:
-                h = h + zfs[a, c] * (svec[a] @ svec[c])
+                h += zfs[a, c] * np.kron(svec[a] @ svec[c], nuclear_identity)
     larmor = g_electron * BOHR_MAGNETON / HBAR
     for a in range(3):
         if b[a] != 0.0:
-            h = h + larmor * b[a] * svec[a]
+            h += larmor * b[a] * np.kron(svec[a], nuclear_identity)
     tensors = (
         [n.tensor for n in nuclei]
         if hyperfine_tensors is None
         else [np.asarray(t, dtype=float) for t in hyperfine_tensors]
     )
-    for nuc, ivec, a_tensor in zip(nuclei, nuclear_ops, tensors):
+    for nuc, ivec, a_tensor in zip(nuclei, _nuclear_operators(nuclei), tensors):
         for a in range(3):
             for c in range(3):
                 if a_tensor[a, c] != 0.0:
-                    h = h + a_tensor[a, c] * (svec[a] @ ivec[c])
+                    h += a_tensor[a, c] * np.kron(svec[a], ivec[c])
         for a in range(3):
             if b[a] != 0.0:
-                h = h - nuc.gyromagnetic_ratio * b[a] * ivec[a]
+                h -= nuc.gyromagnetic_ratio * b[a] * np.kron(electron_identity, ivec[a])
     return 0.5 * (h + h.conj().T)
 
 
@@ -231,17 +237,10 @@ def diagonalize(hamiltonian: np.ndarray) -> SpinEigensystem:
 
 def _transition_lines(spec: SpinSystemSpec, eig: SpinEigensystem):
     """All upward eigenpair transitions with spin matrix-element weights."""
-    (sx, sy, sz), _ = _product_operators(spec)
     v = eig.states
-    weights = sum(
-        np.abs(v.conj().T @ op @ v) ** 2 for op in (sx, sy, sz)
-    )
-    lines = []
-    n = len(eig.energies)
-    for i in range(n):
-        for f in range(i + 1, n):
-            lines.append((float(eig.energies[f] - eig.energies[i]), float(weights[f, i])))
-    return lines
+    weights = sum(np.abs(v.conj().T @ op @ v) ** 2 for op in _electron_operators(spec))
+    lower, upper = np.triu_indices(len(eig.energies), k=1)
+    return eig.energies[upper] - eig.energies[lower], weights[upper, lower]
 
 
 def odmr_spectrum(
@@ -259,13 +258,14 @@ def odmr_spectrum(
         raise ValueError(f"linewidth must be positive, got {linewidth}")
     if eigensystem is None:
         eigensystem = diagonalize(build_spin_hamiltonian(spec))
-    lines = _transition_lines(spec, eigensystem)
+    gaps, weights = _transition_lines(spec, eigensystem)
+    bright = weights > 0.0
     freqs = grid.frequencies
     response = np.zeros_like(freqs)
     half = 0.5 * linewidth
-    for omega0, weight in lines:
-        if weight <= 0.0:
-            continue
+    # One line at a time, in pair order: a lines x grid array would cost
+    # memory, and a different summation order would change the bytes.
+    for omega0, weight in zip(gaps[bright].tolist(), weights[bright].tolist()):
         response += weight * (half / math.pi) / ((freqs - omega0) ** 2 + half**2)
     return freqs, response
 
@@ -277,25 +277,63 @@ class CrotResult:
     unitary: np.ndarray
     fidelity: float
     addressed: tuple[int, int]
+    # Magnus steps evaluated for the accepted propagator: one drive period
+    # plus the remainder segment, not duration / dt.
     step_count: int
 
 
-def _magnus_propagate(h0, drive_op, amplitude, omega_d, duration, steps):
-    """Fixed-step fourth-order (two-point Magnus) propagator; exactly unitary."""
+# Steps evaluated per stacked eigh call; bounds the scratch arrays to a few MB.
+_MAGNUS_BATCH = 4096
+
+
+def _magnus_segment(h0, drive_op, amplitude, omega_d, duration, steps):
+    """Fourth-order two-point Magnus propagator over [0, duration]; exactly unitary.
+
+    The steps are independent, so each batch is diagonalized in one stacked
+    eigh call; the step exponentials are then multiplied in time order.
+    """
     dt = duration / steps
     c1 = 0.5 - math.sqrt(3.0) / 6.0
     c2 = 0.5 + math.sqrt(3.0) / 6.0
     k_comm = math.sqrt(3.0) * dt * dt / 12.0
-    dim = h0.shape[0]
-    u = np.eye(dim, dtype=complex)
-    for k in range(steps):
-        t = k * dt
-        h1 = h0 + (amplitude * math.cos(omega_d * (t + c1 * dt))) * drive_op
-        h2 = h0 + (amplitude * math.cos(omega_d * (t + c2 * dt))) * drive_op
+    u = np.eye(h0.shape[0], dtype=complex)
+    for first in range(0, steps, _MAGNUS_BATCH):
+        t = np.arange(first, min(first + _MAGNUS_BATCH, steps)) * dt
+        a1 = amplitude * np.cos(omega_d * (t + c1 * dt))
+        a2 = amplitude * np.cos(omega_d * (t + c2 * dt))
+        h1 = h0 + a1[:, None, None] * drive_op
+        h2 = h0 + a2[:, None, None] * drive_op
         m = (0.5 * dt) * (h1 + h2) - (1j * k_comm) * (h2 @ h1 - h1 @ h2)
         w, v = np.linalg.eigh(m)
-        u = (v * np.exp(-1j * w)) @ v.conj().T @ u
+        for step in (v * np.exp(-1j * w)[:, None, :]) @ v.conj().transpose(0, 2, 1):
+            u = step @ u
     return u
+
+
+def _magnus_propagate(h0, drive_op, amplitude, omega_d, duration, steps_per_period):
+    """U(duration, 0) for H(t) = H0 + amplitude cos(omega_d t) drive_op.
+
+    H(t) has period T = 2 pi / omega_d, so U(t + T, t) = U(T, 0) (Shirley,
+    Phys. Rev. 138, B979, 1965): one period is integrated with
+    steps_per_period Magnus steps and raised to the number of whole periods
+    by repeated squaring; the remainder, which again starts at drive phase
+    0, gets steps at the same density. Returns the propagator and the
+    number of Magnus steps evaluated.
+    """
+    period = 2.0 * math.pi / omega_d
+    periods = int(duration // period)
+    remainder = max(0.0, duration - periods * period)
+    u = np.eye(h0.shape[0], dtype=complex)
+    evaluated = 0
+    if periods:
+        one_period = _magnus_segment(h0, drive_op, amplitude, omega_d, period, steps_per_period)
+        u = np.linalg.matrix_power(one_period, periods)
+        evaluated += steps_per_period
+    tail_steps = math.ceil(steps_per_period * remainder / period)
+    if tail_steps:
+        u = _magnus_segment(h0, drive_op, amplitude, omega_d, remainder, tail_steps) @ u
+        evaluated += tail_steps
+    return u, evaluated
 
 
 def crot_gate(
@@ -324,7 +362,7 @@ def crot_gate(
 
     h0 = build_spin_hamiltonian(spec)
     eig = diagonalize(h0)
-    (sx, sy, sz), _ = _product_operators(spec)
+    sx, sy, sz = _electron_operators(spec)
     u_axis = np.asarray(drive_axis, dtype=float)
     u_axis = u_axis / np.linalg.norm(u_axis)
     drive = u_axis[0] * sx + u_axis[1] * sy + u_axis[2] * sz
@@ -355,12 +393,13 @@ def crot_gate(
     omega_scale = max(
         float(np.max(np.abs(eig.energies))), drive_frequency, rabi_frequency
     )
-    steps = max(1, math.ceil(duration * 50.0 * omega_scale))
-    u_coarse = _magnus_propagate(h0, drive, amplitude, drive_frequency, duration, steps)
+    # Steps per drive period; omega_scale >= drive_frequency makes this >= 315.
+    steps = math.ceil(2.0 * math.pi / drive_frequency * 50.0 * omega_scale)
+    u_coarse, _ = _magnus_propagate(h0, drive, amplitude, drive_frequency, duration, steps)
     refinements = 0
     while True:
         fine_steps = 2 * steps
-        u_fine = _magnus_propagate(
+        u_fine, evaluated = _magnus_propagate(
             h0, drive, amplitude, drive_frequency, duration, fine_steps
         )
         err = float(np.linalg.norm(u_fine - u_coarse)) / math.sqrt(dim)
@@ -369,7 +408,7 @@ def crot_gate(
                 warnings.warn(
                     f"step-halving check stalled at {err:.2e}", stacklevel=2
                 )
-            u_lab, steps = u_fine, fine_steps
+            u_lab = u_fine
             break
         steps, u_coarse = fine_steps, u_fine
         refinements += 1
@@ -386,5 +425,5 @@ def crot_gate(
     )
     fidelity = float(np.max(np.abs(trace) ** 2) / dim**2)
     return CrotResult(
-        unitary=b, fidelity=fidelity, addressed=(lo, hi), step_count=steps
+        unitary=b, fidelity=fidelity, addressed=(lo, hi), step_count=evaluated
     )

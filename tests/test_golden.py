@@ -23,8 +23,8 @@ GOLDEN = {
         "result.json": "1bedc03080a8c39681befffc7f7cd4aa6dfaf18ae67350d20423a8f01f1b2aa6",
     },
     "crot": {
-        "result.json": "75b6b767ae42f05d35e5cf78174731b7ec81541e619d2ef024fbead7574567f4",
-        "unitary.csv": "1d0d1bde692898b2e4df86546445fc0c3f9807404df2114831b535e940ff6cc8",
+        "result.json": "1f66918455649d97a8c8b537263f62c7980ace5ae899e4643469f73afca619b0",
+        "unitary.csv": "174ac359f5f0a4911f6dba0d1aad40b5f9959bbd0d671d3da86e2793ef2fdc6c",
     },
     "emission_spectrum": {
         "result.json": "13cdab359a24da3f9e372e05699c6a4e65732c095115da71260ca81ab2c7f717",

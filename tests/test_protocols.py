@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hostguest import protocols
 from hostguest.errors import DomainError
 from hostguest.protocols import (
     CavityInterfaceSpec,
@@ -15,7 +18,10 @@ from hostguest.protocols import (
     spin_photon_fidelity,
     vacuum_rabi_splitting,
 )
+from hostguest.scenarios import load_config, run_scenario
 from hostguest.units import bose_occupation
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def test_pulse_envelope_shape():
@@ -191,6 +197,29 @@ def test_spin_photon_fidelity_decoupled_floor():
     )
     # r_on = 0 and t_off = 1: |1 - 0|^2 / 4
     assert spin_photon_fidelity(spec) == pytest.approx(0.25, rel=1e-12)
+
+
+@pytest.mark.parametrize("coupled", [True, False])
+def test_spin_photon_fidelity_reuses_given_on_resonance_response(coupled):
+    spec = replace(_cavity(45.0), emitter_coupled=coupled)
+    given = spin_photon_fidelity(spec, cavity_response(spec, 0.0))
+    assert given == spin_photon_fidelity(spec)
+    assert given == pytest.approx(0.9783790170132324, rel=1e-12)
+
+
+def test_cavity_interface_run_evaluates_the_response_twice(monkeypatch, tmp_path):
+    calls = []
+    original = protocols.cavity_response
+
+    def counted(spec, detunings):
+        calls.append(spec.emitter_coupled)
+        return original(spec, detunings)
+
+    monkeypatch.setattr(protocols, "cavity_response", counted)
+    config = load_config(SCENARIO_DIR / "cavity_interface.json")
+    run_scenario(config, SCENARIO_DIR, output_dir=tmp_path / "out")
+    # the grid with detuning 0 appended, then the shelved branch at 0
+    assert calls == [True, False]
 
 
 def test_spin_photon_fidelity_monotone_in_cooperativity():

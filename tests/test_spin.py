@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.spatial.transform import Rotation
 
+from hostguest import spin
 from hostguest.errors import DimensionOverflow, NotHermitian, PreconditionViolated
 from hostguest.spin import (
     G_ELECTRON_DEFAULT,
@@ -180,6 +182,49 @@ def test_rotation_invariance_with_co_rotated_tensors():
         assert np.max(np.abs(e1 - e0)) <= 1e-9 * np.max(np.abs(e0))
 
 
+def _dense_hamiltonian(zfs, b, g_electron, nuclei):
+    """Reference assembly: every operator embedded densely, terms multiplied."""
+    dims = [3] + [n.dimension for n in nuclei]
+    factors = [angular_momentum_operators(1)] + [
+        angular_momentum_operators(n.spin) for n in nuclei
+    ]
+    embedded = []
+    for k, triple in enumerate(factors):
+        ops = []
+        for op in triple:
+            full = np.eye(1, dtype=complex)
+            for j, d in enumerate(dims):
+                full = np.kron(full, op if j == k else np.eye(d))
+            ops.append(full)
+        embedded.append(ops)
+    s, nuclear = embedded[0], embedded[1:]
+    larmor = g_electron * BOHR_MAGNETON / HBAR
+    h = sum(zfs[a, c] * (s[a] @ s[c]) for a in range(3) for c in range(3))
+    h = h + sum(larmor * b[a] * s[a] for a in range(3))
+    for nuc, ivec in zip(nuclei, nuclear):
+        a_tensor = nuc.tensor
+        h = h + sum(a_tensor[a, c] * (s[a] @ ivec[c]) for a in range(3) for c in range(3))
+        h = h - sum(nuc.gyromagnetic_ratio * b[a] * ivec[a] for a in range(3))
+    return h
+
+
+def test_kronecker_assembly_matches_dense_embedding():
+    rng = np.random.default_rng(11)
+    nuclei = []
+    for s, gamma in (("1/2", 2.675e8), (1, 1.934e7), ("3/2", 7.08e7)):
+        a = rng.uniform(-1.0, 1.0, (3, 3)) * TWO_PI * 5e6
+        nuclei.append(
+            NucleusSpec(spin=s, hyperfine_tensor=a + a.T, gyromagnetic_ratio=gamma)
+        )
+    r = Rotation.random(random_state=rng).as_matrix()
+    zfs = r @ zfs_tensor(TWO_PI * 1.4e9, TWO_PI * 0.2e9) @ r.T
+    b = np.array([1.5e-3, -2.0e-3, 0.7e-3])
+    h = assemble_spin_hamiltonian(zfs, b, G_ELECTRON_DEFAULT, tuple(nuclei))
+    reference = _dense_hamiltonian(zfs, b, G_ELECTRON_DEFAULT, nuclei)
+    assert h.shape == (3 * 2 * 3 * 4,) * 2
+    assert np.max(np.abs(h - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
 # --- ODMR spectrum -------------------------------------------------------------
 
 
@@ -206,6 +251,37 @@ def test_odmr_line_weights_scale_with_matrix_elements():
     freqs, response = odmr_spectrum(spec, grid, linewidth=TWO_PI * 2e6)
     total = np.trapezoid(response, freqs)
     assert total > 0.0
+
+
+def test_odmr_spectrum_sums_lines_in_pair_order():
+    nucleus = NucleusSpec(spin=1, hyperfine_tensor=np.diag([1.0, 2.0, 9.0]) * TWO_PI * 1e6)
+    spec = SpinSystemSpec(
+        zfs_d=TWO_PI * 1.4e9,
+        zfs_e=TWO_PI * 0.2e9,
+        magnetic_field=(1e-3, 0.0, 2e-3),
+        nuclei=(nucleus,),
+    )
+    grid = FrequencyGrid(start=TWO_PI * 0.1e9, stop=TWO_PI * 2.0e9, points=1001)
+    linewidth = TWO_PI * 3e6
+    eig = diagonalize(build_spin_hamiltonian(spec))
+    _, response = odmr_spectrum(spec, grid, linewidth, eigensystem=eig)
+    # The loop this replaced: one pair at a time, upper triangle, row order.
+    v = eig.states
+    weights = sum(
+        np.abs(v.conj().T @ np.kron(op, np.eye(3)) @ v) ** 2
+        for op in angular_momentum_operators(1)
+    )
+    expected = np.zeros_like(grid.frequencies)
+    half = 0.5 * linewidth
+    n = len(eig.energies)
+    for i in range(n):
+        for f in range(i + 1, n):
+            omega0, weight = float(eig.energies[f] - eig.energies[i]), float(weights[f, i])
+            if weight > 0.0:
+                expected += weight * (half / math.pi) / (
+                    (grid.frequencies - omega0) ** 2 + half**2
+                )
+    assert np.array_equal(response, expected)
 
 
 # --- conditional rotation gate --------------------------------------------------
@@ -297,3 +373,49 @@ def test_crot_rejects_nonpositive_drive():
             rabi_frequency=TWO_PI * 1e6,
             duration=0.0,
         )
+
+
+def _serial_magnus(h0, drive_op, amplitude, omega_d, duration, steps_per_period):
+    """Step-by-step two-point Magnus product in absolute time, no period reuse.
+
+    Same step grid as the propagator: whole periods at T / m, then the
+    remainder at the same density.
+    """
+    period = TWO_PI / omega_d
+    periods = int(duration // period)
+    remainder = duration - periods * period
+    tail = math.ceil(steps_per_period * remainder / period)
+    starts = [(j * period + k * period / steps_per_period, period / steps_per_period)
+              for j in range(periods) for k in range(steps_per_period)]
+    starts += [(periods * period + k * remainder / tail, remainder / tail) for k in range(tail)]
+    c1, c2 = 0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0
+    u = np.eye(h0.shape[0], dtype=complex)
+    for t, dt in starts:
+        h1 = h0 + amplitude * math.cos(omega_d * (t + c1 * dt)) * drive_op
+        h2 = h0 + amplitude * math.cos(omega_d * (t + c2 * dt)) * drive_op
+        omega = 0.5 * dt * (h1 + h2) - 1j * (math.sqrt(3.0) * dt * dt / 12.0) * (
+            h2 @ h1 - h1 @ h2
+        )
+        u = expm(-1j * omega) @ u
+    return u
+
+
+# (drive periods, Magnus steps evaluated at 200 per period)
+@pytest.mark.parametrize(
+    "periods, expected_steps", [(0.4321, 87), (4.0, 200), (2.3711, 200 + 75)]
+)
+def test_period_reuse_matches_serial_magnus(periods, expected_steps, monkeypatch):
+    # Small batches, so that segments span several stacked eigh calls.
+    monkeypatch.setattr(spin, "_MAGNUS_BATCH", 64)
+    spec = _crot_spec()
+    h0 = build_spin_hamiltonian(spec)
+    drive = np.kron(angular_momentum_operators(1)[0], np.eye(2))
+    omega_d = TWO_PI * 66.0144e6
+    amplitude = TWO_PI * 0.3e6 / 0.7
+    steps = 200
+    duration = periods * TWO_PI / omega_d
+    u, evaluated = spin._magnus_propagate(h0, drive, amplitude, omega_d, duration, steps)
+    reference = _serial_magnus(h0, drive, amplitude, omega_d, duration, steps)
+    assert evaluated == expected_steps
+    assert np.max(np.abs(u - reference)) <= 1e-10
+    assert np.max(np.abs(u.conj().T @ u - np.eye(6))) <= 1e-12
