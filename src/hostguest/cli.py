@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 1 for configuration problems (bad JSON, schema
 violations, unknown scenario kinds, bad sweep paths), 2 for runtime
-failures inside an otherwise valid scenario.
+failures inside an otherwise valid scenario: a domain or solver error, a
+NaN or inf that would reach an artifact, or any unexpected exception. Each
+failure prints one line to stderr, never a traceback, and writes no output.
 """
 
 from __future__ import annotations
@@ -64,6 +66,10 @@ def main(argv=None) -> int:
         return 1
     except HostGuestError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        message = " ".join(str(exc).split())  # one line, whatever the message holds
+        print(f"runtime error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 2
 
 

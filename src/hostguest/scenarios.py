@@ -393,35 +393,59 @@ def _two_level(p: dict) -> dynamics.OpenSystem:
 
 
 # --- CSV / JSON byte renderers ----------------------------------------------
+#
+# No artifact holds NaN or inf: each renderer raises DomainError naming the
+# artifact and the column or key of the first non-finite value.
 
 
-def _fmt(x) -> str:
+def _nonfinite(where: str, x) -> DomainError:
+    return DomainError(f"{where}: non-finite value {x!r}")
+
+
+def _fmt(x, where: str) -> str:
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
-        return repr(float(x))
+        x = float(x)
+        if not math.isfinite(x):
+            raise _nonfinite(where, x)
+        return repr(x)
     return str(x)
 
 
-def _csv_bytes(header, rows) -> bytes:
+def _cells(column, where: str):
+    """The text of one column: a float ndarray is checked in one vectorized
+    call and formatted with ``repr``; anything else goes through ``_fmt``."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        finite = np.isfinite(column)
+        if not finite.all():
+            raise _nonfinite(where, column[~finite][0].item())
+        return map(repr, column.tolist())
+    return [_fmt(x, where) for x in column]
+
+
+def _csv_bytes(name: str, header, columns) -> bytes:
+    """Render the artifact ``name``: a header row, then one row per index of
+    the equally long ``columns``."""
+    cells = [_cells(col, f"{name} column {title!r}") for title, col in zip(header, columns)]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(x) for x in row])
+    writer.writerows(zip(*cells))
     return buf.getvalue().encode()
 
 
-def _json_scalar(x):
+def _json_scalar(x, where: str):
     if isinstance(x, (bool, np.bool_)):
         return bool(x)
     if isinstance(x, (int, np.integer)):
         return int(x)
     if isinstance(x, (float, np.floating)):
         x = float(x)
-        return x if math.isfinite(x) else repr(x)
+        if not math.isfinite(x):
+            raise _nonfinite(where, x)
     return x
 
 
@@ -431,10 +455,13 @@ def _json_bytes(payload) -> bytes:
 
 # --- scenario runners --------------------------------------------------------
 #
-# Each runner maps coerced parameters to (scalars, artifacts); scalars are
+# Each runner maps coerced parameters to (scalars, tables); scalars are
 # flat key -> scalar (these populate result.json and sweep columns),
-# artifacts are file name -> bytes. A runner owns the coerced dict it is
-# given and may replace entries in it by the objects built from them.
+# tables are file name -> (header, columns), where a column is a float
+# ndarray or a list of scalars. Runners do not render: run_scenario renders
+# the tables of a plain run and drops those of each sweep point. A runner
+# owns the coerced dict it is given and may replace entries in it by the
+# objects built from them.
 
 _TWO_PI = 2.0 * math.pi
 
@@ -451,17 +478,14 @@ def _run_spin_spectrum(params, _ctx):
         "smallest_gap_hz": float(gaps.min() / _TWO_PI) if len(gaps) else 0.0,
         "largest_gap_hz": float((eig.energies[-1] - eig.energies[0]) / _TWO_PI),
     }
-    artifacts = {
-        "spectrum.csv": _csv_bytes(
-            ("frequency_hz", "response"),
-            zip(freqs / _TWO_PI, response),
-        ),
-        "levels.csv": _csv_bytes(
+    tables = {
+        "spectrum.csv": (("frequency_hz", "response"), (freqs / _TWO_PI, response)),
+        "levels.csv": (
             ("index", "energy_hz"),
-            ((i, e / _TWO_PI) for i, e in enumerate(eig.energies)),
+            (range(len(eig.energies)), eig.energies / _TWO_PI),
         ),
     }
-    return scalars, artifacts
+    return scalars, tables
 
 
 def _parse_network(node):
@@ -494,21 +518,21 @@ def _run_crot(params, _ctx):
         drive_axis=params["drive_axis"],
     )
     u = result.unitary
-    header = []
-    for i in range(u.shape[0]):
-        for j in range(u.shape[1]):
-            header.extend((f"re_{i}{j}", f"im_{i}{j}"))
-    flat = []
-    for i in range(u.shape[0]):
-        for j in range(u.shape[1]):
-            flat.extend((u[i, j].real, u[i, j].imag))
+    header = [
+        f"{part}_{i}{j}"
+        for i in range(u.shape[0])
+        for j in range(u.shape[1])
+        for part in ("re", "im")
+    ]
+    # One row: column k holds element k of the row-major (re, im) pairs.
+    flat = np.stack((u.real, u.imag), axis=-1).reshape(-1, 1)
     scalars = {
         "fidelity": result.fidelity,
         "addressed_lower": result.addressed[0],
         "addressed_upper": result.addressed[1],
         "step_count": result.step_count,
     }
-    return scalars, {"unitary.csv": _csv_bytes(header, [flat])}
+    return scalars, {"unitary.csv": (header, list(flat))}
 
 
 def _run_emission_spectrum(params, _ctx):
@@ -525,11 +549,11 @@ def _run_emission_spectrum(params, _ctx):
         "zpl_branching_ratio": debye_waller,
         "zpl_linewidth_hz": model.zpl_linewidth / _TWO_PI,
     }
-    artifact = _csv_bytes(
+    table = (
         ("frequency_hz", "normalized_intensity"),
-        zip(spectrum.frequencies / _TWO_PI, spectrum.intensity),
+        (spectrum.frequencies / _TWO_PI, spectrum.intensity),
     )
-    return scalars, {"spectrum.csv": artifact}
+    return scalars, {"spectrum.csv": table}
 
 
 def _run_relaxation_classify(params, _ctx):
@@ -560,22 +584,23 @@ def _run_lindblad(params, _ctx):
     )
     states = dynamics.evolve(system, rho0, times)
     rho_ss = dynamics.steady_state(system)
-    rows = [
-        (t, s[0, 0].real, s[1, 1].real, s[0, 1].real, s[0, 1].imag)
-        for t, s in zip(times, states)
-    ]
+    traces = np.trace(states, axis1=1, axis2=2).real
     scalars = {
         "final_excited_population": states[-1][1, 1].real,
         "steady_excited_population": rho_ss[1, 1].real,
-        "max_trace_error": float(
-            max(abs(np.trace(s).real - 1.0) for s in states)
-        ),
+        "max_trace_error": float(np.abs(traces - 1.0).max()),
     }
-    artifact = _csv_bytes(
+    table = (
         ("time_s", "ground_population", "excited_population", "coherence_re", "coherence_im"),
-        rows,
+        (
+            times,
+            states[:, 0, 0].real,
+            states[:, 1, 1].real,
+            states[:, 0, 1].real,
+            states[:, 0, 1].imag,
+        ),
     )
-    return scalars, {"trajectory.csv": artifact}
+    return scalars, {"trajectory.csv": table}
 
 
 def _run_g2(params, _ctx):
@@ -587,7 +612,7 @@ def _run_g2(params, _ctx):
     lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     values = dynamics.g2_correlation(system, lower, taus)
     scalars = {"g2_zero": float(values[0]), "g2_final": float(values[-1])}
-    return scalars, {"g2.csv": _csv_bytes(("tau_s", "g2"), zip(taus, values))}
+    return scalars, {"g2.csv": (("tau_s", "g2"), (taus, values))}
 
 
 def _run_raman_memory(params, _ctx):
@@ -613,11 +638,11 @@ def _run_cavity_interface(params, _ctx):
         "on_resonance_transmittance": float(abs(t0[0]) ** 2),
         "spin_photon_fidelity": protocols.spin_photon_fidelity(spec, (r0, t0)),
     }
-    artifact = _csv_bytes(
+    table = (
         ("detuning_hz", "reflectance", "transmittance", "loss"),
-        zip(detunings / _TWO_PI, reflectance, transmittance, loss),
+        (detunings / _TWO_PI, reflectance, transmittance, loss),
     )
-    return scalars, {"response.csv": artifact}
+    return scalars, {"response.csv": table}
 
 
 def _run_optomech(params, _ctx):
@@ -646,14 +671,14 @@ def _run_screening(params, ctx):
         "intercept": fit.intercept,
         "r_squared": fit.r_squared,
     }
-    artifact = _csv_bytes(
-        screening.CSV_COLUMNS,
-        (
-            (r.name, r.carbon_count, r.e_s1_ev, r.e_t1_ev, r.centrosymmetric)
-            for r in chosen
-        ),
-    )
-    return scalars, {"candidates.csv": artifact}
+    columns = [
+        [r.name for r in chosen],
+        [r.carbon_count for r in chosen],
+        [r.e_s1_ev for r in chosen],
+        [r.e_t1_ev for r in chosen],
+        [r.centrosymmetric for r in chosen],
+    ]
+    return scalars, {"candidates.csv": (screening.CSV_COLUMNS, columns)}
 
 
 _RUNNERS = {
@@ -732,7 +757,8 @@ def run_scenario(config: dict, config_dir, output_dir=None) -> Path:
 
     The manifest plus all artifacts are staged in memory and written
     atomically at the end, so a failing run leaves no partial artifact
-    behind.
+    behind. A plain run renders the runner's tables and result.json; a
+    sweep keeps only each point's scalars and renders sweep.csv.
     """
     points = validate_config(config)
     kind = config["scenario_kind"]
@@ -747,17 +773,15 @@ def run_scenario(config: dict, config_dir, output_dir=None) -> Path:
     sweep = config.get("sweep")
     if sweep:
         results = [_invoke(runner, params, ctx)[0] for params in points]
-        columns = sorted(results[0])
-        rows = [
-            [value] + [point[c] for c in columns]
-            for value, point in zip(sweep["values"], results)
-        ]
-        files["sweep.csv"] = _csv_bytes([sweep["parameter"]] + columns, rows)
+        keys = sorted(results[0])
+        columns = [sweep["values"], *([point[k] for point in results] for k in keys)]
+        files["sweep.csv"] = _csv_bytes("sweep.csv", [sweep["parameter"], *keys], columns)
     else:
-        scalars, artifacts = _invoke(runner, points[0], ctx)
-        files.update(artifacts)
+        scalars, tables = _invoke(runner, points[0], ctx)
+        for name, (header, columns) in tables.items():
+            files[name] = _csv_bytes(name, header, columns)
         files["result.json"] = _json_bytes(
-            {k: _json_scalar(v) for k, v in scalars.items()}
+            {k: _json_scalar(v, f"result.json key {k!r}") for k, v in scalars.items()}
         )
 
     manifest = {

@@ -2,10 +2,12 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from hostguest import scenarios
 from hostguest.cli import main
-from hostguest.errors import ConfigError
+from hostguest.errors import ConfigError, DomainError
 from hostguest.scenarios import (
     SCENARIO_KINDS,
     config_schema,
@@ -137,6 +139,22 @@ def test_sweep_preserves_value_order(tmp_path):
     assert swept == values
 
 
+def test_sweep_renders_only_sweep_csv(tmp_path, monkeypatch):
+    rendered = []
+    render = scenarios._csv_bytes
+
+    def counting(*args):
+        rendered.append(args[0])  # the artifact name
+        return render(*args)
+
+    monkeypatch.setattr(scenarios, "_csv_bytes", counting)
+    config = load_config(SCENARIO_DIR / "cavity_interface.json")
+    config["sweep"] = {"parameter": "g.value", "values": [0.1, 0.2, 0.3]}
+    out = run_scenario(config, SCENARIO_DIR, output_dir=tmp_path / "out")
+    assert rendered == ["sweep.csv"]
+    assert len((out / "sweep.csv").read_text().splitlines()) == 4
+
+
 def test_bad_sweep_path_exits_1_before_any_compute(tmp_path, capsys):
     config = _lindblad_config(tmp_path / "out")
     config["sweep"] = {"parameter": "system.rabbi.value", "values": [1.0]}
@@ -250,3 +268,51 @@ def test_unknown_scenario_kind(tmp_path):
         validate_config(config)
     with pytest.raises(ConfigError):
         config_schema("mystery")
+
+
+@pytest.mark.parametrize("sweep", [None, {"parameter": "n_bar", "values": [1.0, 0]}])
+def test_non_finite_output_exits_2_and_writes_nothing(tmp_path, capsys, sweep):
+    # n_bar = 0 makes the optomech cooperativity infinite
+    config = load_config(SCENARIO_DIR / "optomech.json")
+    config["output_dir"] = str(tmp_path / "out")
+    if sweep is None:
+        config["parameters"]["n_bar"] = 0
+        where = "result.json key 'cooperativity'"
+    else:
+        config["sweep"] = sweep
+        where = "sweep.csv column 'cooperativity'"
+    path = _write(tmp_path, config)
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"runtime error: {where}: non-finite value inf\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_csv_renderer_rejects_non_finite_float_array_columns():
+    header = ("index", "value")
+    ok = scenarios._csv_bytes("t.csv", header, ([1, 2], np.array([0.5, 1e-300])))
+    assert ok == b"index,value\n1,0.5\n2,1e-300\n"
+    with pytest.raises(DomainError, match=r"^t\.csv column 'value': non-finite value nan$"):
+        scenarios._csv_bytes("t.csv", header, ([1, 2], np.array([0.5, np.nan])))
+
+
+@pytest.mark.parametrize(
+    "kind, dotted",
+    [
+        ("emission_spectrum", "parameters.model.vibron_modes.0.huang_rhys"),
+        ("spin_spectrum", "parameters.linewidth.value"),
+    ],
+)
+def test_unexpected_exception_exits_2_with_one_line(tmp_path, capsys, kind, dotted):
+    # 1e300 validates, then overflows a float power inside the physics layer
+    config = load_config(SCENARIO_DIR / f"{kind}.json")
+    config["output_dir"] = str(tmp_path / "out")
+    _set(config, dotted, 1e300)
+    path = _write(tmp_path, config)
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: OverflowError: ")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()

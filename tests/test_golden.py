@@ -6,6 +6,11 @@ changes any byte of any artifact fails here. Artifacts are pinned, not
 manifest bytes, so provenance fields in the manifest may change freely. A
 change that alters outputs on purpose updates the hashes below and says so
 in CHANGES.md.
+
+Sweeps are pinned too: each case sweeps one parameter of a shipped config
+and pins the bytes of its ``sweep.csv``. The swept values cover each kind
+of sweep cell (int, float, string, bool) and the scalar columns cover
+floats, bools and strings.
 """
 
 import hashlib
@@ -76,3 +81,53 @@ def test_shipped_artifacts_match_golden_hashes(name, tmp_path):
         if p.name != "manifest.json"
     }
     assert hashes == GOLDEN[name]
+
+
+SWEEPS = {
+    "cavity_interface_g": (
+        "cavity_interface",
+        "g.value",
+        [0.1, 0.33541019662496846, 1.0],
+        "c6f6d5e5c41379f874faeab01292938f6b2b5216db7b7f0024ed2a2cd7189a38",
+    ),
+    "cavity_interface_emitter_coupled": (
+        "cavity_interface",
+        "emitter_coupled",
+        [True, False],
+        "50956252e99f285a31280a4ab35c419548476db63ce01b418396c675b012a504",
+    ),
+    "optomech_g0": (
+        "optomech",
+        "g0.value",
+        [50, 75.5, 100],
+        "a86cd6be54219bb634fa44cb9217a3757451e89ae2faa8573c9087670fa6bd04",
+    ),
+    "relaxation_classify_vibron_frequency": (
+        "relaxation_classify",
+        "vibron_frequency.value",
+        [0.5, 1.5, 2.5],
+        "1bfa760c396642c0a4ee5b700590de3597667b47f196624a1c7472548d4b7430",
+    ),
+    "lindblad_rabi": (
+        "lindblad",
+        "system.rabi.value",
+        [1, 5.0, 20.5],
+        "fed95c176a5bdbd24b3e0ad5c3ad95d8bdda8ac0ca8010c7ad149e189c920ae0",
+    ),
+    "lindblad_initial_state": (
+        "lindblad",
+        "initial_state",
+        ["ground", "excited"],
+        "901c4a2798577f4127dcc25a3d42145c3fbf776c3203f9754c95ce182bf9ba6a",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEPS))
+def test_sweep_csv_matches_golden_hash(case, tmp_path):
+    kind, parameter, values, digest = SWEEPS[case]
+    config = load_config(SCENARIO_DIR / f"{kind}.json")
+    config["sweep"] = {"parameter": parameter, "values": values}
+    out = run_scenario(config, SCENARIO_DIR, output_dir=tmp_path / "out")
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "sweep.csv"]
+    assert hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest() == digest
