@@ -9,8 +9,8 @@ cross-checks live with the tests, not the library.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -19,9 +19,9 @@ from scipy.integrate import solve_ivp
 from .errors import (
     DegenerateSteadyState,
     DomainError,
+    IntegrationFailure,
     InvalidState,
     SingularNetwork,
-    StepSizeUnderflow,
 )
 from .levels import RADIATIVE_CLASSES, LevelKet, S0, S1, T1, classify_transition
 
@@ -62,6 +62,13 @@ class OpenSystem:
     def dimension(self) -> int:
         return self.hamiltonian.shape[0]
 
+    @cached_property
+    def generator(self) -> np.ndarray:
+        """The Liouvillian, built once per system and read-only."""
+        gen = liouvillian(self)
+        gen.flags.writeable = False
+        return gen
+
 
 def liouvillian(system: OpenSystem) -> np.ndarray:
     """Matrix of the generator acting on row-major vectorized density matrices."""
@@ -94,10 +101,22 @@ def _check_state(rho: np.ndarray, dim: int) -> np.ndarray:
     return rho
 
 
-def _propagate_matrix(gen: np.ndarray, x0: np.ndarray, times) -> np.ndarray:
-    """Propagate a (not necessarily trace-one) matrix under the generator."""
-    d = x0.shape[0]
+def _check_times(times, name: str) -> np.ndarray:
     times = np.asarray(times, dtype=float)
+    valid = times.ndim == 1 and len(times) > 0 and np.all(np.isfinite(times))
+    # Differences from a prepended 0 are all >= 0 exactly when the times are
+    # sorted and start at t >= 0.
+    if not (valid and np.all(np.diff(times, prepend=0.0) >= 0.0)):
+        raise ValueError(f"{name} must be a non-empty, finite, sorted, non-negative sequence")
+    return times
+
+
+def _propagate_matrix(gen: np.ndarray, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Propagate a (not necessarily trace-one) matrix from t = 0 under the
+    generator to times that passed _check_times."""
+    if times[0] > 0.0:
+        return _propagate_matrix(gen, x0, np.concatenate(([0.0], times)))[1:]
+    d = x0.shape[0]
     if float(times[-1]) == 0.0:
         return np.repeat(x0[None, :, :], len(times), axis=0)
 
@@ -114,7 +133,7 @@ def _propagate_matrix(gen: np.ndarray, x0: np.ndarray, times) -> np.ndarray:
         atol=_ATOL,
     )
     if not sol.success:
-        raise StepSizeUnderflow(f"propagation failed: {sol.message}")
+        raise IntegrationFailure(f"propagation failed: {sol.message}")
     out = sol.y.T.reshape(len(times), d, d)
     # The generator preserves Hermiticity exactly; scrub solver roundoff.
     return 0.5 * (out + np.conj(np.transpose(out, (0, 2, 1))))
@@ -126,14 +145,17 @@ def evolve(system: OpenSystem, rho0: np.ndarray, times) -> np.ndarray:
     Adaptive propagation at 1e-9 relative tolerance; outputs keep unit trace
     to 1e-7 and Hermiticity to 1e-9.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or len(times) == 0 or np.any(np.diff(times) < 0) or times[0] < 0:
-        raise ValueError("times must be a sorted, non-negative sequence")
+    times = _check_times(times, "times")
     rho0 = _check_state(rho0, system.dimension)
-    if times[0] > 0.0:
-        padded = np.concatenate(([0.0], times))
-        return _propagate_matrix(liouvillian(system), rho0, padded)[1:]
-    return _propagate_matrix(liouvillian(system), rho0, times)
+    return _propagate_matrix(system.generator, rho0, times)
+
+
+def _null_vector(matrix: np.ndarray) -> tuple[int, np.ndarray]:
+    """Kernel dimension of a square matrix at 1e-10 relative to its largest
+    singular value, and its last right-singular vector."""
+    _, svals, vh = np.linalg.svd(matrix)
+    scale = max(float(svals[0]), 1e-300)
+    return int(np.sum(svals < 1e-10 * scale)), vh[-1]
 
 
 def steady_state(system: OpenSystem) -> np.ndarray:
@@ -145,10 +167,7 @@ def steady_state(system: OpenSystem) -> np.ndarray:
     """
     if system.dimension > 64:
         raise DomainError("direct steady-state solve supports dimension <= 64")
-    gen = liouvillian(system)
-    _, svals, vh = np.linalg.svd(gen)
-    scale = max(float(svals[0]), 1e-300)
-    null_count = int(np.sum(svals < 1e-10 * scale))
+    null_count, vector = _null_vector(system.generator)
     if null_count == 0:
         raise DegenerateSteadyState("Liouvillian has no null vector at tolerance")
     if null_count > 1:
@@ -156,7 +175,7 @@ def steady_state(system: OpenSystem) -> np.ndarray:
             f"steady state is not unique ({null_count}-dimensional kernel)"
         )
     d = system.dimension
-    rho = vh[-1].conj().reshape(d, d)
+    rho = vector.conj().reshape(d, d)
     rho = 0.5 * (rho + rho.conj().T)
     tr = float(np.trace(rho).real)
     if abs(tr) < 1e-12:
@@ -173,9 +192,7 @@ def g2_correlation(system: OpenSystem, emission_operator, taus) -> np.ndarray:
     g2(tau) = Tr[a^dag a exp(L tau)(a rho_ss a^dag)] / Tr[a^dag a rho_ss]^2,
     evaluated at the requested non-negative delays.
     """
-    taus = np.asarray(taus, dtype=float)
-    if np.any(taus < 0) or np.any(np.diff(taus) < 0):
-        raise ValueError("taus must be sorted and non-negative")
+    taus = _check_times(taus, "taus")
     a = np.asarray(emission_operator, dtype=complex)
     rho_ss = steady_state(system)
     number_op = a.conj().T @ a
@@ -183,11 +200,7 @@ def g2_correlation(system: OpenSystem, emission_operator, taus) -> np.ndarray:
     if flux <= 0.0:
         raise DegenerateSteadyState("steady state emits no photons; g2 undefined")
     seed = a @ rho_ss @ a.conj().T
-    if taus[0] > 0.0:
-        padded = np.concatenate(([0.0], taus))
-        propagated = _propagate_matrix(liouvillian(system), seed, padded)[1:]
-    else:
-        propagated = _propagate_matrix(liouvillian(system), seed, taus)
+    propagated = _propagate_matrix(system.generator, seed, taus)
     values = np.einsum("ij,tji->t", number_op, propagated).real
     return values / flux**2
 
@@ -240,15 +253,12 @@ class RateNetwork:
 
 def steady_populations(network: RateNetwork) -> np.ndarray:
     """Normalized stationary populations of the rate network."""
-    m = network.rate_matrix()
-    _, svals, vh = np.linalg.svd(m)
-    scale = max(float(svals[0]), 1e-300)
-    null_count = int(np.sum(svals < 1e-10 * scale))
+    null_count, vector = _null_vector(network.rate_matrix())
     if null_count != 1:
         raise SingularNetwork(
             f"rate network kernel is {null_count}-dimensional; no unique steady state"
         )
-    p = np.real(vh[-1])
+    p = np.real(vector)
     total = p.sum()
     if abs(total) < 1e-12:
         raise SingularNetwork("stationary vector does not normalize")

@@ -44,10 +44,6 @@ class InvalidState(HostGuestError):
     """A density matrix fails Hermiticity, trace, or positivity checks."""
 
 
-class StepSizeUnderflow(HostGuestError):
-    """An adaptive integrator could not meet its tolerance."""
-
-
 class DegenerateSteadyState(HostGuestError):
     """The Liouvillian null space is empty or more than one-dimensional."""
 

@@ -114,21 +114,10 @@ def raman_memory_efficiency(spec: RamanMemorySpec) -> tuple[float, float]:
     t_stop = max(p.center + _PULSE_TAILS * p.width for p in pulses)
     window = t_stop - t_start
 
-    shifted = RamanMemorySpec(
-        gamma0=spec.gamma0,
-        kappa_v=spec.kappa_v,
-        detuning=spec.detuning,
-        signal_pulse=Pulse(
-            spec.signal_pulse.peak_rabi,
-            spec.signal_pulse.center - t_start,
-            spec.signal_pulse.width,
-        ),
-        control_pulse=Pulse(
-            spec.control_pulse.peak_rabi,
-            spec.control_pulse.center - t_start,
-            spec.control_pulse.width,
-        ),
-        storage_hold=spec.storage_hold,
+    shifted = replace(
+        spec,
+        signal_pulse=replace(spec.signal_pulse, center=spec.signal_pulse.center - t_start),
+        control_pulse=replace(spec.control_pulse, center=spec.control_pulse.center - t_start),
     )
     written = _solve_amplitudes(shifted, [1.0, 0.0, 0.0], window)
     storage = float(abs(written[2]) ** 2)

@@ -87,7 +87,7 @@ def two_phonon_rate(
         return density.density(w) / (w * w)
 
     def occ(w):
-        return bose_occupation(w, temperature) + 1.0 if temperature > 0.0 else 1.0
+        return bose_occupation(w, temperature) + 1.0
 
     def integrand(w):
         rest = vibron_frequency - w

@@ -543,10 +543,9 @@ def _run_emission_spectrum(params, _ctx):
     model = vibronic.VibronicModel(**node)
     spectrum = vibronic.emission_spectrum(model, FrequencyGrid(**params["grid"]))
     # The ZPL branching ratio equals the Debye-Waller factor by construction.
-    debye_waller = vibronic.debye_waller(model)
     scalars = {
-        "debye_waller": debye_waller,
-        "zpl_branching_ratio": debye_waller,
+        "debye_waller": spectrum.zpl_weight,
+        "zpl_branching_ratio": spectrum.zpl_weight,
         "zpl_linewidth_hz": model.zpl_linewidth / _TWO_PI,
     }
     table = (

@@ -145,22 +145,19 @@ def assemble_spin_hamiltonian(
     magnetic_field,
     g_electron: float,
     nuclei: tuple[NucleusSpec, ...],
-    hyperfine_tensors=None,
-    dimension_cap: int = DIMENSION_CAP,
 ) -> np.ndarray:
     """Spin Hamiltonian from an explicit 3x3 ZFS tensor (rad/s).
 
     The tensor form exists so that globally rotated configurations (field,
     hyperfine, and ZFS all rotated together) can be assembled; the
     convenience wrapper :func:`build_spin_hamiltonian` uses the principal
-    (D, E) parametrization. hyperfine_tensors, when given, overrides the
-    per-nucleus tensors (same order). Every term is built directly as a
-    Kronecker product of an electron factor and a nuclear factor.
+    (D, E) parametrization. Every term is built directly as a Kronecker
+    product of an electron factor and a nuclear factor.
     """
-    spec_like = SpinSystemSpec(zfs_d=1.0, zfs_e=0.0, nuclei=nuclei)
-    if spec_like.dimension > dimension_cap:
+    nuclear_dimension = math.prod(n.dimension for n in nuclei)
+    if 3 * nuclear_dimension > DIMENSION_CAP:
         raise DimensionOverflow(
-            f"product space dimension {spec_like.dimension} exceeds cap {dimension_cap}"
+            f"product space dimension {3 * nuclear_dimension} exceeds cap {DIMENSION_CAP}"
         )
     zfs = np.asarray(zfs, dtype=float)
     if zfs.shape != (3, 3) or np.max(np.abs(zfs - zfs.T)) > 1e-12 * max(
@@ -169,10 +166,10 @@ def assemble_spin_hamiltonian(
         raise ValueError("zfs tensor must be a symmetric 3x3 matrix")
     b = np.asarray(magnetic_field, dtype=float)
     svec = angular_momentum_operators(Fraction(1))
-    nuclear_identity = np.eye(spec_like.dimension // 3, dtype=complex)
+    nuclear_identity = np.eye(nuclear_dimension, dtype=complex)
     electron_identity = np.eye(3, dtype=complex)
 
-    h = np.zeros((spec_like.dimension,) * 2, dtype=complex)
+    h = np.zeros((3 * nuclear_dimension,) * 2, dtype=complex)
     for a in range(3):
         for c in range(3):
             if zfs[a, c] != 0.0:
@@ -181,12 +178,8 @@ def assemble_spin_hamiltonian(
     for a in range(3):
         if b[a] != 0.0:
             h += larmor * b[a] * np.kron(svec[a], nuclear_identity)
-    tensors = (
-        [n.tensor for n in nuclei]
-        if hyperfine_tensors is None
-        else [np.asarray(t, dtype=float) for t in hyperfine_tensors]
-    )
-    for nuc, ivec, a_tensor in zip(nuclei, _nuclear_operators(nuclei), tensors):
+    for nuc, ivec in zip(nuclei, _nuclear_operators(nuclei)):
+        a_tensor = nuc.tensor
         for a in range(3):
             for c in range(3):
                 if a_tensor[a, c] != 0.0:
@@ -197,16 +190,13 @@ def assemble_spin_hamiltonian(
     return 0.5 * (h + h.conj().T)
 
 
-def build_spin_hamiltonian(
-    spec: SpinSystemSpec, dimension_cap: int = DIMENSION_CAP
-) -> np.ndarray:
+def build_spin_hamiltonian(spec: SpinSystemSpec) -> np.ndarray:
     """Full spin Hamiltonian of the triplet plus its nuclei, in rad/s."""
     return assemble_spin_hamiltonian(
         zfs_tensor(spec.zfs_d, spec.zfs_e),
         spec.magnetic_field,
         spec.g_electron,
         spec.nuclei,
-        dimension_cap=dimension_cap,
     )
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import DomainError, GridTooNarrow, IntegrationFailure
-from .units import FrequencyGrid, bose_occupation
+from .units import FrequencyGrid, bose_occupation, thermal_frequency
 
 _WEIGHT_FLOOR = 1e-12  # vibronic lines below this total weight are dropped
 
@@ -92,10 +92,12 @@ class ActivatedDephasing:
     amplitude: float
     activation_energy: float
 
-    def rate(self, temperature: float, thermal_scale) -> float:
+    def rate(self, temperature: float) -> float:
         if temperature <= 0.0:
             return 0.0
-        return self.amplitude * math.exp(-self.activation_energy / thermal_scale(temperature))
+        return self.amplitude * math.exp(
+            -self.activation_energy / thermal_frequency(temperature)
+        )
 
 
 @dataclass(frozen=True)
@@ -131,9 +133,7 @@ class VibronicModel:
         """ZPL FWHM: radiative floor plus any pure-dephasing contributions."""
         width = self.radiative_rate + self.extra_linewidth
         if self.activated_dephasing is not None:
-            from .units import thermal_frequency
-
-            width += self.activated_dephasing.rate(self.temperature, thermal_frequency)
+            width += self.activated_dephasing.rate(self.temperature)
         return width
 
 
@@ -143,8 +143,7 @@ def _phonon_exponent(density: PhononSpectralDensity | None, temperature: float) 
         return 0.0
 
     def integrand(w):
-        occ = 2.0 * bose_occupation(w, temperature) + 1.0 if temperature > 0.0 else 1.0
-        return density.density(w) / (w * w) * occ
+        return density.density(w) / (w * w) * (2.0 * bose_occupation(w, temperature) + 1.0)
 
     value, abserr = quad(
         integrand, 0.0, density.cutoff_frequency, epsabs=1e-14, epsrel=1e-10, limit=200
@@ -156,6 +155,16 @@ def _phonon_exponent(density: PhononSpectralDensity | None, temperature: float) 
     return value
 
 
+def _coupling_exponents(model: VibronicModel) -> tuple[float, float]:
+    """(vibron, phonon) exponents: sum_i S_i (2 n(w_i,T)+1) and
+    integral J(w)/w^2 (2 n(w,T)+1) dw."""
+    vibron = 0.0
+    for mode in model.vibron_modes:
+        occ = bose_occupation(mode.frequency, model.temperature)
+        vibron += mode.huang_rhys * (2.0 * occ + 1.0)
+    return vibron, _phonon_exponent(model.phonon_density, model.temperature)
+
+
 def debye_waller(model: VibronicModel) -> float:
     """Fraction of the emission carried by the zero-phonon line.
 
@@ -163,16 +172,8 @@ def debye_waller(model: VibronicModel) -> float:
     equals 1 for a bare emitter and decreases strictly with temperature
     whenever any coupling is present.
     """
-    exponent = 0.0
-    for mode in model.vibron_modes:
-        occ = (
-            2.0 * bose_occupation(mode.frequency, model.temperature) + 1.0
-            if model.temperature > 0.0
-            else 1.0
-        )
-        exponent += mode.huang_rhys * occ
-    exponent += _phonon_exponent(model.phonon_density, model.temperature)
-    return math.exp(-exponent)
+    vibron, phonon = _coupling_exponents(model)
+    return math.exp(-(vibron + phonon))
 
 
 def zpl_branching_ratio(model: VibronicModel) -> float:
@@ -222,10 +223,16 @@ def _lorentzian(freqs: np.ndarray, center: float, fwhm: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """A non-negative spectral density on a grid, normalized to unit integral."""
+    """A non-negative spectral density on a grid, normalized to unit integral.
+
+    zpl_weight is the zero-phonon-line weight :func:`emission_spectrum`
+    assigned, which is the Debye-Waller factor of its model; None for a
+    spectrum built otherwise.
+    """
 
     grid: FrequencyGrid
     intensity: np.ndarray
+    zpl_weight: float | None = None
 
     def __post_init__(self):
         intensity = np.asarray(self.intensity, dtype=float)
@@ -266,15 +273,7 @@ def emission_spectrum(model: VibronicModel, grid: FrequencyGrid) -> Spectrum:
             f"[{lo_required:.3e}, {hi_required:.3e}]"
         )
 
-    vibron_exponent = 0.0
-    for mode in model.vibron_modes:
-        occ = (
-            2.0 * bose_occupation(mode.frequency, model.temperature) + 1.0
-            if model.temperature > 0.0
-            else 1.0
-        )
-        vibron_exponent += mode.huang_rhys * occ
-    phonon_exponent = _phonon_exponent(model.phonon_density, model.temperature)
+    vibron_exponent, phonon_exponent = _coupling_exponents(model)
     alpha = math.exp(-(vibron_exponent + phonon_exponent))
 
     freqs = grid.frequencies
@@ -300,18 +299,8 @@ def emission_spectrum(model: VibronicModel, grid: FrequencyGrid) -> Spectrum:
             blue = freqs > zpl
             delta_red = zpl - freqs[red]
             delta_blue = freqs[blue] - zpl
-            occ_red = np.array(
-                [
-                    bose_occupation(d, model.temperature) if model.temperature > 0 else 0.0
-                    for d in delta_red
-                ]
-            )
-            occ_blue = np.array(
-                [
-                    bose_occupation(d, model.temperature) if model.temperature > 0 else 0.0
-                    for d in delta_blue
-                ]
-            )
+            occ_red = np.array([bose_occupation(d, model.temperature) for d in delta_red])
+            occ_blue = np.array([bose_occupation(d, model.temperature) for d in delta_blue])
             with np.errstate(divide="ignore", invalid="ignore"):
                 shape[red] = (
                     model.phonon_density.density(delta_red) / delta_red**2 * (occ_red + 1.0)
@@ -327,7 +316,7 @@ def emission_spectrum(model: VibronicModel, grid: FrequencyGrid) -> Spectrum:
     area = float(np.trapezoid(intensity, freqs))
     if area <= 0.0:
         raise GridTooNarrow("grid captures no spectral weight")
-    return Spectrum(grid=grid, intensity=intensity / area)
+    return Spectrum(grid=grid, intensity=intensity / area, zpl_weight=alpha)
 
 
 def energy_gap_isc_rate(prefactor: float, gap_slope: float, energy_gap: float) -> float:

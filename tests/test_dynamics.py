@@ -1,9 +1,11 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from hostguest import dynamics
 from hostguest.dynamics import (
     OpenSystem,
     RateNetwork,
@@ -16,6 +18,9 @@ from hostguest.dynamics import (
 )
 from hostguest.errors import DegenerateSteadyState, InvalidState, SingularNetwork
 from hostguest.levels import LevelKet, S0, S1, T1
+from hostguest.scenarios import load_config, run_scenario
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def _random_system(rng, dim, n_channels=2):
@@ -141,6 +146,50 @@ def test_times_must_be_sorted_nonnegative():
         evolve(system, rho0, [0.0, -1.0])
     with pytest.raises(ValueError):
         evolve(system, rho0, [1.0, 0.5])
+
+
+_LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda times: evolve(_two_level(1.0, 0.0, 1.0), np.diag([1.0, 0.0]), times),
+        lambda times: g2_correlation(_two_level(1.0, 0.0, 1.0), _LOWER, times),
+    ],
+    ids=["evolve", "g2_correlation"],
+)
+@pytest.mark.parametrize(
+    "times",
+    [[], [[0.0, 1.0]], [0.0, math.nan], [0.0, math.inf], [1.0, 0.5], [-1.0, 0.0]],
+    ids=["empty", "2d", "nan", "inf", "unsorted", "negative"],
+)
+def test_time_axis_is_checked(call, times):
+    with pytest.raises(ValueError, match="non-empty, finite, sorted, non-negative"):
+        call(times)
+
+
+@pytest.mark.parametrize("kind", ["lindblad", "g2"])
+def test_shipped_run_builds_the_liouvillian_once(kind, monkeypatch, tmp_path):
+    calls = []
+    original = dynamics.liouvillian
+
+    def counted(system):
+        calls.append(system.dimension)
+        return original(system)
+
+    monkeypatch.setattr(dynamics, "liouvillian", counted)
+    config = load_config(SCENARIO_DIR / f"{kind}.json")
+    run_scenario(config, SCENARIO_DIR, output_dir=tmp_path / "out")
+    assert calls == [2]
+
+
+def test_generator_is_the_read_only_liouvillian():
+    system = _two_level(3.0, 0.5, 1.0, dephasing=0.2)
+    assert system.generator is system.generator
+    assert np.array_equal(system.generator, liouvillian(system))
+    with pytest.raises(ValueError):
+        system.generator[0, 0] = 0.0
 
 
 def test_g2_matches_regression_oracle():

@@ -175,8 +175,7 @@ def test_rotation_invariance_with_co_rotated_tensors():
             r @ zfs_tensor(d, e) @ r.T,
             r @ b,
             G_ELECTRON_DEFAULT,
-            (nucleus,),
-            hyperfine_tensors=(r @ a @ r.T,),
+            (NucleusSpec(spin="1/2", hyperfine_tensor=r @ a @ r.T),),
         )
         e1 = diagonalize(h1).energies
         assert np.max(np.abs(e1 - e0)) <= 1e-9 * np.max(np.abs(e0))

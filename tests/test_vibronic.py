@@ -1,9 +1,11 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from hostguest import vibronic
 from hostguest.errors import DomainError, GridTooNarrow
 from hostguest.units import FrequencyGrid, bose_occupation, thermal_frequency
 from hostguest.vibronic import (
@@ -18,8 +20,10 @@ from hostguest.vibronic import (
     franck_condon_progression,
     zpl_branching_ratio,
 )
+from hostguest.scenarios import load_config, run_scenario
 
 TWO_PI = 2.0 * math.pi
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def _displaced_overlap_sq(huang_rhys: float, m: int) -> float:
@@ -217,6 +221,39 @@ def test_phonon_wing_peaks_at_density_peak():
     mask = freqs < zpl - 0.05 * wp
     peak = freqs[mask][np.argmax(spec.intensity[mask])]
     assert zpl - peak == pytest.approx(wp, rel=0.01)
+
+
+@pytest.mark.parametrize("temperature", [0.0, 4.0, 4.2, 300.0])
+def test_spectrum_records_the_debye_waller_weight(temperature):
+    wp = TWO_PI * 0.5e12
+    zpl = TWO_PI * 466e12
+    model = VibronicModel(
+        zpl_frequency=zpl,
+        radiative_rate=TWO_PI * 30e6,
+        vibron_modes=(
+            VibronMode(frequency=TWO_PI * 10e12, huang_rhys=0.3, relaxation_rate=TWO_PI * 0.2e12),
+        ),
+        phonon_density=PhononSpectralDensity(
+            coupling_weight=wp, peak_frequency=wp, cutoff_frequency=10.0 * wp
+        ),
+        temperature=temperature,
+    )
+    grid = FrequencyGrid(start=zpl - TWO_PI * 16e12, stop=zpl + TWO_PI * 4e12, points=4001)
+    assert emission_spectrum(model, grid).zpl_weight == debye_waller(model)
+
+
+def test_emission_spectrum_run_integrates_the_phonon_exponent_once(monkeypatch, tmp_path):
+    calls = []
+    original = vibronic._phonon_exponent
+
+    def counted(density, temperature):
+        calls.append(temperature)
+        return original(density, temperature)
+
+    monkeypatch.setattr(vibronic, "_phonon_exponent", counted)
+    config = load_config(SCENARIO_DIR / "emission_spectrum.json")
+    run_scenario(config, SCENARIO_DIR, output_dir=tmp_path / "out")
+    assert calls == [4.0]
 
 
 def test_grid_too_narrow_raises():
