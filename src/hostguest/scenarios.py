@@ -1,30 +1,34 @@
 """Scenario configs: validation, execution, and deterministic artifacts.
 
 A scenario is a JSON document naming one computation kind plus its
-parameters, optionally swept over one dotted parameter path. Runs write
-their artifacts atomically (temp file + rename) into an output directory
-together with a manifest of content hashes; identical config and seed give
-byte-identical files. All randomness is opt-in and none of the shipped
-kinds use any; the seed is recorded for provenance.
+parameters, optionally swept over one dotted parameter path. A config is
+checked against the field table of its kind alone; the JSON schema that
+``hostguest schema`` prints is generated from the same table. Each runner
+imports its physics module on first use, so checking a config, printing a
+schema and the numpy-only kinds (``crot``, ``spin_spectrum``,
+``screening``) never load scipy. Runs write their artifacts atomically
+(temp file + rename) into an output directory together with a manifest of
+content hashes; identical config and seed give byte-identical files. All
+randomness is opt-in and none of the shipped kinds use any; the seed is
+recorded for provenance.
 """
 
 from __future__ import annotations
 
-import copy
 import csv
 import hashlib
 import io
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
-from . import dynamics, levels, protocols, relaxation, screening, spin, vibronic
+from . import screening, spin
 from .errors import ConfigError, DomainError
 from .units import GAMMA_PROTON, FrequencyGrid, Quantity, Unit, convert
 
@@ -37,117 +41,210 @@ _REQUIRED = object()
 # --- parameter fields --------------------------------------------------------
 #
 # Each parameter is declared once, as a Field in the table of its scenario
-# kind. The field yields its JSON-schema fragment and its coercion from a
-# schema-valid node to the plain value the runners take: quantities become
-# floats in rad/s, s or K, and every number must be finite.
+# kind. The field yields its JSON-schema fragment and its check: one walk
+# over a config node that enforces that fragment, with the semantics of a
+# JSON Schema 2020-12 validator, and coerces the node to the plain value the
+# runners take: quantities become floats in rad/s, s or K, and every number
+# must be finite.
 
 
 @dataclass(frozen=True)
 class Field:
-    """One parameter: JSON-schema fragment, coercion and default.
+    """One parameter: JSON-schema fragment, check and default.
 
-    ``coerce(node, where)`` maps a node that passed ``schema`` to its value;
+    ``check(node, where)`` raises ConfigError at the first violation of
+    ``schema`` in ``node`` and otherwise returns the node's coerced value;
     ``where`` is the node's dotted path, named in any ConfigError. A field
     whose default is ``_REQUIRED`` must be present in its record.
     """
 
     schema: dict
-    coerce: Callable[[object, str], object] = lambda node, where: node
+    check: Callable[[object, str], object]
     default: object = _REQUIRED
+
+
+def _fail(where: str, message: str) -> ConfigError:
+    return ConfigError(f"at {where or '<root>'}: {message}")
+
+
+def _join(where: str, key) -> str:
+    return f"{where}.{key}" if where else str(key)
+
+
+# JSON types as JSON Schema tells them apart: a bool is neither a number nor
+# an integer, and a float with no fractional part is an integer.
+_JSON_TYPES = {
+    "boolean": lambda x: isinstance(x, bool),
+    "string": lambda x: isinstance(x, str),
+    "number": lambda x: isinstance(x, numbers.Number) and not isinstance(x, bool),
+    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool))
+    or (isinstance(x, float) and x.is_integer()),
+}
+
+
+def _not_of_type(node, types: list[str], where: str) -> ConfigError:
+    return _fail(where, f"{node!r} is not of type {', '.join(map(repr, types))}")
+
+
+def _typed(json_type: str | list[str], default=_REQUIRED) -> Field:
+    """A node of one of the JSON types; coerces to itself."""
+    types = [json_type] if isinstance(json_type, str) else json_type
+    tests = [_JSON_TYPES[t] for t in types]
+
+    def check(node, where):
+        if not any(test(node) for test in tests):
+            raise _not_of_type(node, types, where)
+        return node
+
+    return Field({"type": json_type}, check, default)
 
 
 def _finite(x, where: str) -> float:
     x = float(x)
     if not math.isfinite(x):
-        raise ConfigError(f"at {where}: must be a finite number, got {x!r}")
+        raise _fail(where, f"must be a finite number, got {x!r}")
     return x
 
 
-def _quantity(target: Unit, units: list[str], default) -> Field:
-    def coerce(node, where):
-        value = _finite(node["value"], f"{where}.value")
+def _bounded(json_type: str, coerce, default, bounds: dict) -> Field:
+    """A number or integer under the JSON-schema keywords ``minimum`` and
+    ``exclusiveMinimum`` (the only bounds supported)."""
+    unknown = set(bounds) - {"minimum", "exclusiveMinimum"}
+    if unknown:
+        raise TypeError(f"unsupported bounds {sorted(unknown)}")
+    low, above = bounds.get("minimum"), bounds.get("exclusiveMinimum")
+    is_type = _JSON_TYPES[json_type]
+
+    def check(node, where):
+        if not is_type(node):
+            raise _not_of_type(node, [json_type], where)
+        if low is not None and node < low:
+            raise _fail(where, f"{node!r} is less than the minimum of {low!r}")
+        if above is not None and node <= above:
+            raise _fail(where, f"{node!r} is less than or equal to the minimum of {above!r}")
+        return coerce(node, where)
+
+    return Field({"type": json_type, **bounds}, check, default)
+
+
+def _quantity(target: Unit, units: list[str], default, bounds: dict) -> Field:
+    # Every unit converts by a positive factor, so a sign bound on the value
+    # holds in any unit.
+    fields = record(value=number(**bounds), unit=enum(*units))
+
+    def check(node, where):
+        q = fields.check(node, where)
         try:
-            return convert(Quantity(value, Unit(node["unit"])), target).value
+            return convert(Quantity(q["value"], Unit(q["unit"])), target).value
         except DomainError:
-            raise ConfigError(
-                f"at {where}: {value!r} {node['unit']} is not finite in {target.value}"
-            ) from None
+            message = f"{q['value']!r} {q['unit']} is not finite in {target.value}"
+            raise _fail(where, message) from None
 
-    schema = {
-        "type": "object",
-        "properties": {"value": {"type": "number"}, "unit": {"enum": units}},
-        "required": ["value", "unit"],
-        "additionalProperties": False,
-    }
-    return Field(schema, coerce, default)
+    return Field(fields.schema, check, default)
 
 
-def angular(default=_REQUIRED) -> Field:
-    """A frequency, rate or energy; coerces to rad/s."""
-    return _quantity(Unit.RAD_PER_S, _ANGULAR_UNITS, default)
+def angular(default=_REQUIRED, **bounds) -> Field:
+    """A frequency, rate or energy; coerces to rad/s. ``bounds`` apply to
+    its value, as for ``number``."""
+    return _quantity(Unit.RAD_PER_S, _ANGULAR_UNITS, default, bounds)
 
 
-def seconds(default=_REQUIRED) -> Field:
+def seconds(default=_REQUIRED, **bounds) -> Field:
     """A time; coerces to s."""
-    return _quantity(Unit.SECOND, [Unit.SECOND.value], default)
+    return _quantity(Unit.SECOND, [Unit.SECOND.value], default, bounds)
 
 
-def kelvin(default=_REQUIRED) -> Field:
+def kelvin(default=_REQUIRED, **bounds) -> Field:
     """A temperature; coerces to K."""
-    return _quantity(Unit.KELVIN, [Unit.KELVIN.value], default)
+    return _quantity(Unit.KELVIN, [Unit.KELVIN.value], default, bounds)
 
 
 def number(default=_REQUIRED, **bounds) -> Field:
-    """A finite float; ``bounds`` are JSON-schema keywords such as minimum."""
-    return Field({"type": "number", **bounds}, _finite, default)
+    """A finite float; ``bounds`` are ``minimum`` or ``exclusiveMinimum``."""
+    return _bounded("number", _finite, default, bounds)
 
 
-def integer(minimum: int) -> Field:
-    return Field({"type": "integer", "minimum": minimum}, lambda node, where: int(node))
+def integer(minimum: int, default=_REQUIRED) -> Field:
+    return _bounded("integer", lambda node, where: int(node), default, {"minimum": minimum})
 
 
-def enum(*values) -> Field:
-    return Field({"enum": list(values)})
+def enum(*values: str) -> Field:
+    """One of the strings ``values``; compared type-strictly, so 1 is never "1"."""
+
+    def check(node, where):
+        if not (isinstance(node, str) and node in values):
+            raise _fail(where, f"{node!r} is not one of {list(values)!r}")
+        return node
+
+    return Field({"enum": list(values)}, check)
 
 
-def array(item: Field, length: int | None = None, default=_REQUIRED) -> Field:
-    """A list of ``item``, of exactly ``length`` entries if given; coerces to a tuple."""
+def _const(value) -> Field:
+    def check(node, where):
+        if isinstance(node, bool) or node != value:  # true is not 1
+            raise _fail(where, f"{value!r} was expected")
+        return node
+
+    return Field({"const": value}, check)
+
+
+def array(item: Field, length: int | None = None, default=_REQUIRED, min_items: int = 0) -> Field:
+    """A list of ``item``, of exactly ``length`` entries if given, else of at
+    least ``min_items``; coerces to a tuple."""
+    low, high = (length, length) if length is not None else (min_items, math.inf)
     schema = {"type": "array", "items": item.schema}
-    if length is not None:
-        schema.update(minItems=length, maxItems=length)
+    if low:
+        schema["minItems"] = low
+    if high < math.inf:
+        schema["maxItems"] = high
 
-    def coerce(node, where):
-        return tuple(item.coerce(x, f"{where}.{i}") for i, x in enumerate(node))
+    def check(node, where):
+        if not isinstance(node, list):
+            raise _not_of_type(node, ["array"], where)
+        if len(node) < low:
+            raise _fail(where, f"{node!r} is too short" if node else "[] should be non-empty")
+        if len(node) > high:
+            raise _fail(where, f"{node!r} is too long")
+        return tuple(item.check(x, _join(where, i)) for i, x in enumerate(node))
 
-    return Field(schema, coerce, default)
+    return Field(schema, check, default)
 
 
 def record(default=_REQUIRED, **fields: Field) -> Field:
     """An object with at most these keys; coerces to a dict holding every key,
     where a key left out takes its field's default."""
+    required = tuple(key for key, f in fields.items() if f.default is _REQUIRED)
     schema = {
         "type": "object",
         "properties": {key: f.schema for key, f in fields.items()},
-        "required": [key for key, f in fields.items() if f.default is _REQUIRED],
+        "required": list(required),
         "additionalProperties": False,
     }
 
-    def coerce(node, where):
+    def check(node, where):
+        if not isinstance(node, dict):
+            raise _not_of_type(node, ["object"], where)
+        for key in required:
+            if key not in node:
+                raise _fail(where, f"{key!r} is a required property")
+        for key in node:
+            if key not in fields:
+                raise _fail(where, f"unexpected property {key!r}; allowed: {', '.join(fields)}")
         return {
-            key: f.coerce(node[key], f"{where}.{key}") if key in node else f.default
+            key: f.check(node[key], _join(where, key)) if key in node else f.default
             for key, f in fields.items()
         }
 
-    return Field(schema, coerce, default)
+    return Field(schema, check, default)
 
 
 def nullable(field: Field) -> Field:
     """``field`` or null; null and absence both coerce to None."""
 
-    def coerce(node, where):
-        return None if node is None else field.coerce(node, where)
+    def check(node, where):
+        return None if node is None else field.check(node, where)
 
-    return Field({"oneOf": [{"type": "null"}, field.schema]}, coerce, None)
+    return Field({"oneOf": [{"type": "null"}, field.schema]}, check, None)
 
 
 def _nucleus() -> Field:
@@ -160,8 +257,8 @@ def _nucleus() -> Field:
         gyromagnetic_ratio=number(default=GAMMA_PROTON),
     )
 
-    def coerce(node, where):
-        nucleus = fields.coerce(node, where)
+    def check(node, where):
+        nucleus = fields.check(node, where)
         unit = Unit(nucleus.pop("hyperfine_unit"))
         factor = convert(Quantity(1.0, unit), Unit.RAD_PER_S).value
         nucleus["hyperfine_tensor"] = [
@@ -170,18 +267,26 @@ def _nucleus() -> Field:
         ]
         return nucleus
 
-    return Field(fields.schema, coerce)
+    return Field(fields.schema, check)
 
 
-_STRING = Field({"type": "string"})
+_STRING = _typed("string")
 _GRID = record(start=angular(), stop=angular(), points=integer(2))
-_TIME_AXIS = record(stop=seconds(), points=integer(2))
-_PULSE = record(peak_rabi=angular(), center=seconds(), width=seconds())
-_PHONON_DENSITY = record(
-    coupling_weight=number(minimum=0),
-    peak_frequency=angular(),
-    cutoff_frequency=angular(),
+_TIME_AXIS = record(stop=seconds(exclusiveMinimum=0), points=integer(2))
+_PULSE = record(
+    peak_rabi=angular(minimum=0), center=seconds(), width=seconds(exclusiveMinimum=0)
 )
+
+
+def _phonon_density(**bounds) -> Field:
+    """A phonon spectral density; ``bounds`` apply to both frequencies."""
+    return record(
+        coupling_weight=number(minimum=0),
+        peak_frequency=angular(**bounds),
+        cutoff_frequency=angular(**bounds),
+    )
+
+
 _SPIN_SYSTEM = record(
     zfs_d=angular(),
     zfs_e=angular(),
@@ -190,51 +295,61 @@ _SPIN_SYSTEM = record(
     nuclei=array(_nucleus(), default=()),
 )
 _TWO_LEVEL = record(
-    rabi=angular(), detuning=angular(), decay=angular(), dephasing=angular(default=0.0)
+    rabi=angular(),
+    detuning=angular(),
+    decay=angular(minimum=0),
+    dephasing=angular(default=0.0),
 )
 
+# Bounds: each minimum or exclusiveMinimum below is a sign rule that the
+# kind's runner or a domain constructor it always calls enforces as well;
+# rules that span several fields (grid start < stop, port couplings <= kappa)
+# stay with the constructors. The rate model of relaxation_classify is used
+# only for the two-phonon channel, so its fields carry no new bounds.
 PARAMETERS = {
-    "spin_spectrum": record(spin_system=_SPIN_SYSTEM, grid=_GRID, linewidth=angular()),
+    "spin_spectrum": record(
+        spin_system=_SPIN_SYSTEM, grid=_GRID, linewidth=angular(exclusiveMinimum=0)
+    ),
     "odmr": record(
         network=record(
             states=array(_STRING),
-            rates=array(record(source=_STRING, target=_STRING, rate=angular())),
+            rates=array(record(source=_STRING, target=_STRING, rate=angular(minimum=0))),
             emissive=array(_STRING),
         ),
         mw_pair=array(enum("x", "y", "z"), 2),
-        mw_mixing_rate=angular(),
+        mw_mixing_rate=angular(minimum=0),
     ),
     "crot": record(
         spin_system=_SPIN_SYSTEM,
-        drive_frequency=angular(),
-        rabi_frequency=angular(),
-        duration=seconds(),
+        drive_frequency=angular(exclusiveMinimum=0),
+        rabi_frequency=angular(minimum=0),
+        duration=seconds(exclusiveMinimum=0),
         drive_axis=array(number(), 3, default=(1.0, 0.0, 0.0)),
     ),
     "emission_spectrum": record(
         model=record(
-            zpl_frequency=angular(),
-            radiative_rate=angular(),
-            temperature=kelvin(),
+            zpl_frequency=angular(exclusiveMinimum=0),
+            radiative_rate=angular(exclusiveMinimum=0),
+            temperature=kelvin(minimum=0),
             vibron_modes=array(
                 record(
-                    frequency=angular(),
+                    frequency=angular(exclusiveMinimum=0),
                     huang_rhys=number(minimum=0),
-                    relaxation_rate=angular(),
+                    relaxation_rate=angular(minimum=0),
                 ),
                 default=(),
             ),
-            phonon_density=nullable(_PHONON_DENSITY),
-            extra_linewidth=angular(default=0.0),
+            phonon_density=nullable(_phonon_density(exclusiveMinimum=0)),
+            extra_linewidth=angular(default=0.0, minimum=0),
         ),
         grid=_GRID,
     ),
     "relaxation_classify": record(
-        vibron_frequency=angular(),
-        phonon_cutoff=angular(),
-        other_vibrons=array(angular(), default=()),
+        vibron_frequency=angular(exclusiveMinimum=0),
+        phonon_cutoff=angular(exclusiveMinimum=0),
+        other_vibrons=array(angular(exclusiveMinimum=0), default=()),
         rate_model=record(
-            density=_PHONON_DENSITY, coupling=number(), temperature=kelvin(), default=None
+            density=_phonon_density(), coupling=number(), temperature=kelvin(), default=None
         ),
     ),
     "lindblad": record(
@@ -242,28 +357,28 @@ PARAMETERS = {
     ),
     "g2": record(system=_TWO_LEVEL, taus=_TIME_AXIS),
     "raman_memory": record(
-        gamma0=angular(),
-        kappa_v=angular(),
+        gamma0=angular(minimum=0),
+        kappa_v=angular(minimum=0),
         detuning=angular(),
         signal_pulse=_PULSE,
         control_pulse=_PULSE,
-        storage_hold=seconds(),
+        storage_hold=seconds(minimum=0),
     ),
     "cavity_interface": record(
-        g=angular(),
-        kappa=angular(),
-        kappa_in=angular(),
-        kappa_out=angular(),
-        gamma=angular(),
-        emitter_coupled=Field({"type": "boolean"}, default=True),
+        g=angular(minimum=0),
+        kappa=angular(exclusiveMinimum=0),
+        kappa_in=angular(minimum=0),
+        kappa_out=angular(minimum=0),
+        gamma=angular(minimum=0),
+        emitter_coupled=_typed("boolean", default=True),
         grid=_GRID,
     ),
     "optomech": record(
-        g0=angular(),
-        omega_v=angular(),
-        kappa_v=angular(),
-        gamma0=angular(),
-        temperature=kelvin(),
+        g0=angular(minimum=0),
+        omega_v=angular(exclusiveMinimum=0),
+        kappa_v=angular(exclusiveMinimum=0),
+        gamma0=angular(exclusiveMinimum=0),
+        temperature=kelvin(minimum=0),
         n_bar=nullable(number(minimum=0)),
     ),
     "screening": record(
@@ -282,71 +397,41 @@ PARAMETERS = {
 SCENARIO_KINDS = tuple(sorted(PARAMETERS))
 
 
+def _envelope(kind: str) -> Field:
+    """The whole config of one kind: its parameters and the run settings."""
+    return record(
+        schema_version=_const(SCHEMA_VERSION),
+        scenario_kind=_const(kind),
+        parameters=PARAMETERS[kind],
+        sweep=record(
+            parameter=_STRING,
+            values=array(_typed(["number", "string", "boolean"]), min_items=1),
+            default=None,
+        ),
+        output_dir=_typed("string", default=None),
+        seed=integer(0, default=0),
+    )
+
+
+_ENVELOPES = {kind: _envelope(kind) for kind in SCENARIO_KINDS}
+
+
 def config_schema(kind: str) -> dict:
     """The full JSON schema for one scenario kind."""
     if kind not in PARAMETERS:
         raise ConfigError(
             f"unknown scenario kind {kind!r}; expected one of {', '.join(SCENARIO_KINDS)}"
         )
-    return {
-        "$schema": "https://json-schema.org/draft/2020-12/schema",
-        "type": "object",
-        "properties": {
-            "schema_version": {"const": SCHEMA_VERSION},
-            "scenario_kind": {"const": kind},
-            "parameters": PARAMETERS[kind].schema,
-            "sweep": {
-                "type": "object",
-                "properties": {
-                    "parameter": {"type": "string"},
-                    "values": {
-                        "type": "array",
-                        "items": {"type": ["number", "string", "boolean"]},
-                        "minItems": 1,
-                    },
-                },
-                "required": ["parameter", "values"],
-                "additionalProperties": False,
-            },
-            "output_dir": {"type": "string"},
-            "seed": {"type": "integer", "minimum": 0},
-        },
-        "required": ["schema_version", "scenario_kind", "parameters"],
-        "additionalProperties": False,
-    }
-
-
-def _check(schema: dict, instance, where: str) -> None:
-    """Raise ConfigError describing the first (deepest-path) violation."""
-    errors = sorted(
-        Draft202012Validator(schema).iter_errors(instance),
-        key=lambda e: (-len(e.absolute_path), str(e.absolute_path)),
-    )
-    if errors:
-        err = errors[0]
-        path = ".".join([where, *map(str, err.absolute_path)]).lstrip(".")
-        raise ConfigError(f"at {path or '<root>'}: {err.message}")
-
-
-def _leaf_schema(schema: dict, dotted: str) -> dict:
-    """The schema of the node at a dotted parameter path."""
-    for tok in dotted.split("."):
-        schema = next((s for s in schema.get("oneOf", ()) if s != {"type": "null"}), schema)
-        if "properties" in schema and tok in schema["properties"]:
-            schema = schema["properties"][tok]
-        elif "items" in schema:
-            schema = schema["items"]
-        else:
-            raise ConfigError(f"sweep parameter path {dotted!r} does not resolve")
-    return schema
+    return {"$schema": "https://json-schema.org/draft/2020-12/schema", **_ENVELOPES[kind].schema}
 
 
 def validate_config(config) -> list[dict]:
     """Check a config and coerce its parameters.
 
     Returns the coerced parameters to run: one entry for a plain run, or one
-    per sweep value, in order. A sweep value is checked against the schema of
-    the swept leaf only. Raises ConfigError naming the path of the first
+    per sweep value, in order. Each sweep value is put in place and checked
+    with the rest of the parameters, so a bad value is named by the path of
+    the swept leaf. Raises ConfigError naming the path of the first
     violation.
     """
     if not isinstance(config, dict):
@@ -356,19 +441,14 @@ def validate_config(config) -> list[dict]:
         raise ConfigError(
             f"scenario_kind must be one of {', '.join(SCENARIO_KINDS)}, got {kind!r}"
         )
-    _check(config_schema(kind), config, "")
-    table = PARAMETERS[kind]
-    sweep = config.get("sweep")
-    if not sweep:
-        return [table.coerce(config["parameters"], "parameters")]
-    dotted = sweep["parameter"]
-    leaf = _leaf_schema(table.schema, dotted)
+    checked = _ENVELOPES[kind].check(config, "")
+    sweep = checked["sweep"]
+    if sweep is None:
+        return [checked["parameters"]]
     points = []
     for value in sweep["values"]:
-        _check(leaf, value, f"parameters.{dotted}")
-        params = copy.deepcopy(config["parameters"])
-        _set_path(params, dotted, value)
-        points.append(table.coerce(params, "parameters"))
+        params = _with_value(config["parameters"], sweep["parameter"], value)
+        points.append(PARAMETERS[kind].check(params, "parameters"))
     return points
 
 
@@ -382,7 +462,9 @@ def _spin_system(p: dict) -> spin.SpinSystemSpec:
     )
 
 
-def _two_level(p: dict) -> dynamics.OpenSystem:
+def _two_level(p: dict):
+    from . import dynamics
+
     lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # basis (g, e)
     project_e = np.diag([0.0, 1.0]).astype(complex)
     h = p["detuning"] * project_e + 0.5 * p["rabi"] * (lower + lower.conj().T)
@@ -489,6 +571,8 @@ def _run_spin_spectrum(params, _ctx):
 
 
 def _parse_network(node):
+    from . import dynamics, levels
+
     states = tuple(levels.parse_ket(s) for s in node["states"])
     rates = {}
     for item in node["rates"]:
@@ -501,6 +585,8 @@ def _parse_network(node):
 
 
 def _run_odmr(params, _ctx):
+    from . import dynamics
+
     try:
         network = _parse_network(params["network"])
     except ValueError as exc:
@@ -536,6 +622,8 @@ def _run_crot(params, _ctx):
 
 
 def _run_emission_spectrum(params, _ctx):
+    from . import vibronic
+
     node = params["model"]
     node["vibron_modes"] = tuple(vibronic.VibronMode(**m) for m in node["vibron_modes"])
     if node["phonon_density"] is not None:
@@ -556,6 +644,8 @@ def _run_emission_spectrum(params, _ctx):
 
 
 def _run_relaxation_classify(params, _ctx):
+    from . import relaxation, vibronic
+
     rm = params.pop("rate_model")
     data = relaxation.RelaxationInput(**params)
     channel = relaxation.classify_relaxation(data)
@@ -571,10 +661,10 @@ def _run_relaxation_classify(params, _ctx):
 
 
 def _run_lindblad(params, _ctx):
+    from . import dynamics
+
     system = _two_level(params["system"])
     stop, points = params["times"]["stop"], params["times"]["points"]
-    if stop <= 0.0:
-        raise ConfigError("times.stop must be positive")
     times = np.linspace(0.0, stop, points)
     rho0 = (
         np.diag([1.0, 0.0]).astype(complex)
@@ -603,10 +693,10 @@ def _run_lindblad(params, _ctx):
 
 
 def _run_g2(params, _ctx):
+    from . import dynamics
+
     system = _two_level(params["system"])
     stop, points = params["taus"]["stop"], params["taus"]["points"]
-    if stop <= 0.0:
-        raise ConfigError("taus.stop must be positive")
     taus = np.linspace(0.0, stop, points)
     lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     values = dynamics.g2_correlation(system, lower, taus)
@@ -615,6 +705,8 @@ def _run_g2(params, _ctx):
 
 
 def _run_raman_memory(params, _ctx):
+    from . import protocols
+
     for name in ("signal_pulse", "control_pulse"):
         params[name] = protocols.Pulse(**params[name])
     spec = protocols.RamanMemorySpec(**params)
@@ -623,6 +715,8 @@ def _run_raman_memory(params, _ctx):
 
 
 def _run_cavity_interface(params, _ctx):
+    from . import protocols
+
     detunings = FrequencyGrid(**params.pop("grid")).frequencies
     spec = protocols.CavityInterfaceSpec(**params)
     # Detuning 0 rides along as one extra point at the end of the grid.
@@ -645,6 +739,8 @@ def _run_cavity_interface(params, _ctx):
 
 
 def _run_optomech(params, _ctx):
+    from . import protocols
+
     n_bar = params.pop("n_bar")
     result = protocols.optomech_cooperativity(protocols.OptomechParams(**params), n_bar)
     scalars = {
@@ -706,29 +802,25 @@ def _invoke(runner, params, ctx):
         raise ConfigError(str(exc)) from None
 
 
-def _set_path(tree: dict, dotted: str, value):
-    tokens = dotted.split(".")
-    node = tree
-    for tok in tokens[:-1]:
-        if isinstance(node, list):
-            try:
-                node = node[int(tok)]
-            except (ValueError, IndexError):
-                raise ConfigError(f"sweep parameter path {dotted!r} does not resolve")
-        elif isinstance(node, dict) and tok in node:
-            node = node[tok]
-        else:
-            raise ConfigError(f"sweep parameter path {dotted!r} does not resolve")
-    leaf = tokens[-1]
-    if isinstance(node, list):
+def _with_value(tree: dict, dotted: str, value) -> dict:
+    """``tree`` with the node at the dotted path replaced by ``value``. Only
+    the containers along the path are copied; the rest is shared."""
+
+    def replaced(node, tokens):
+        key = tokens[0]
         try:
-            node[int(leaf)] = value
-        except (ValueError, IndexError):
-            raise ConfigError(f"sweep parameter path {dotted!r} does not resolve")
-    elif isinstance(node, dict) and leaf in node:
-        node[leaf] = value
-    else:
-        raise ConfigError(f"sweep parameter path {dotted!r} does not resolve")
+            if isinstance(node, list):
+                key = int(key)
+                node[key]
+            elif not (isinstance(node, dict) and key in node):
+                raise KeyError(key)
+        except (ValueError, IndexError, KeyError):
+            raise ConfigError(f"sweep parameter path {dotted!r} does not resolve") from None
+        out = node.copy()
+        out[key] = value if len(tokens) == 1 else replaced(node[key], tokens[1:])
+        return out
+
+    return replaced(tree, dotted.split("."))
 
 
 def _atomic_write(path: Path, data: bytes):

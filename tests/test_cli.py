@@ -247,6 +247,16 @@ def _set(tree, dotted, value):
             {"parameter": "system.rabi.unit", "values": ["MHz", "K"]},
             "parameters.system.rabi.unit",
         ),
+        ("lindblad", "parameters.times.stop.value", -1.0, None),
+        ("lindblad", "parameters.system.decay.value", -5.0, None),
+        ("g2", "parameters.taus.stop.value", 0, None),
+        ("g2", "parameters.system.decay.value", -5.0, None),
+        ("raman_memory", "parameters.signal_pulse.width.value", -1e-8, None),
+        ("raman_memory", "parameters.control_pulse.width.value", 0.0, None),
+        ("cavity_interface", "parameters.kappa.value", -1.0, None),
+        ("cavity_interface", "parameters.kappa.value", 0.0, None),
+        ("optomech", "parameters.kappa_v.value", -1e11, None),
+        ("crot", "parameters.duration.value", -1.6e-6, None),
     ],
 )
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, kind, dotted, value, where):

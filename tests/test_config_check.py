@@ -1,0 +1,294 @@
+"""Config checking against the field tables.
+
+The schema that ``hostguest schema`` prints is pinned by SHA-256 per kind.
+The field-table check is compared with jsonschema, used here as an oracle
+only: each shipped config and a fixed list of single-field mutations must
+be accepted or rejected by both alike. The cold path is guarded: importing
+the CLI or validating a config loads neither scipy nor jsonschema.
+"""
+
+import copy
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import jsonschema
+import pytest
+
+from hostguest.cli import main
+from hostguest.errors import ConfigError
+from hostguest.scenarios import SCENARIO_KINDS, config_schema, load_config, validate_config
+
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIO_DIR = ROOT / "scenarios"
+
+SCHEMA_SHA256 = {
+    "cavity_interface": "3d39e3408e7014604a1cc376c908389d4a22f265cc3a7db411f0a5ef0195f293",
+    "crot": "591d5e761a83123efef425bec941465f4c73c33059d6ef48cc2ff41fcbed18f4",
+    "emission_spectrum": "7d869aa1940d4e244c0a337715bb9e1d3f2b699de9568a787282ef68a2c1bfb8",
+    "g2": "6aa79ca5d03c57a28e9d330dbd2bd07c89bf23de10a7601c86f28d616c4349a6",
+    "lindblad": "994a4ba79efefe58424713570e6fdf2eb5f28bc9334960e996835842effbe324",
+    "odmr": "26170698d6c2c4f7cbe3ddf0b10ce31b5c82330bda186f9b4f173abe0602e061",
+    "optomech": "16168f7c5639b3c98652afb99d0c36ffef45c6c7c1724345fc45e8b60923a2a3",
+    "raman_memory": "64c4d212e22f2101c0b248a2ff9929a19ff0aab42fbc22bb49243760b8b60d15",
+    "relaxation_classify": "efce656c9fab4570a01f37a85371f80aab66aff7ac4f53664873f7151e0cf282",
+    "screening": "fc89251cb8984d7750efed2e5ae87744afc8cc6a789df01c30b2fc87bb302277",
+    "spin_spectrum": "bee051f531ded8a02208bfa4036536de1b144f1317da85f6a7132898a4bb0385",
+}
+
+
+def test_every_kind_has_a_pinned_schema():
+    assert sorted(SCHEMA_SHA256) == sorted(SCENARIO_KINDS)
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEMA_SHA256))
+def test_schema_output_matches_pinned_hash(kind, capsys):
+    assert main(["schema", kind]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SCHEMA_SHA256[kind]
+
+
+# --- agreement with jsonschema ----------------------------------------------
+
+DELETE = object()
+
+# (kind, dotted path in the config, new value or DELETE, where): ``where`` is
+# None for an input both checks accept, else the dotted path that the
+# ConfigError of the field-table check starts with.
+MUTATIONS = [
+    ("lindblad", "parameters.system.rabi.value", "5", "parameters.system.rabi.value"),
+    ("lindblad", "parameters.system.rabi.value", True, "parameters.system.rabi.value"),
+    ("lindblad", "parameters.system.rabi.value", 5, None),
+    ("lindblad", "parameters.system.rabi.unit", "furlongs", "parameters.system.rabi.unit"),
+    ("lindblad", "parameters.system.decay", None, "parameters.system.decay"),
+    ("lindblad", "parameters.system.decay", DELETE, "parameters.system"),
+    ("lindblad", "parameters.system.dephasing", DELETE, None),
+    ("lindblad", "parameters.system.extra", 1, "parameters.system"),
+    ("lindblad", "parameters.times.points", 501.0, None),
+    ("lindblad", "parameters.times.points", 2.5, "parameters.times.points"),
+    ("lindblad", "parameters.times.points", True, "parameters.times.points"),
+    ("lindblad", "parameters.times.points", 1, "parameters.times.points"),
+    ("lindblad", "parameters.initial_state", "middle", "parameters.initial_state"),
+    ("lindblad", "parameters.initial_state", 1, "parameters.initial_state"),
+    ("lindblad", "parameters", [], "parameters"),
+    ("lindblad", "parameters", DELETE, "<root>"),
+    ("lindblad", "schema_version", 1.0, None),
+    ("lindblad", "schema_version", True, "schema_version"),
+    ("lindblad", "schema_version", 2, "schema_version"),
+    ("lindblad", "schema_version", DELETE, "<root>"),
+    ("lindblad", "seed", -1, "seed"),
+    ("lindblad", "seed", 2.0, None),
+    ("lindblad", "seed", True, "seed"),
+    ("lindblad", "seed", DELETE, None),
+    ("lindblad", "output_dir", 5, "output_dir"),
+    ("lindblad", "extra", 1, "<root>"),
+    ("lindblad", "sweep", None, "sweep"),
+    ("lindblad", "sweep", {"parameter": "system.rabi.value", "values": []}, "sweep.values"),
+    ("lindblad", "sweep", {"values": [1.0]}, "sweep"),
+    ("lindblad", "sweep", {"parameter": "system.rabi.value", "values": [1.0], "x": 0}, "sweep"),
+    ("lindblad", "sweep", {"parameter": 3, "values": [1.0]}, "sweep.parameter"),
+    ("lindblad", "sweep", {"parameter": "system.rabi.value", "values": [[1.0]]}, "sweep.values.0"),
+    ("lindblad", "sweep", {"parameter": "system.rabi.value", "values": [None]}, "sweep.values.0"),
+    (
+        "lindblad",
+        "sweep",
+        {"parameter": "system.rabi.value", "values": [1.0, "fast"]},
+        "parameters.system.rabi.value",
+    ),
+    (
+        "lindblad",
+        "sweep",
+        {"parameter": "system.rabi.value", "values": [True]},
+        "parameters.system.rabi.value",
+    ),
+    ("lindblad", "sweep", {"parameter": "system.rabi.value", "values": [1, 2.5]}, None),
+    ("lindblad", "sweep", {"parameter": "times.points", "values": [2, 3.0]}, None),
+    ("lindblad", "sweep", {"parameter": "initial_state", "values": ["excited"]}, None),
+    ("g2", "parameters.taus.points", "401", "parameters.taus.points"),
+    ("crot", "parameters.drive_axis", [1.0, 0.0], "parameters.drive_axis"),
+    ("crot", "parameters.drive_axis", [1, 0, 0, 0], "parameters.drive_axis"),
+    ("crot", "parameters.drive_axis", DELETE, None),
+    ("crot", "parameters.spin_system.g_electron", 2, None),
+    ("crot", "parameters.spin_system.magnetic_field_tesla", DELETE, None),
+    (
+        "crot",
+        "parameters.spin_system.nuclei.0.hyperfine_unit",
+        "K",
+        "parameters.spin_system.nuclei.0.hyperfine_unit",
+    ),
+    ("crot", "parameters.spin_system.nuclei.0.spin", 0.5, "parameters.spin_system.nuclei.0.spin"),
+    (
+        "crot",
+        "parameters.spin_system.nuclei.0.hyperfine_tensor.2",
+        [4.0],
+        "parameters.spin_system.nuclei.0.hyperfine_tensor.2",
+    ),
+    ("spin_spectrum", "parameters.spin_system.nuclei", {}, "parameters.spin_system.nuclei"),
+    ("spin_spectrum", "parameters.grid.points", 2, None),
+    ("odmr", "parameters.mw_pair", ["x"], "parameters.mw_pair"),
+    ("odmr", "parameters.mw_pair", ["x", "w"], "parameters.mw_pair.1"),
+    ("odmr", "parameters.network.rates.0.source", None, "parameters.network.rates.0.source"),
+    ("emission_spectrum", "parameters.model.phonon_density", None, None),
+    ("emission_spectrum", "parameters.model.phonon_density", DELETE, None),
+    ("emission_spectrum", "parameters.model.vibron_modes", DELETE, None),
+    (
+        "emission_spectrum",
+        "parameters.model.vibron_modes.0.huang_rhys",
+        -0.5,
+        "parameters.model.vibron_modes.0.huang_rhys",
+    ),
+    (
+        "emission_spectrum",
+        "parameters.model.phonon_density.peak_frequency.unit",
+        "K",
+        "parameters.model.phonon_density",
+    ),
+    ("optomech", "parameters.n_bar", None, None),
+    ("optomech", "parameters.n_bar", DELETE, None),
+    ("optomech", "parameters.n_bar", -1, "parameters.n_bar"),
+    ("optomech", "parameters.n_bar", "1", "parameters.n_bar"),
+    ("cavity_interface", "parameters.emitter_coupled", 1, "parameters.emitter_coupled"),
+    ("cavity_interface", "parameters.emitter_coupled", DELETE, None),
+    ("relaxation_classify", "parameters.rate_model", None, "parameters.rate_model"),
+    ("relaxation_classify", "parameters.rate_model", DELETE, None),
+    (
+        "relaxation_classify",
+        "parameters.other_vibrons",
+        [{"value": 1.0, "unit": "THz"}, 5],
+        "parameters.other_vibrons.1",
+    ),
+    ("screening", "parameters.criteria", DELETE, None),
+    ("screening", "parameters.criteria.min_t1_ev", "2", "parameters.criteria.min_t1_ev"),
+    ("screening", "parameters.input_csv", 5, "parameters.input_csv"),
+    # sign bounds: minimum and exclusiveMinimum on a quantity's value
+    ("crot", "parameters.duration.value", 0.0, "parameters.duration.value"),
+    ("crot", "parameters.duration.value", 1e-300, None),
+    ("cavity_interface", "parameters.g.value", 0, None),
+    ("cavity_interface", "parameters.g.value", -1e-300, "parameters.g.value"),
+    ("cavity_interface", "parameters.kappa.value", 0, "parameters.kappa.value"),
+    ("optomech", "parameters.temperature.value", -0.0, None),
+    (
+        "emission_spectrum",
+        "parameters.model.phonon_density.peak_frequency.value",
+        0.0,
+        "parameters.model.phonon_density",
+    ),
+    ("relaxation_classify", "parameters.rate_model.density.peak_frequency.value", -1.0, None),
+    (
+        "lindblad",
+        "sweep",
+        {"parameter": "times.stop.value", "values": [1e-6, -1e-6]},
+        "parameters.times.stop.value",
+    ),
+]
+
+
+def _parent(tree, dotted):
+    *head, leaf = dotted.split(".")
+    for tok in head:
+        tree = tree[int(tok)] if isinstance(tree, list) else tree[tok]
+    return tree, int(leaf) if isinstance(tree, list) else leaf
+
+
+def _mutated(kind, dotted, value):
+    config = load_config(SCENARIO_DIR / f"{kind}.json")
+    node, key = _parent(config, dotted)
+    if value is DELETE:
+        del node[key]
+    else:
+        node[key] = copy.deepcopy(value)
+    return config
+
+
+def _jsonschema_accepts(config) -> bool:
+    """The old contract: the whole config is valid under its kind's schema,
+    and so is the config with each sweep value put in place."""
+    schema = config_schema(config["scenario_kind"])
+    jsonschema.Draft202012Validator.check_schema(schema)
+    validator = jsonschema.Draft202012Validator(schema)
+    if not validator.is_valid(config):
+        return False
+    sweep = config.get("sweep")
+    for value in sweep["values"] if sweep else ():
+        point = copy.deepcopy(config)
+        del point["sweep"]
+        node, key = _parent(point["parameters"], sweep["parameter"])
+        node[key] = value
+        if not validator.is_valid(point):
+            return False
+    return True
+
+
+def _field_table_accepts(config) -> tuple[bool, str | None]:
+    try:
+        validate_config(config)
+    except ConfigError as exc:
+        return False, str(exc)
+    return True, None
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEMA_SHA256))
+def test_shipped_configs_pass_both_checks(kind):
+    config = load_config(SCENARIO_DIR / f"{kind}.json")
+    assert _jsonschema_accepts(config)
+    assert _field_table_accepts(config) == (True, None)
+
+
+@pytest.mark.parametrize("kind, dotted, value, where", MUTATIONS)
+def test_field_table_agrees_with_jsonschema(kind, dotted, value, where):
+    config = _mutated(kind, dotted, value)
+    accepted, message = _field_table_accepts(config)
+    assert accepted == _jsonschema_accepts(config)
+    assert accepted == (where is None)
+    if where is not None:
+        assert message.startswith(f"at {where}"), message
+
+
+# --- the cold path ------------------------------------------------------------
+
+
+def _loaded_after(code: str, tmp_path) -> set[str]:
+    """Top-level packages among scipy and jsonschema that ``code`` loads in
+    a fresh interpreter."""
+    probe = code + (
+        "\nimport sys, json\n"
+        "loaded = {m.split('.')[0] for m in sys.modules}\n"
+        "print(json.dumps(sorted(loaded & {'scipy', 'jsonschema'})))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return set(json.loads(out.stdout.splitlines()[-1]))
+
+
+def test_cli_import_loads_neither_scipy_nor_jsonschema(tmp_path):
+    assert _loaded_after("import hostguest.cli", tmp_path) == set()
+
+
+def test_validate_loads_neither_scipy_nor_jsonschema(tmp_path):
+    configs = sorted(str(p) for p in SCENARIO_DIR.glob("*.json"))
+    code = (
+        "from hostguest.cli import main\n"
+        f"for path in {configs!r}:\n"
+        "    assert main(['validate', path]) == 0, path\n"
+    )
+    assert _loaded_after(code, tmp_path) == set()
+
+
+def test_numpy_only_kinds_run_without_scipy(tmp_path):
+    code = "from hostguest.cli import main\n"
+    for kind in ("crot", "spin_spectrum", "screening"):
+        config = SCENARIO_DIR / f"{kind}.json"
+        out = tmp_path / kind
+        code += f"assert main(['run', {str(config)!r}, '--output-dir', {str(out)!r}]) == 0\n"
+    assert "scipy" not in _loaded_after(code, tmp_path)
