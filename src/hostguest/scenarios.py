@@ -298,14 +298,15 @@ _TWO_LEVEL = record(
     rabi=angular(),
     detuning=angular(),
     decay=angular(minimum=0),
-    dephasing=angular(default=0.0),
+    dephasing=angular(default=0.0, minimum=0),
 )
 
 # Bounds: each minimum or exclusiveMinimum below is a sign rule that the
 # kind's runner or a domain constructor it always calls enforces as well;
 # rules that span several fields (grid start < stop, port couplings <= kappa)
-# stay with the constructors. The rate model of relaxation_classify is used
-# only for the two-phonon channel, so its fields carry no new bounds.
+# stay with the constructors. relaxation_classify builds the density of its
+# rate model whatever the channel; the model's temperature is used, and its
+# bound enforced by two_phonon_rate, only on the two-phonon channel.
 PARAMETERS = {
     "spin_spectrum": record(
         spin_system=_SPIN_SYSTEM, grid=_GRID, linewidth=angular(exclusiveMinimum=0)
@@ -349,7 +350,10 @@ PARAMETERS = {
         phonon_cutoff=angular(exclusiveMinimum=0),
         other_vibrons=array(angular(exclusiveMinimum=0), default=()),
         rate_model=record(
-            density=_phonon_density(), coupling=number(), temperature=kelvin(), default=None
+            density=_phonon_density(exclusiveMinimum=0),
+            coupling=number(),
+            temperature=kelvin(minimum=0),
+            default=None,
         ),
     ),
     "lindblad": record(
@@ -468,10 +472,7 @@ def _two_level(p: dict):
     lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # basis (g, e)
     project_e = np.diag([0.0, 1.0]).astype(complex)
     h = p["detuning"] * project_e + 0.5 * p["rabi"] * (lower + lower.conj().T)
-    channels = [(lower, p["decay"])]
-    if p["dephasing"] > 0.0:
-        channels.append((project_e, p["dephasing"]))
-    return dynamics.OpenSystem(h, tuple(channels))
+    return dynamics.OpenSystem(h, ((lower, p["decay"]), (project_e, p["dephasing"])))
 
 
 # --- CSV / JSON byte renderers ----------------------------------------------
@@ -647,13 +648,14 @@ def _run_relaxation_classify(params, _ctx):
     from . import relaxation, vibronic
 
     rm = params.pop("rate_model")
+    density = None if rm is None else vibronic.PhononSpectralDensity(**rm["density"])
     data = relaxation.RelaxationInput(**params)
     channel = relaxation.classify_relaxation(data)
     scalars = {"channel": channel.value, "two_phonon_rate": 0.0}
-    if rm is not None and channel is relaxation.RelaxationChannel.TWO_PHONON:
+    if density is not None and channel is relaxation.RelaxationChannel.TWO_PHONON:
         scalars["two_phonon_rate"] = relaxation.two_phonon_rate(
             data.vibron_frequency,
-            vibronic.PhononSpectralDensity(**rm["density"]),
+            density,
             coupling=rm["coupling"],
             temperature=rm["temperature"],
         )
@@ -857,7 +859,7 @@ def run_scenario(config: dict, config_dir, output_dir=None) -> Path:
     out = Path(output_dir) if output_dir else Path(config.get("output_dir", "."))
     if not out.is_absolute():
         out = Path(config_dir) / out
-    ctx = {"config_dir": Path(config_dir), "seed": seed}
+    ctx = {"config_dir": Path(config_dir)}
     runner = _RUNNERS[kind]
 
     files: dict[str, bytes] = {}

@@ -151,8 +151,12 @@ def assemble_spin_hamiltonian(
     The tensor form exists so that globally rotated configurations (field,
     hyperfine, and ZFS all rotated together) can be assembled; the
     convenience wrapper :func:`build_spin_hamiltonian` uses the principal
-    (D, E) parametrization. Every term is built directly as a Kronecker
-    product of an electron factor and a nuclear factor.
+    (D, E) parametrization. H = h_e (x) 1 + sum_a S_a (x) T_a - 1 (x) Z is
+    built from its electron blocks: the 3x3 electron part h_e = S.D.S +
+    (g mu_B / hbar) B.S, the hyperfine fields T_a = sum_k sum_c A^k_ac I^k_c
+    and the nuclear Zeeman term Z = sum_k gamma_k B.I^k. T_a and Z are summed
+    in the nuclear space, so H takes five full-dimension Kronecker products
+    whatever the number of nuclei.
     """
     nuclear_dimension = math.prod(n.dimension for n in nuclei)
     if 3 * nuclear_dimension > DIMENSION_CAP:
@@ -165,28 +169,19 @@ def assemble_spin_hamiltonian(
     ):
         raise ValueError("zfs tensor must be a symmetric 3x3 matrix")
     b = np.asarray(magnetic_field, dtype=float)
-    svec = angular_momentum_operators(Fraction(1))
-    nuclear_identity = np.eye(nuclear_dimension, dtype=complex)
-    electron_identity = np.eye(3, dtype=complex)
-
-    h = np.zeros((3 * nuclear_dimension,) * 2, dtype=complex)
-    for a in range(3):
-        for c in range(3):
-            if zfs[a, c] != 0.0:
-                h += zfs[a, c] * np.kron(svec[a] @ svec[c], nuclear_identity)
+    svec = np.array(angular_momentum_operators(Fraction(1)))
     larmor = g_electron * BOHR_MAGNETON / HBAR
-    for a in range(3):
-        if b[a] != 0.0:
-            h += larmor * b[a] * np.kron(svec[a], nuclear_identity)
-    for nuc, ivec in zip(nuclei, _nuclear_operators(nuclei)):
-        a_tensor = nuc.tensor
-        for a in range(3):
-            for c in range(3):
-                if a_tensor[a, c] != 0.0:
-                    h += a_tensor[a, c] * np.kron(svec[a], ivec[c])
-        for a in range(3):
-            if b[a] != 0.0:
-                h -= nuc.gyromagnetic_ratio * b[a] * np.kron(electron_identity, ivec[a])
+    h_e = sum(zfs[a, c] * (svec[a] @ svec[c]) for a in range(3) for c in range(3))
+    h_e = h_e + larmor * np.tensordot(b, svec, axes=1)
+    field_ops = np.zeros((3, nuclear_dimension, nuclear_dimension), dtype=complex)
+    nuclear_zeeman = np.zeros((nuclear_dimension, nuclear_dimension), dtype=complex)
+    for nuc, ivec in zip(nuclei, map(np.array, _nuclear_operators(nuclei))):
+        field_ops += np.tensordot(nuc.tensor, ivec, axes=1)
+        nuclear_zeeman += nuc.gyromagnetic_ratio * np.tensordot(b, ivec, axes=1)
+    h = np.kron(h_e, np.eye(nuclear_dimension))
+    for s_a, t_a in zip(svec, field_ops):
+        h += np.kron(s_a, t_a)
+    h -= np.kron(np.eye(3), nuclear_zeeman)
     return 0.5 * (h + h.conj().T)
 
 

@@ -57,9 +57,6 @@ _TO_RAD_PER_S = {
     Unit.RAD_PER_S: 1.0,
 }
 
-# Units that only convert to themselves.
-_IDENTITY_UNITS = {Unit.KELVIN, Unit.TESLA, Unit.SECOND, Unit.DIMENSIONLESS}
-
 
 @dataclass(frozen=True)
 class Quantity:

@@ -194,15 +194,17 @@ def _vibron_lines(model: VibronicModel):
     """
     lines = [(0.0, 1.0, 0.0)]
     for mode in model.vibron_modes:
-        if mode.huang_rhys == 0.0:
+        s = mode.huang_rhys
+        if s == 0.0:
             continue
-        m_hi = 1
-        while m_hi < 200:
-            tail = mode.huang_rhys ** (m_hi + 1) / math.factorial(m_hi + 1)
-            if tail * math.exp(-mode.huang_rhys) < _WEIGHT_FLOOR:
-                break
+        # Keep quanta up to the first m_hi past the peak m ~ S whose next
+        # weight P(m_hi + 1) is below the floor. P follows the progression's
+        # own recursion, which stays finite where S^m / m! overflows.
+        m_hi, tail = 1, s**2 / 2.0 * math.exp(-s)
+        while m_hi < 200 and (m_hi < s or tail >= _WEIGHT_FLOOR):
             m_hi += 1
-        probs = franck_condon_progression(mode.huang_rhys, m_hi)
+            tail *= s / (m_hi + 1)
+        probs = franck_condon_progression(s, m_hi)
         new = []
         for shift, weight, width in lines:
             for m, p in enumerate(probs):

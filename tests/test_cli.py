@@ -257,6 +257,15 @@ def _set(tree, dotted, value):
         ("cavity_interface", "parameters.kappa.value", 0.0, None),
         ("optomech", "parameters.kappa_v.value", -1e11, None),
         ("crot", "parameters.duration.value", -1.6e-6, None),
+        ("lindblad", "parameters.system.dephasing.value", -5.0, None),
+        (
+            "g2",
+            "parameters.system.dephasing",
+            {"value": -5.0, "unit": "MHz"},
+            "parameters.system.dephasing.value",
+        ),
+        ("relaxation_classify", "parameters.rate_model.temperature.value", -300.0, None),
+        ("relaxation_classify", "parameters.rate_model.density.peak_frequency.value", -1.0, None),
     ],
 )
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, kind, dotted, value, where):
@@ -268,6 +277,19 @@ def test_validate_rejects_what_run_rejects(tmp_path, capsys, kind, dotted, value
     assert f"at {where or dotted}:" in capsys.readouterr().err
     assert main(["run", str(path)]) == 1
     assert f"at {where or dotted}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_rate_model_is_checked_on_every_relaxation_channel(tmp_path, capsys):
+    # An intramolecular vibron never uses the rate model, yet a density with
+    # its cutoff below its peak is still a config error.
+    config = load_config(SCENARIO_DIR / "relaxation_classify.json")
+    config["output_dir"] = str(tmp_path / "out")
+    config["parameters"]["vibron_frequency"]["value"] = 9.0
+    config["parameters"]["rate_model"]["density"]["cutoff_frequency"]["value"] = 0.1
+    path = _write(tmp_path, config)
+    assert main(["run", str(path)]) == 1
+    assert "cutoff_frequency > peak_frequency" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

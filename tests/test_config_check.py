@@ -29,12 +29,12 @@ SCHEMA_SHA256 = {
     "cavity_interface": "3d39e3408e7014604a1cc376c908389d4a22f265cc3a7db411f0a5ef0195f293",
     "crot": "591d5e761a83123efef425bec941465f4c73c33059d6ef48cc2ff41fcbed18f4",
     "emission_spectrum": "7d869aa1940d4e244c0a337715bb9e1d3f2b699de9568a787282ef68a2c1bfb8",
-    "g2": "6aa79ca5d03c57a28e9d330dbd2bd07c89bf23de10a7601c86f28d616c4349a6",
-    "lindblad": "994a4ba79efefe58424713570e6fdf2eb5f28bc9334960e996835842effbe324",
+    "g2": "945e4fc14a5a0f012ae97746c9dfa5c2b7e4dc5d8b78668b70843a0e6603fd9b",
+    "lindblad": "b5ef9b28cf9cbcb91d2e0755a4e26df8f22184cbbb5d28074547ef401204d16d",
     "odmr": "26170698d6c2c4f7cbe3ddf0b10ce31b5c82330bda186f9b4f173abe0602e061",
     "optomech": "16168f7c5639b3c98652afb99d0c36ffef45c6c7c1724345fc45e8b60923a2a3",
     "raman_memory": "64c4d212e22f2101c0b248a2ff9929a19ff0aab42fbc22bb49243760b8b60d15",
-    "relaxation_classify": "efce656c9fab4570a01f37a85371f80aab66aff7ac4f53664873f7151e0cf282",
+    "relaxation_classify": "ce9ba353881a053df3d05bab9195b5733339da9bb2c601b8bb61a9c522894ea0",
     "screening": "fc89251cb8984d7750efed2e5ae87744afc8cc6a789df01c30b2fc87bb302277",
     "spin_spectrum": "bee051f531ded8a02208bfa4036536de1b144f1317da85f6a7132898a4bb0385",
 }
@@ -176,7 +176,21 @@ MUTATIONS = [
         0.0,
         "parameters.model.phonon_density",
     ),
-    ("relaxation_classify", "parameters.rate_model.density.peak_frequency.value", -1.0, None),
+    (
+        "relaxation_classify",
+        "parameters.rate_model.density.peak_frequency.value",
+        -1.0,
+        "parameters.rate_model.density.peak_frequency.value",
+    ),
+    (
+        "relaxation_classify",
+        "parameters.rate_model.temperature.value",
+        -300.0,
+        "parameters.rate_model.temperature.value",
+    ),
+    ("relaxation_classify", "parameters.rate_model.temperature.value", 0, None),
+    ("lindblad", "parameters.system.dephasing.value", -5.0, "parameters.system.dephasing.value"),
+    ("g2", "parameters.system.dephasing", {"value": 0.0, "unit": "MHz"}, None),
     (
         "lindblad",
         "sweep",

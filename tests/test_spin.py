@@ -207,8 +207,9 @@ def _dense_hamiltonian(zfs, b, g_electron, nuclei):
     return h
 
 
-def test_kronecker_assembly_matches_dense_embedding():
-    rng = np.random.default_rng(11)
+def _mixed_system(rng):
+    """Rotated ZFS, a general field and full random hyperfine tensors on
+    nuclei of spin 1/2, 1 and 3/2 (dimension 72)."""
     nuclei = []
     for s, gamma in (("1/2", 2.675e8), (1, 1.934e7), ("3/2", 7.08e7)):
         a = rng.uniform(-1.0, 1.0, (3, 3)) * TWO_PI * 5e6
@@ -218,10 +219,55 @@ def test_kronecker_assembly_matches_dense_embedding():
     r = Rotation.random(random_state=rng).as_matrix()
     zfs = r @ zfs_tensor(TWO_PI * 1.4e9, TWO_PI * 0.2e9) @ r.T
     b = np.array([1.5e-3, -2.0e-3, 0.7e-3])
-    h = assemble_spin_hamiltonian(zfs, b, G_ELECTRON_DEFAULT, tuple(nuclei))
-    reference = _dense_hamiltonian(zfs, b, G_ELECTRON_DEFAULT, nuclei)
-    assert h.shape == (3 * 2 * 3 * 4,) * 2
-    assert np.max(np.abs(h - reference)) <= 1e-13 * np.max(np.abs(reference))
+    return zfs, b, tuple(nuclei)
+
+
+def test_kronecker_assembly_matches_dense_embedding():
+    zfs, b, nuclei = _mixed_system(np.random.default_rng(11))
+    diagonal = tuple(
+        NucleusSpec(
+            spin=n.spin,
+            hyperfine_tensor=np.diag(np.diag(n.tensor)),
+            gyromagnetic_ratio=n.gyromagnetic_ratio,
+        )
+        for n in nuclei
+    )
+    uncoupled = tuple(NucleusSpec(spin=n.spin, hyperfine_tensor=np.zeros((3, 3))) for n in nuclei)
+    mixed = (diagonal[0], uncoupled[1], nuclei[2])
+    # Zero field and diagonal or all-zero hyperfine tensors: terms that vanish.
+    zero = np.zeros(3)
+    cases = [
+        (b, nuclei),
+        (zero, nuclei),
+        (b, diagonal),
+        (b, uncoupled),
+        (zero, uncoupled),
+        (b, mixed),
+        (b, ()),
+    ]
+    for field_b, nuc in cases:
+        h = assemble_spin_hamiltonian(zfs, field_b, G_ELECTRON_DEFAULT, nuc)
+        reference = _dense_hamiltonian(zfs, field_b, G_ELECTRON_DEFAULT, nuc)
+        assert h.shape == (3 * math.prod(n.dimension for n in nuc),) * 2
+        assert np.max(np.abs(h - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+def test_assembly_makes_five_full_dimension_kronecker_products(monkeypatch):
+    # Electron part, three hyperfine field blocks and the nuclear Zeeman
+    # term: five products of the full dimension, whatever the nuclei.
+    zfs, b, nuclei = _mixed_system(np.random.default_rng(11))
+    dim = 3 * math.prod(n.dimension for n in nuclei)
+    kron = np.kron
+    shapes = []
+
+    def counting_kron(a, c):
+        out = kron(a, c)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(spin.np, "kron", counting_kron)
+    assemble_spin_hamiltonian(zfs, b, G_ELECTRON_DEFAULT, nuclei)
+    assert shapes.count((dim, dim)) == 5
 
 
 # --- ODMR spectrum -------------------------------------------------------------

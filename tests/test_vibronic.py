@@ -203,6 +203,19 @@ def test_single_mode_weight_ratio():
     assert ratio == pytest.approx(s_hr, rel=2e-3)
 
 
+@pytest.mark.parametrize("s_hr, tolerance", [(36.0, 1e-11), (120.0, 1e-10)])
+def test_strong_progression_keeps_its_sideband(s_hr, tolerance):
+    # The line search runs past the Poisson peak at m ~ S, so the weights sum
+    # to 1 - P(0) up to the sub-floor lines dropped (and, at S = 120, the
+    # tail beyond the 200-quanta cap); S^m and m! would overflow at S = 120.
+    mode = VibronMode(frequency=TWO_PI * 6e12, huang_rhys=s_hr, relaxation_rate=0.0)
+    model = VibronicModel(
+        zpl_frequency=TWO_PI * 466e12, radiative_rate=TWO_PI * 5e9, vibron_modes=(mode,)
+    )
+    total = sum(w for _, w, _ in vibronic._vibron_lines(model))
+    assert abs(total - (1.0 - math.exp(-s_hr))) <= tolerance
+
+
 def test_phonon_wing_peaks_at_density_peak():
     wp = TWO_PI * 1.75e12
     zpl = TWO_PI * 466e12
