@@ -30,7 +30,7 @@ import numpy as np
 
 from . import screening, spin
 from .errors import ConfigError, DomainError
-from .units import GAMMA_PROTON, FrequencyGrid, Quantity, Unit, convert
+from .units import GAMMA_PROTON, TWO_PI, FrequencyGrid, Quantity, Unit, convert
 
 SCHEMA_VERSION = 1
 
@@ -546,8 +546,6 @@ def _json_bytes(payload) -> bytes:
 # owns the coerced dict it is given and may replace entries in it by the
 # objects built from them.
 
-_TWO_PI = 2.0 * math.pi
-
 
 def _run_spin_spectrum(params, _ctx):
     system = _spin_system(params["spin_system"])
@@ -558,14 +556,14 @@ def _run_spin_spectrum(params, _ctx):
     gaps = np.diff(eig.energies)
     scalars = {
         "level_count": len(eig.energies),
-        "smallest_gap_hz": float(gaps.min() / _TWO_PI) if len(gaps) else 0.0,
-        "largest_gap_hz": float((eig.energies[-1] - eig.energies[0]) / _TWO_PI),
+        "smallest_gap_hz": float(gaps.min() / TWO_PI) if len(gaps) else 0.0,
+        "largest_gap_hz": float((eig.energies[-1] - eig.energies[0]) / TWO_PI),
     }
     tables = {
-        "spectrum.csv": (("frequency_hz", "response"), (freqs / _TWO_PI, response)),
+        "spectrum.csv": (("frequency_hz", "response"), (freqs / TWO_PI, response)),
         "levels.csv": (
             ("index", "energy_hz"),
-            (range(len(eig.energies)), eig.energies / _TWO_PI),
+            (range(len(eig.energies)), eig.energies / TWO_PI),
         ),
     }
     return scalars, tables
@@ -635,11 +633,11 @@ def _run_emission_spectrum(params, _ctx):
     scalars = {
         "debye_waller": spectrum.zpl_weight,
         "zpl_branching_ratio": spectrum.zpl_weight,
-        "zpl_linewidth_hz": model.zpl_linewidth / _TWO_PI,
+        "zpl_linewidth_hz": model.zpl_linewidth / TWO_PI,
     }
     table = (
         ("frequency_hz", "normalized_intensity"),
-        (spectrum.frequencies / _TWO_PI, spectrum.intensity),
+        (spectrum.frequencies / TWO_PI, spectrum.intensity),
     )
     return scalars, {"spectrum.csv": table}
 
@@ -735,7 +733,7 @@ def _run_cavity_interface(params, _ctx):
     }
     table = (
         ("detuning_hz", "reflectance", "transmittance", "loss"),
-        (detunings / _TWO_PI, reflectance, transmittance, loss),
+        (detunings / TWO_PI, reflectance, transmittance, loss),
     )
     return scalars, {"response.csv": table}
 
@@ -836,13 +834,15 @@ def _atomic_write(path: Path, data: bytes):
 
 def load_config(path) -> dict:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"no such config file: {path}")
     try:
-        with path.open() as handle:
+        with path.open(encoding="utf-8") as handle:
             return json.load(handle)
+    except FileNotFoundError:
+        raise ConfigError(f"no such config file: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
 
 
 def run_scenario(config: dict, config_dir, output_dir=None) -> Path:

@@ -85,6 +85,15 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+# The columns after the name: (column, parser, reason for a cell it rejects).
+_TYPED_COLUMNS = (
+    ("carbon_count", int, "not an integer"),
+    ("e_s1_ev", float, "not a number"),
+    ("e_t1_ev", float, "not a number"),
+    ("centrosymmetric", _parse_bool, "not a boolean"),
+)
+
+
 def ingest(path) -> IngestResult:
     """Read candidate records from a CSV file.
 
@@ -115,33 +124,18 @@ def ingest(path) -> IngestResult:
                 RowDiagnostic(number, None, f"expected {len(CSV_COLUMNS)} fields, got {len(row)}")
             )
             continue
-        name = row[0].strip()
-        try:
-            carbon = int(row[1])
-        except ValueError:
-            rejected.append(RowDiagnostic(number, "carbon_count", f"not an integer: {row[1]!r}"))
-            continue
-        try:
-            e_s1 = float(row[2])
-        except ValueError:
-            rejected.append(RowDiagnostic(number, "e_s1_ev", f"not a number: {row[2]!r}"))
-            continue
-        try:
-            e_t1 = float(row[3])
-        except ValueError:
-            rejected.append(RowDiagnostic(number, "e_t1_ev", f"not a number: {row[3]!r}"))
-            continue
-        try:
-            centro = _parse_bool(row[4])
-        except ValueError:
-            rejected.append(RowDiagnostic(number, "centrosymmetric", f"not a boolean: {row[4]!r}"))
-            continue
-        try:
-            record = MoleculeRecord(name, carbon, e_s1, e_t1, centro)
-        except ValueError as exc:
-            rejected.append(RowDiagnostic(number, None, str(exc)))
-            continue
-        records.append(record)
+        cells = []
+        for cell, (column, parse, reason) in zip(row[1:], _TYPED_COLUMNS):
+            try:
+                cells.append(parse(cell))
+            except ValueError:
+                rejected.append(RowDiagnostic(number, column, f"{reason}: {cell!r}"))
+                break
+        else:
+            try:
+                records.append(MoleculeRecord(row[0].strip(), *cells))
+            except ValueError as exc:
+                rejected.append(RowDiagnostic(number, None, str(exc)))
     return IngestResult(records, rejected)
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionOverflow, NotHermitian, PreconditionViolated
-from .units import BOHR_MAGNETON, GAMMA_PROTON, HBAR
+from .units import BOHR_MAGNETON, GAMMA_PROTON, HBAR, lorentzian_sum
 
 # Spec'd default g-factor for the triplet electron spin.
 G_ELECTRON_DEFAULT = 2.0023
@@ -245,14 +245,9 @@ def odmr_spectrum(
         eigensystem = diagonalize(build_spin_hamiltonian(spec))
     gaps, weights = _transition_lines(spec, eigensystem)
     bright = weights > 0.0
+    fwhms = [linewidth] * int(bright.sum())
     freqs = grid.frequencies
-    response = np.zeros_like(freqs)
-    half = 0.5 * linewidth
-    # One line at a time, in pair order: a lines x grid array would cost
-    # memory, and a different summation order would change the bytes.
-    for omega0, weight in zip(gaps[bright].tolist(), weights[bright].tolist()):
-        response += weight * (half / math.pi) / ((freqs - omega0) ** 2 + half**2)
-    return freqs, response
+    return freqs, lorentzian_sum(freqs, gaps[bright].tolist(), fwhms, weights[bright].tolist())
 
 
 @dataclass(frozen=True)
@@ -381,22 +376,18 @@ def crot_gate(
     # Steps per drive period; omega_scale >= drive_frequency makes this >= 315.
     steps = math.ceil(2.0 * math.pi / drive_frequency * 50.0 * omega_scale)
     u_coarse, _ = _magnus_propagate(h0, drive, amplitude, drive_frequency, duration, steps)
-    refinements = 0
-    while True:
-        fine_steps = 2 * steps
-        u_fine, evaluated = _magnus_propagate(
-            h0, drive, amplitude, drive_frequency, duration, fine_steps
+    # Halve the step until two propagators agree, at most three times.
+    for _ in range(3):
+        steps *= 2
+        u_lab, evaluated = _magnus_propagate(
+            h0, drive, amplitude, drive_frequency, duration, steps
         )
-        err = float(np.linalg.norm(u_fine - u_coarse)) / math.sqrt(dim)
-        if err <= 1e-6 or refinements >= 2:
-            if err > 1e-6:
-                warnings.warn(
-                    f"step-halving check stalled at {err:.2e}", stacklevel=2
-                )
-            u_lab = u_fine
+        err = float(np.linalg.norm(u_lab - u_coarse)) / math.sqrt(dim)
+        if err <= 1e-6:
             break
-        steps, u_coarse = fine_steps, u_fine
-        refinements += 1
+        u_coarse = u_lab
+    else:
+        warnings.warn(f"step-halving check stalled at {err:.2e}", stacklevel=2)
 
     # Interaction picture of H0, expressed in the H0 eigenbasis so the
     # addressed indices label rows/columns of the returned matrix directly.

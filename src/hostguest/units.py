@@ -5,8 +5,7 @@ angular frequency in rad/s. Public entry points accept tagged quantities and
 convert on the way in, so the factor-of-2*pi bookkeeping lives in exactly one
 place (this module). Energies map to angular frequency through E = hbar*omega.
 
-Constants are pinned to CODATA-2018; the full table is reproduced in the
-README.
+Constants are pinned to CODATA-2018.
 """
 
 from __future__ import annotations
@@ -138,6 +137,20 @@ def bose_occupation(omega: float, temperature: float) -> float:
         # exp would overflow; the occupation is indistinguishable from zero.
         return 0.0
     return 1.0 / math.expm1(x)
+
+
+def lorentzian_sum(freqs, centers, fwhms, weights) -> np.ndarray:
+    """Sum over lines j of weights[j] times a Lorentzian of unit area centred
+    at centers[j] with FWHM fwhms[j], sampled on the array ``freqs``.
+
+    Lines are added one at a time in the given order: a lines x grid array
+    would cost memory, and another summation order would change the bytes.
+    """
+    out = np.zeros_like(freqs)
+    for center, fwhm, weight in zip(centers, fwhms, weights):
+        half = 0.5 * fwhm
+        out += weight * (half / math.pi) / ((freqs - center) ** 2 + half**2)
+    return out
 
 
 @dataclass(frozen=True)

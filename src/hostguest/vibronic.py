@@ -16,9 +16,10 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import DomainError, GridTooNarrow, IntegrationFailure
-from .units import FrequencyGrid, bose_occupation, thermal_frequency
+from .units import FrequencyGrid, bose_occupation, lorentzian_sum, thermal_frequency
 
 _WEIGHT_FLOOR = 1e-12  # vibronic lines below this total weight are dropped
+_MAX_QUANTA = 200  # longest progression kept per vibron mode
 
 
 def franck_condon_progression(huang_rhys: float, max_quanta: int) -> np.ndarray:
@@ -190,37 +191,28 @@ def _vibron_lines(model: VibronicModel):
 
     Yields (red shift in rad/s, relative weight, added FWHM); weights carry
     the product Poisson structure and sum to 1 - prod_i P_i(0) up to the
-    pruning floor.
+    pruning floor. Each mode keeps its quanta m <= _MAX_QUANTA with
+    P(m) >= _WEIGHT_FLOOR (a weight below the floor stays below it in every
+    product) and raises DomainError if they miss more than 1e-10 of 1.
     """
     lines = [(0.0, 1.0, 0.0)]
     for mode in model.vibron_modes:
         s = mode.huang_rhys
-        if s == 0.0:
-            continue
-        # Keep quanta up to the first m_hi past the peak m ~ S whose next
-        # weight P(m_hi + 1) is below the floor. P follows the progression's
-        # own recursion, which stays finite where S^m / m! overflows.
-        m_hi, tail = 1, s**2 / 2.0 * math.exp(-s)
-        while m_hi < 200 and (m_hi < s or tail >= _WEIGHT_FLOOR):
-            m_hi += 1
-            tail *= s / (m_hi + 1)
-        probs = franck_condon_progression(s, m_hi)
-        new = []
-        for shift, weight, width in lines:
-            for m, p in enumerate(probs):
-                w = weight * p
-                if w < _WEIGHT_FLOOR:
-                    continue
-                new.append(
-                    (shift + m * mode.frequency, w, width + m * mode.relaxation_rate)
-                )
-        lines = new
+        probs = franck_condon_progression(s, _MAX_QUANTA).tolist()
+        kept = [(m, p) for m, p in enumerate(probs) if p >= _WEIGHT_FLOOR]
+        missing = 1.0 - math.fsum(p for _, p in kept)
+        if missing > 1e-10:
+            raise DomainError(
+                f"Huang-Rhys factor {s!r} needs more than {_MAX_QUANTA} vibron "
+                f"quanta: the kept Franck-Condon weights miss {missing:.2e}"
+            )
+        lines = [
+            (shift + m * mode.frequency, weight * p, width + m * mode.relaxation_rate)
+            for shift, weight, width in lines
+            for m, p in kept
+            if weight * p >= _WEIGHT_FLOOR
+        ]
     return [(s, w, b) for s, w, b in lines if s > 0.0]
-
-
-def _lorentzian(freqs: np.ndarray, center: float, fwhm: float) -> np.ndarray:
-    half = 0.5 * fwhm
-    return (half / math.pi) / ((freqs - center) ** 2 + half * half)
 
 
 @dataclass(frozen=True)
@@ -276,13 +268,13 @@ def emission_spectrum(model: VibronicModel, grid: FrequencyGrid) -> Spectrum:
         )
 
     vibron_exponent, phonon_exponent = _coupling_exponents(model)
-    alpha = math.exp(-(vibron_exponent + phonon_exponent))
+    total_exponent = vibron_exponent + phonon_exponent
+    alpha = math.exp(-total_exponent)
 
     freqs = grid.frequencies
-    intensity = alpha * _lorentzian(freqs, zpl, gamma)
-
+    centers, fwhms, weights = [zpl], [gamma], [alpha]
+    wing = 0.0
     sideband_weight = 1.0 - alpha
-    total_exponent = vibron_exponent + phonon_exponent
     if total_exponent > 0.0 and sideband_weight > 0.0:
         vibron_share = sideband_weight * vibron_exponent / total_exponent
         wing_share = sideband_weight * phonon_exponent / total_exponent
@@ -291,9 +283,9 @@ def emission_spectrum(model: VibronicModel, grid: FrequencyGrid) -> Spectrum:
         if lines and vibron_share > 0.0:
             norm = sum(w for _, w, _ in lines)
             for shift, weight, extra in lines:
-                intensity += (vibron_share * weight / norm) * _lorentzian(
-                    freqs, zpl - shift, gamma + extra
-                )
+                centers.append(zpl - shift)
+                fwhms.append(gamma + extra)
+                weights.append(vibron_share * weight / norm)
 
         if wing_share > 0.0 and model.phonon_density is not None:
             shape = np.zeros_like(freqs)
@@ -313,7 +305,8 @@ def emission_spectrum(model: VibronicModel, grid: FrequencyGrid) -> Spectrum:
             shape = np.nan_to_num(shape, nan=0.0, posinf=0.0)
             # The analytic normalization of the full two-sided shape is the
             # phonon exponent itself.
-            intensity += wing_share * shape / phonon_exponent
+            wing = wing_share * shape / phonon_exponent
+    intensity = lorentzian_sum(freqs, centers, fwhms, weights) + wing
 
     area = float(np.trapezoid(intensity, freqs))
     if area <= 0.0:

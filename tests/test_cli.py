@@ -123,6 +123,23 @@ def test_missing_file_and_bad_json_exit_1(tmp_path, capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("content", ["directory", "latin-1", "deep nesting"])
+def test_unreadable_config_exits_1_naming_the_path(tmp_path, capsys, content):
+    path = tmp_path / "config.json"
+    if content == "directory":
+        path.mkdir()
+    elif content == "latin-1":
+        path.write_bytes('{"output_dir": "caf\u00e9"}'.encode("latin-1"))
+    else:
+        path.write_text("[" * 200_000)
+    for command in ("validate", "run"):
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert str(path) in err
+        assert len(err.splitlines()) == 1
+
+
 def test_sweep_preserves_value_order(tmp_path):
     values = [2.0, 8.0, 0.5, 4.0]
     base = _lindblad_config(tmp_path / "serial")
@@ -328,13 +345,7 @@ def test_csv_renderer_rejects_non_finite_float_array_columns():
         scenarios._csv_bytes("t.csv", header, ([1, 2], np.array([0.5, np.nan])))
 
 
-@pytest.mark.parametrize(
-    "kind, dotted",
-    [
-        ("emission_spectrum", "parameters.model.vibron_modes.0.huang_rhys"),
-        ("spin_spectrum", "parameters.linewidth.value"),
-    ],
-)
+@pytest.mark.parametrize("kind, dotted", [("spin_spectrum", "parameters.linewidth.value")])
 def test_unexpected_exception_exits_2_with_one_line(tmp_path, capsys, kind, dotted):
     # 1e300 validates, then overflows a float power inside the physics layer
     config = load_config(SCENARIO_DIR / f"{kind}.json")
@@ -348,3 +359,33 @@ def test_unexpected_exception_exits_2_with_one_line(tmp_path, capsys, kind, dott
     assert err.startswith("runtime error: OverflowError: ")
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+def _emission_config(tmp_path, huang_rhys):
+    config = load_config(SCENARIO_DIR / "emission_spectrum.json")
+    config["output_dir"] = str(tmp_path / "out")
+    config["parameters"]["model"]["vibron_modes"][0]["huang_rhys"] = huang_rhys
+    return _write(tmp_path, config)
+
+
+@pytest.mark.parametrize("huang_rhys", [150.0, 1000.0, 1e300])
+def test_progression_beyond_the_quanta_cap_exits_2_naming_the_factor(
+    tmp_path, capsys, huang_rhys
+):
+    # These validate; their Franck-Condon weight does not fit in 200 quanta
+    # (at 1000 and 1e300, exp(-S) underflows and no quantum is kept).
+    path = _emission_config(tmp_path, huang_rhys)
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"runtime error: Huang-Rhys factor {huang_rhys!r} ")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("huang_rhys", [36.0, 120.0])
+def test_strong_progression_within_the_quanta_cap_runs(tmp_path, huang_rhys):
+    assert main(["run", str(_emission_config(tmp_path, huang_rhys))]) == 0
+    result = json.loads((tmp_path / "out" / "result.json").read_text())
+    assert result["debye_waller"] < math.exp(-huang_rhys)

@@ -33,7 +33,7 @@ GOLDEN = {
     },
     "emission_spectrum": {
         "result.json": "13cdab359a24da3f9e372e05699c6a4e65732c095115da71260ca81ab2c7f717",
-        "spectrum.csv": "24b2c3eab8d49057b02420374c3c634525da1340e1fc8a2fc91f0960b12fca13",
+        "spectrum.csv": "3b330d5a9b232245e6211fc3d09509d5ef54eabb612101d5ec2dd75af0d58223",
     },
     "g2": {
         "g2.csv": "5409ce7fd96ae5dfece3dc6242eb3177baaf99af4237b5b8cd44e953545f42db",

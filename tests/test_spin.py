@@ -298,6 +298,25 @@ def test_odmr_line_weights_scale_with_matrix_elements():
     assert total > 0.0
 
 
+def test_odmr_spectrum_makes_one_line_sum(monkeypatch):
+    calls = []
+    line_sum = spin.lorentzian_sum
+
+    def counted(freqs, centers, fwhms, weights):
+        calls.append(len(centers))
+        return line_sum(freqs, centers, fwhms, weights)
+
+    monkeypatch.setattr(spin, "lorentzian_sum", counted)
+    nucleus = NucleusSpec(spin="1/2", hyperfine_tensor=np.diag([1.0, 1.0, 10.0]) * TWO_PI * 1e6)
+    spec = SpinSystemSpec(
+        zfs_d=TWO_PI * 1.4e9, zfs_e=TWO_PI * 0.2e9, magnetic_field=(0.0, 0.0, 2e-3),
+        nuclei=(nucleus,),
+    )
+    grid = FrequencyGrid(start=TWO_PI * 0.1e9, stop=TWO_PI * 2.0e9, points=101)
+    odmr_spectrum(spec, grid, linewidth=TWO_PI * 2e6)
+    assert len(calls) == 1 and calls[0] > 1
+
+
 def test_odmr_spectrum_sums_lines_in_pair_order():
     nucleus = NucleusSpec(spin=1, hyperfine_tensor=np.diag([1.0, 2.0, 9.0]) * TWO_PI * 1e6)
     spec = SpinSystemSpec(

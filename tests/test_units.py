@@ -15,6 +15,7 @@ from hostguest.units import (
     Unit,
     bose_occupation,
     convert,
+    lorentzian_sum,
     thermal_frequency,
 )
 
@@ -146,3 +147,29 @@ def test_frequency_grid_validation():
         FrequencyGrid(start=0.0, stop=1.0, points=1)
     with pytest.raises((ValueError, DomainError)):
         FrequencyGrid(start=0.0, stop=math.inf, points=5)
+
+
+def test_lorentzian_sum_adds_lines_in_order_with_their_own_widths():
+    rng = np.random.default_rng(8)
+    freqs = np.linspace(-50.0, 50.0, 2001)
+    centers = rng.uniform(-40.0, 40.0, 30).tolist()
+    fwhms = rng.uniform(0.1, 5.0, 30).tolist()
+    weights = rng.uniform(0.0, 2.0, 30).tolist()
+    expected = np.zeros_like(freqs)
+    for center, fwhm, weight in zip(centers, fwhms, weights):
+        half = 0.5 * fwhm
+        expected += weight * (half / math.pi) / ((freqs - center) ** 2 + half**2)
+    assert np.array_equal(lorentzian_sum(freqs, centers, fwhms, weights), expected)
+
+
+@pytest.mark.parametrize(
+    "center, fwhm, weight", [(0.0, 1.0, 1.0), (3.0, 0.2, 0.25), (-7.5, 4.0, 3.0)]
+)
+def test_each_lorentzian_line_integrates_to_its_weight(center, fwhm, weight):
+    # +-2000 widths around the line; the two tails beyond hold
+    # (2/pi) atan(1/4000) = 1.6e-4 of the weight.
+    freqs = np.linspace(center - 2000.0 * fwhm, center + 2000.0 * fwhm, 400_001)
+    line = lorentzian_sum(freqs, [center], [fwhm], [weight])
+    area = float(np.trapezoid(line, freqs))
+    assert area == pytest.approx(weight * (2.0 / math.pi) * math.atan(4000.0), rel=1e-9)
+    assert area == pytest.approx(weight, rel=2e-4)

@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -205,15 +206,28 @@ def test_single_mode_weight_ratio():
 
 @pytest.mark.parametrize("s_hr, tolerance", [(36.0, 1e-11), (120.0, 1e-10)])
 def test_strong_progression_keeps_its_sideband(s_hr, tolerance):
-    # The line search runs past the Poisson peak at m ~ S, so the weights sum
-    # to 1 - P(0) up to the sub-floor lines dropped (and, at S = 120, the
-    # tail beyond the 200-quanta cap); S^m and m! would overflow at S = 120.
+    # Every quantum above the floor is kept, so the weights sum to 1 - P(0)
+    # up to the sub-floor lines dropped (and, at S = 120, the tail beyond the
+    # 200-quanta cap); S^m and m! would overflow at S = 120.
     mode = VibronMode(frequency=TWO_PI * 6e12, huang_rhys=s_hr, relaxation_rate=0.0)
     model = VibronicModel(
         zpl_frequency=TWO_PI * 466e12, radiative_rate=TWO_PI * 5e9, vibron_modes=(mode,)
     )
     total = sum(w for _, w, _ in vibronic._vibron_lines(model))
     assert abs(total - (1.0 - math.exp(-s_hr))) <= tolerance
+
+
+@pytest.mark.parametrize("s_hr", [124.0, 150.0, 1000.0, 1e300])
+def test_progression_beyond_the_quanta_cap_raises(s_hr):
+    # The kept weights miss 1.4e-10 at S = 124; above S = 745, exp(-S)
+    # underflows and no quantum is kept at all.
+    mode = VibronMode(frequency=TWO_PI * 6e12, huang_rhys=s_hr, relaxation_rate=0.0)
+    model = VibronicModel(
+        zpl_frequency=TWO_PI * 466e12, radiative_rate=TWO_PI * 5e9, vibron_modes=(mode,)
+    )
+    message = f"Huang-Rhys factor {s_hr!r} needs more than 200 vibron quanta"
+    with pytest.raises(DomainError, match="^" + re.escape(message)):
+        vibronic._vibron_lines(model)
 
 
 def test_phonon_wing_peaks_at_density_peak():
@@ -267,6 +281,21 @@ def test_emission_spectrum_run_integrates_the_phonon_exponent_once(monkeypatch, 
     config = load_config(SCENARIO_DIR / "emission_spectrum.json")
     run_scenario(config, SCENARIO_DIR, output_dir=tmp_path / "out")
     assert calls == [4.0]
+
+
+def test_emission_spectrum_run_makes_one_line_sum(monkeypatch, tmp_path):
+    calls = []
+    line_sum = vibronic.lorentzian_sum
+
+    def counted(freqs, centers, fwhms, weights):
+        calls.append(len(centers))
+        return line_sum(freqs, centers, fwhms, weights)
+
+    monkeypatch.setattr(vibronic, "lorentzian_sum", counted)
+    config = load_config(SCENARIO_DIR / "emission_spectrum.json")
+    run_scenario(config, SCENARIO_DIR, output_dir=tmp_path / "out")
+    # the ZPL and the progression of the one vibron mode
+    assert len(calls) == 1 and calls[0] > 2
 
 
 def test_grid_too_narrow_raises():
