@@ -113,12 +113,12 @@ def _check_times(times, name: str) -> np.ndarray:
 
 def _propagate_matrix(gen: np.ndarray, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Propagate a (not necessarily trace-one) matrix from t = 0 under the
-    generator to times that passed _check_times."""
-    if times[0] > 0.0:
-        return _propagate_matrix(gen, x0, np.concatenate(([0.0], times)))[1:]
+    generator to times that passed _check_times. A repeated time is solved
+    once and its state repeated."""
     d = x0.shape[0]
     if float(times[-1]) == 0.0:
         return np.repeat(x0[None, :, :], len(times), axis=0)
+    distinct, index = np.unique(times, return_inverse=True)
 
     def rhs(_, y):
         return gen @ y
@@ -127,14 +127,14 @@ def _propagate_matrix(gen: np.ndarray, x0: np.ndarray, times: np.ndarray) -> np.
         rhs,
         (0.0, float(times[-1])),
         x0.reshape(-1),
-        t_eval=times,
+        t_eval=distinct,
         method="DOP853",
         rtol=_RTOL,
         atol=_ATOL,
     )
     if not sol.success:
         raise IntegrationFailure(f"propagation failed: {sol.message}")
-    out = sol.y.T.reshape(len(times), d, d)
+    out = sol.y.T[index].reshape(len(times), d, d)
     # The generator preserves Hermiticity exactly; scrub solver roundoff.
     return 0.5 * (out + np.conj(np.transpose(out, (0, 2, 1))))
 

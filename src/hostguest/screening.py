@@ -9,6 +9,7 @@ nothing here converts units.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -99,15 +100,21 @@ def ingest(path) -> IngestResult:
 
     The header must be exactly name,carbon_count,e_s1_ev,e_t1_ev,
     centrosymmetric (a wrong or missing header raises ParseError; an empty
-    file raises EmptyDataset). Data rows that fail to parse or violate the
-    record invariants are skipped and reported in the result's ``rejected``
-    diagnostics with their one-based row numbers.
+    file raises EmptyDataset). The file is read as UTF-8: a path that is
+    not a readable file raises EmptyDataset and non-UTF-8 bytes raise
+    ParseError at their row, both naming the path. Data rows that fail to
+    parse or violate the record invariants are skipped and reported in the
+    result's ``rejected`` diagnostics with their one-based row numbers.
     """
     path = Path(path)
-    if not path.exists():
-        raise EmptyDataset(f"no such file: {path}")
-    with path.open(newline="") as handle:
-        rows = list(csv.reader(handle))
+    try:
+        data = path.read_bytes()
+        rows = list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
+    except OSError as exc:
+        raise EmptyDataset(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        row = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(row, None, f"{path} is not UTF-8 text: {exc.reason}") from None
     if not rows:
         raise EmptyDataset(f"{path} is empty")
     header = [cell.strip() for cell in rows[0]]

@@ -227,6 +227,29 @@ def test_relative_input_csv_resolves_against_config_dir(tmp_path):
     assert result["candidate_count"] == 2
 
 
+@pytest.mark.parametrize("content", ["directory", "missing", "latin-1"])
+def test_unreadable_input_csv_exits_2_naming_the_path(tmp_path, capsys, content):
+    data = tmp_path / "mols.csv"
+    if content == "directory":
+        data.mkdir()
+    elif content == "latin-1":
+        data.write_bytes(
+            "name,carbon_count,e_s1_ev,e_t1_ev,centrosymmetric\n"
+            "café,14,3.31,1.85,true\n".encode("latin-1")
+        )
+    config = load_config(SCENARIO_DIR / "screening.json")
+    config["parameters"]["input_csv"] = str(data)
+    config["output_dir"] = str(tmp_path / "out")
+    assert main(["run", str(_write(tmp_path, config))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: ")
+    assert str(data) in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+    if content == "latin-1":
+        assert "row 2: " in err  # the row that holds the bad byte
+
+
 def test_rerun_is_byte_identical(tmp_path):
     config = _lindblad_config(tmp_path / "out")
     path = _write(tmp_path, config)

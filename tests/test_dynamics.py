@@ -169,6 +169,22 @@ def test_time_axis_is_checked(call, times):
         call(times)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda times: evolve(_two_level(3.0, 0.5, 1.0), np.diag([1.0, 0.0]), times),
+        lambda times: g2_correlation(_two_level(3.0, 0.5, 1.0), _LOWER, times),
+    ],
+    ids=["evolve", "g2_correlation"],
+)
+@pytest.mark.parametrize("times", [[0.2, 0.2, 0.5], [0.0, 0.0, 0.7, 0.7, 0.7]])
+def test_repeated_times_repeat_the_state(call, times):
+    # scipy's t_eval rejects a repeated time; each distinct time is solved
+    # once, and every repeat is the row of the strictly increasing call
+    distinct, index = np.unique(times, return_inverse=True)
+    assert np.array_equal(call(times), call(distinct)[index])
+
+
 @pytest.mark.parametrize("kind", ["lindblad", "g2"])
 def test_shipped_run_builds_the_liouvillian_once(kind, monkeypatch, tmp_path):
     calls = []

@@ -50,7 +50,7 @@ GOLDEN = {
         "result.json": "e9036fc21f554c1d2bd41b202684c5cb5842aca83062f6bc6b455550c76718a8",
     },
     "raman_memory": {
-        "result.json": "0601b5dc46a4cd687b63ce312de792c6dd090cdeb85f4fd75835be7a018e3220",
+        "result.json": "7a863d1f3d802518c75545ec74bff33822045ed04dd1a2fa5a93195c0164414e",
     },
     "relaxation_classify": {
         "result.json": "246135926c797eae048c76f06235efa106cd3fcfb2d899d4aa24d48b7623f9bc",

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from hostguest import protocols
 from hostguest.errors import DomainError
@@ -58,23 +59,7 @@ def test_zero_control_stores_nothing():
 def test_efficiencies_are_contractive():
     rng = np.random.default_rng(23)
     for _ in range(30):
-        spec = RamanMemorySpec(
-            gamma0=float(rng.uniform(1e6, 1e8)),
-            kappa_v=float(rng.uniform(1e2, 1e6)),
-            detuning=float(rng.uniform(-5e7, 5e7)),
-            signal_pulse=Pulse(
-                peak_rabi=float(rng.uniform(0.0, 5e7)),
-                center=float(rng.uniform(2e-8, 8e-8)),
-                width=float(rng.uniform(5e-9, 2e-8)),
-            ),
-            control_pulse=Pulse(
-                peak_rabi=float(rng.uniform(0.0, 5e7)),
-                center=float(rng.uniform(2e-8, 8e-8)),
-                width=float(rng.uniform(5e-9, 2e-8)),
-            ),
-            storage_hold=float(rng.uniform(0.0, 1e-5)),
-        )
-        storage, total = raman_memory_efficiency(spec)
+        storage, total = raman_memory_efficiency(_random_memory_spec(rng))
         assert 0.0 <= total <= storage <= 1.0
 
 
@@ -85,7 +70,105 @@ def test_hold_decay_follows_vibron_lifetime():
     long = raman_memory_efficiency(_memory_spec(3.0e7, hold=3e-6, kappa_v=kappa_v))
     assert short[0] == pytest.approx(long[0], rel=1e-9)
     ratio = long[1] / short[1]
-    assert ratio == pytest.approx(math.exp(-kappa_v * 2e-6), rel=1e-6)
+    assert ratio == pytest.approx(math.exp(-kappa_v * 2e-6), rel=1e-12)
+
+
+def _time_reversed_total(spec):
+    """Oracle: the write stage and the time-reversed read stage as two
+    separate tight-tolerance solves, each pulse window shifted to start at 0."""
+
+    def solve(y0, reverse_from):
+        def rhs(t, y):
+            tau = t if reverse_from is None else reverse_from - t
+            omega_s = spec.signal_pulse.envelope(tau + t_start)
+            omega_c = spec.control_pulse.envelope(tau + t_start)
+            c_g, c_e, c_v = y
+            return [
+                -0.5j * omega_s * c_e,
+                -0.5j * omega_s * c_g
+                - 0.5j * omega_c * c_v
+                - (0.5 * spec.gamma0 + 1j * spec.detuning) * c_e,
+                -0.5j * omega_c * c_e - 0.5 * spec.kappa_v * c_v,
+            ]
+
+        sol = solve_ivp(
+            rhs, (0.0, window), np.asarray(y0, dtype=complex),
+            method="DOP853", rtol=1e-13, atol=1e-20,
+        )
+        assert sol.success
+        return sol.y[:, -1]
+
+    pulses = (spec.signal_pulse, spec.control_pulse)
+    t_start = min(p.center - 6.0 * p.width for p in pulses)
+    window = max(p.center + 6.0 * p.width for p in pulses) - t_start
+    written = solve([1.0, 0.0, 0.0], None)
+    held = written[2] * math.exp(-0.5 * spec.kappa_v * spec.storage_hold)
+    return float(abs(solve([0.0, 0.0, held], window)[0]) ** 2)
+
+
+def _random_memory_spec(rng):
+    def pulse():
+        return Pulse(
+            peak_rabi=float(rng.uniform(0.0, 5e7)),
+            center=float(rng.uniform(2e-8, 8e-8)),
+            width=float(rng.uniform(5e-9, 2e-8)),
+        )
+
+    return RamanMemorySpec(
+        gamma0=float(rng.uniform(1e6, 1e8)),
+        kappa_v=float(rng.uniform(1e2, 1e6)),
+        detuning=float(rng.uniform(-5e7, 5e7)),
+        signal_pulse=pulse(),
+        control_pulse=pulse(),
+        storage_hold=float(rng.uniform(0.0, 1e-5)),
+    )
+
+
+def test_read_stage_is_the_transpose_of_the_write_stage():
+    # A(t) is complex symmetric, so one write solve gives the retrieved
+    # amplitude of the time-reversed read: total = storage^2 exp(-kappa_v hold)
+    rng = np.random.default_rng(41)
+    compared = []
+    for _ in range(100):
+        spec = _random_memory_spec(rng)
+        _, total = raman_memory_efficiency(spec)
+        if total > 1e-8:
+            assert total == pytest.approx(_time_reversed_total(spec), rel=1e-9, abs=0.0)
+            compared.append(spec)
+    assert len(compared) >= 50
+    # detuned specs whose pulse centres lie more than a width apart
+    apart = [
+        s for s in compared
+        if abs(s.signal_pulse.center - s.control_pulse.center)
+        > max(s.signal_pulse.width, s.control_pulse.width)
+    ]
+    assert len(apart) >= 10 and all(s.detuning != 0.0 for s in compared)
+
+
+def test_memory_cycle_makes_one_solve(monkeypatch):
+    calls = []
+    original = protocols.solve_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(protocols, "solve_ivp", counted)
+    raman_memory_efficiency(_memory_spec(3.0e7))
+    # one solve over the real pulse window, 6 widths either side of 50 ns
+    assert len(calls) == 1
+    assert calls[0] == pytest.approx((-1.0e-8, 1.1e-7), rel=1e-12)
+
+
+def test_hold_sweep_keeps_the_stored_population(tmp_path):
+    config = load_config(SCENARIO_DIR / "raman_memory.json")
+    config["sweep"] = {"parameter": "storage_hold.value", "values": [0.0, 1e-6, 1e-4, 1e-3]}
+    out = run_scenario(config, SCENARIO_DIR, output_dir=tmp_path / "out")
+    header, *rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()]
+    columns = dict(zip(header, zip(*rows)))
+    assert len(set(columns["storage_efficiency"])) == 1
+    totals = [float(v) for v in columns["total_efficiency"]]
+    assert totals == sorted(totals, reverse=True)
 
 
 def test_fast_emitter_long_hold_kills_the_memory():
