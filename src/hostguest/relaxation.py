@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from scipy.integrate import quad
 
 from .errors import DomainError, IntegrationFailure
-from .units import bose_occupation
-
 from .vibronic import PhononSpectralDensity
 
 
@@ -64,10 +62,10 @@ def two_phonon_rate(
 ) -> float:
     """Spontaneous two-phonon emission rate of a vibron (arbitrary units).
 
-    rate = coupling^2 * integral rho(w) rho(w_v - w) (n(w)+1)(n(w_v-w)+1) dw
-    over the energy-conserving window, with the one-phonon density of states
-    rho(w) = J(w)/w^2 on (0, cutoff]. Absolute units follow the supplied
-    coupling; ratios and temperature trends are the meaningful output.
+    rate = coupling^2 * integral S(w) S(w_v - w) dw over the energy-conserving
+    window, with S(w) = J(w)/w^2 (n(w)+1) the Stokes one-phonon density
+    :meth:`PhononSpectralDensity.one_phonon`. Absolute units follow the
+    supplied coupling; ratios and temperature trends are the meaningful output.
     """
     if vibron_frequency <= 0.0:
         raise DomainError("vibron frequency must be positive")
@@ -83,17 +81,9 @@ def two_phonon_rate(
     if hi <= lo:
         return 0.0
 
-    def rho(w):
-        return density.density(w) / (w * w)
-
-    def occ(w):
-        return bose_occupation(w, temperature) + 1.0
-
     def integrand(w):
-        rest = vibron_frequency - w
-        if w <= 0.0 or rest <= 0.0:
-            return 0.0
-        return rho(w) * rho(rest) * occ(w) * occ(rest)
+        s = density.one_phonon
+        return s(w, temperature) * s(vibron_frequency - w, temperature)
 
     value, abserr = quad(integrand, lo, hi, epsabs=1e-300, epsrel=1e-10, limit=200)
     if value != 0.0 and abserr > 1e-6 * abs(value):

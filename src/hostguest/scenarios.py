@@ -15,6 +15,7 @@ recorded for provenance.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -485,17 +486,23 @@ def _nonfinite(where: str, x) -> DomainError:
     return DomainError(f"{where}: non-finite value {x!r}")
 
 
-def _fmt(x, where: str) -> str:
+def _json_scalar(x, where: str):
     if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
+        return bool(x)
     if isinstance(x, (int, np.integer)):
-        return str(int(x))
+        return int(x)
     if isinstance(x, (float, np.floating)):
         x = float(x)
         if not math.isfinite(x):
             raise _nonfinite(where, x)
-        return repr(x)
-    return str(x)
+    return x
+
+
+def _fmt(x, where: str) -> str:
+    x = _json_scalar(x, where)
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return repr(x) if isinstance(x, float) else str(x)
 
 
 def _cells(column, where: str):
@@ -518,18 +525,6 @@ def _csv_bytes(name: str, header, columns) -> bytes:
     writer.writerow(header)
     writer.writerows(zip(*cells))
     return buf.getvalue().encode()
-
-
-def _json_scalar(x, where: str):
-    if isinstance(x, (bool, np.bool_)):
-        return bool(x)
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    if isinstance(x, (float, np.floating)):
-        x = float(x)
-        if not math.isfinite(x):
-            raise _nonfinite(where, x)
-    return x
 
 
 def _json_bytes(payload) -> bytes:
@@ -666,11 +661,8 @@ def _run_lindblad(params, _ctx):
     system = _two_level(params["system"])
     stop, points = params["times"]["stop"], params["times"]["points"]
     times = np.linspace(0.0, stop, points)
-    rho0 = (
-        np.diag([1.0, 0.0]).astype(complex)
-        if params["initial_state"] == "ground"
-        else np.diag([0.0, 1.0]).astype(complex)
-    )
+    ground = params["initial_state"] == "ground"
+    rho0 = np.diag([1.0, 0.0] if ground else [0.0, 1.0]).astype(complex)
     states = dynamics.evolve(system, rho0, times)
     rho_ss = dynamics.steady_state(system)
     traces = np.trace(states, axis1=1, axis2=2).real
@@ -832,6 +824,17 @@ def _atomic_write(path: Path, data: bytes):
     os.replace(tmp, path)
 
 
+def _listed_artifacts(out: Path) -> set[str]:
+    """The plain file names, other than manifest.json, that the manifest
+    already in ``out`` lists; none if it is missing, unreadable or malformed."""
+    try:
+        listed = {a["name"] for a in json.loads((out / "manifest.json").read_bytes())["artifacts"]}
+    except (OSError, ValueError, TypeError, KeyError, RecursionError):
+        return set()
+    plain = {n for n in listed if isinstance(n, str) and n == Path(n).name and "\0" not in n}
+    return plain - {"", "..", "manifest.json"}
+
+
 def load_config(path) -> dict:
     path = Path(path)
     try:
@@ -851,7 +854,9 @@ def run_scenario(config: dict, config_dir, output_dir=None) -> Path:
     The manifest plus all artifacts are staged in memory and written
     atomically at the end, so a failing run leaves no partial artifact
     behind. A plain run renders the runner's tables and result.json; a
-    sweep keeps only each point's scalars and renders sweep.csv.
+    sweep keeps only each point's scalars and renders sweep.csv. Once the
+    new manifest is written, the files that the directory's previous
+    manifest listed and this run did not write are deleted.
     """
     points = validate_config(config)
     kind = config["scenario_kind"]
@@ -891,7 +896,11 @@ def run_scenario(config: dict, config_dir, output_dir=None) -> Path:
         ],
     }
     out.mkdir(parents=True, exist_ok=True)
+    stale = _listed_artifacts(out) - files.keys()
     for name, data in sorted(files.items()):
         _atomic_write(out / name, data)
     _atomic_write(out / "manifest.json", _json_bytes(manifest))
+    for name in sorted(stale):
+        with contextlib.suppress(OSError):
+            (out / name).unlink()
     return out

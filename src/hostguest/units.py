@@ -110,33 +110,39 @@ def thermal_frequency(temperature: float) -> float:
     return BOLTZMANN * temperature / HBAR
 
 
-def bose_occupation(omega: float, temperature: float) -> float:
+def bose_occupation(omega, temperature: float):
     """Mean thermal occupation of a mode at angular frequency omega.
 
     Parameters
     ----------
-    omega : float
-        Mode angular frequency in rad/s, strictly positive.
+    omega : float or array of float
+        Mode angular frequencies in rad/s, each strictly positive (not NaN).
     temperature : float
         Temperature in kelvin, non-negative. Exactly zero gives exactly 0.
 
     Returns
     -------
-    float
+    float or ndarray
         1 / (exp(hbar*omega / k_B T) - 1), monotone increasing in T and
-        decreasing in omega.
+        decreasing in omega; a float for a scalar omega.
     """
-    if omega <= 0.0:
-        raise DomainError(f"omega must be positive, got {omega}")
+    w = np.asarray(omega, dtype=float)[()]  # a numpy float for a scalar (see where)
+    positive = w > 0.0
+    if not (positive if positive.ndim == 0 else positive.all()):
+        raise DomainError(f"omega must be positive, got {np.ravel(w)[~np.ravel(positive)][0]}")
     if temperature < 0.0:
         raise DomainError(f"temperature must be non-negative, got {temperature}")
-    if temperature == 0.0:
-        return 0.0
-    x = HBAR * omega / (BOLTZMANN * temperature)
-    if x > 700.0:
-        # exp would overflow; the occupation is indistinguishable from zero.
-        return 0.0
-    return 1.0 / math.expm1(x)
+    x = HBAR * w / (BOLTZMANN * temperature) if temperature > 0.0 else w * math.inf
+    live = x <= 700.0  # above 700 (and at T = 0) exp would overflow; n is 0 there
+    n = where(live, 1.0 / np.expm1(where(live, x, 1.0)), 0.0)
+    return float(n) if np.isscalar(n) else n
+
+
+def where(condition, a, b):
+    """np.where, but for a scalar condition the chosen operand itself, not a
+    0-d array: quad evaluates integrands one node at a time, and numpy-float
+    arithmetic costs several times less than 0-d array arithmetic."""
+    return (a if condition else b) if np.isscalar(condition) else np.where(condition, a, b)
 
 
 def lorentzian_sum(freqs, centers, fwhms, weights) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import DomainError, GridTooNarrow, IntegrationFailure
-from .units import FrequencyGrid, bose_occupation, lorentzian_sum, thermal_frequency
+from .units import FrequencyGrid, bose_occupation, lorentzian_sum, thermal_frequency, where
 
 _WEIGHT_FLOOR = 1e-12  # vibronic lines below this total weight are dropped
 _MAX_QUANTA = 200  # longest progression kept per vibron mode
@@ -78,11 +78,24 @@ class PhononSpectralDensity:
 
     def density(self, omega):
         """J(omega); accepts scalars or arrays, zero outside (0, cutoff]."""
-        w = np.asarray(omega, dtype=float)
+        w = np.asarray(omega, dtype=float)[()]  # a numpy float for a scalar
         x = w / self.peak_frequency
         j = self.coupling_weight * x**3 * np.exp(-x)
-        j = np.where((w > 0.0) & (w <= self.cutoff_frequency), j, 0.0)
-        return float(j) if np.isscalar(omega) else j
+        j = where((w > 0.0) & (w <= self.cutoff_frequency), j, 0.0)
+        return float(j) if np.isscalar(j) else j
+
+    def one_phonon(self, delta, temperature: float):
+        """One-phonon sideband density at the offset delta = w_zpl - w, for
+        scalars or arrays: J(|d|)/d^2 (n(|d|,T) + 1) for d > 0 (Stokes),
+        J(|d|)/d^2 n(|d|,T) for d < 0 (anti-Stokes), 0 at d = 0 and above
+        the cutoff. It integrates to the phonon exponent, and S(w) S(w_v - w)
+        is the two-phonon decay integrand."""
+        d = np.asarray(delta, dtype=float)[()]  # a numpy float for a scalar
+        w = np.abs(d)
+        # Off the support (0, cutoff], evaluate past the cutoff, where J is 0.
+        w = where((w > 0.0) & (w <= self.cutoff_frequency), w, 2.0 * self.cutoff_frequency)
+        s = self.density(w) / (w * w) * (bose_occupation(w, temperature) + (d > 0.0))
+        return float(s) if np.isscalar(s) else s
 
 
 @dataclass(frozen=True)
@@ -144,7 +157,7 @@ def _phonon_exponent(density: PhononSpectralDensity | None, temperature: float) 
         return 0.0
 
     def integrand(w):
-        return density.density(w) / (w * w) * (2.0 * bose_occupation(w, temperature) + 1.0)
+        return density.one_phonon(w, temperature) + density.one_phonon(-w, temperature)
 
     value, abserr = quad(
         integrand, 0.0, density.cutoff_frequency, epsabs=1e-14, epsrel=1e-10, limit=200
@@ -288,24 +301,8 @@ def emission_spectrum(model: VibronicModel, grid: FrequencyGrid) -> Spectrum:
                 weights.append(vibron_share * weight / norm)
 
         if wing_share > 0.0 and model.phonon_density is not None:
-            shape = np.zeros_like(freqs)
-            red = freqs < zpl
-            blue = freqs > zpl
-            delta_red = zpl - freqs[red]
-            delta_blue = freqs[blue] - zpl
-            occ_red = np.array([bose_occupation(d, model.temperature) for d in delta_red])
-            occ_blue = np.array([bose_occupation(d, model.temperature) for d in delta_blue])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                shape[red] = (
-                    model.phonon_density.density(delta_red) / delta_red**2 * (occ_red + 1.0)
-                )
-                shape[blue] = (
-                    model.phonon_density.density(delta_blue) / delta_blue**2 * occ_blue
-                )
-            shape = np.nan_to_num(shape, nan=0.0, posinf=0.0)
-            # The analytic normalization of the full two-sided shape is the
-            # phonon exponent itself.
-            wing = wing_share * shape / phonon_exponent
+            shape = model.phonon_density.one_phonon(zpl - freqs, model.temperature)
+            wing = wing_share * shape / phonon_exponent  # shape integrates to the exponent
     intensity = lorentzian_sum(freqs, centers, fwhms, weights) + wing
 
     area = float(np.trapezoid(intensity, freqs))

@@ -172,6 +172,49 @@ def test_sweep_renders_only_sweep_csv(tmp_path, monkeypatch):
     assert len((out / "sweep.csv").read_text().splitlines()) == 4
 
 
+def test_sweep_into_a_plain_run_directory_removes_the_plain_artifacts(tmp_path):
+    config = _lindblad_config(tmp_path / "out")
+    assert main(["run", str(_write(tmp_path, config))]) == 0
+    assert (tmp_path / "out" / "trajectory.csv").exists()
+    config["sweep"] = {"parameter": "system.rabi.value", "values": [1.0, 5.0]}
+    assert main(["run", str(_write(tmp_path, config))]) == 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["manifest.json", "sweep.csv"]
+
+
+@pytest.mark.parametrize("listed", ["../outside.txt", "..", ".", "", "sub/x.txt", "manifest.json"])
+def test_stale_cleanup_deletes_only_plain_names_inside_the_output_dir(tmp_path, listed):
+    out = tmp_path / "out"
+    (out / "sub").mkdir(parents=True)
+    keep = [tmp_path / "outside.txt", out / "sub" / "x.txt", out / "stale.csv"]
+    for path in keep:
+        path.write_text("keep")
+    manifest = {"artifacts": [{"name": listed}, {"name": "stale.csv"}, {"name": ["bad"]}]}
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    # An unhashable name makes the old manifest malformed: nothing is deleted.
+    run_scenario(_lindblad_config(out), tmp_path)
+    assert all(path.read_text() == "keep" for path in keep)
+    manifest["artifacts"].pop()
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    run_scenario(_lindblad_config(out), tmp_path)
+    assert all(path.read_text() == "keep" for path in keep[:2])
+    assert not (out / "stale.csv").exists()
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "result.json", "sub", "trajectory.csv"
+    ]
+
+
+@pytest.mark.parametrize("old", [b"not json", b"\xff", b"[]", b'{"artifacts": 3}', b"{}"])
+def test_unreadable_or_malformed_old_manifest_deletes_nothing(tmp_path, old):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_bytes(old)
+    (out / "result.json").write_text("old")
+    (out / "other.csv").write_text("keep")
+    run_scenario(_lindblad_config(out), tmp_path)
+    assert (out / "other.csv").read_text() == "keep"
+    assert json.loads((out / "manifest.json").read_text())["scenario_kind"] == "lindblad"
+
+
 def test_bad_sweep_path_exits_1_before_any_compute(tmp_path, capsys):
     config = _lindblad_config(tmp_path / "out")
     config["sweep"] = {"parameter": "system.rabbi.value", "values": [1.0]}

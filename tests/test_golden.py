@@ -33,7 +33,7 @@ GOLDEN = {
     },
     "emission_spectrum": {
         "result.json": "13cdab359a24da3f9e372e05699c6a4e65732c095115da71260ca81ab2c7f717",
-        "spectrum.csv": "3b330d5a9b232245e6211fc3d09509d5ef54eabb612101d5ec2dd75af0d58223",
+        "spectrum.csv": "fa8fa3ce132f07eb4cbea100eb329617e361f470e98cdaf2e1babc9ba02bbe0f",
     },
     "g2": {
         "g2.csv": "5409ce7fd96ae5dfece3dc6242eb3177baaf99af4237b5b8cd44e953545f42db",
@@ -106,7 +106,7 @@ SWEEPS = {
         "relaxation_classify",
         "vibron_frequency.value",
         [0.5, 1.5, 2.5],
-        "1bfa760c396642c0a4ee5b700590de3597667b47f196624a1c7472548d4b7430",
+        "1bc2edd018d582f19ad6b1208a20dc2473c651bd4ce39123b03fa35d7a287f4e",
     ),
     "lindblad_rabi": (
         "lindblad",

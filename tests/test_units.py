@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hostguest.units import (
     convert,
     lorentzian_sum,
     thermal_frequency,
+    where,
 )
 
 FREQ_UNITS = [Unit.EV, Unit.THZ, Unit.GHZ, Unit.MHZ, Unit.KHZ, Unit.RAD_PER_S]
@@ -122,6 +124,50 @@ def test_bose_occupation_domain_errors():
         bose_occupation(-1e12, 300.0)
     with pytest.raises(DomainError):
         bose_occupation(1e12, -0.1)
+
+
+def _bose_reference(omega: float, temperature: float) -> float:
+    """The scalar formula with math.expm1, independent of numpy."""
+    if temperature == 0.0 or HBAR * omega / (BOLTZMANN * temperature) > 700.0:
+        return 0.0
+    return 1.0 / math.expm1(HBAR * omega / (BOLTZMANN * temperature))
+
+
+def test_bose_occupation_array_agrees_with_scalar_calls():
+    omegas = 2.0 * math.pi * np.array([1e6, 1e9, 1e12, 30e12, 1e15, 1e18])
+    for temp in (0.0, 1e-3, 4.2, 300.0, 1e5):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bose_occupation(omegas, temp)
+        assert isinstance(got, np.ndarray) and got.shape == omegas.shape
+        scalars = [bose_occupation(float(w), temp) for w in omegas]
+        for form in (np.float64, np.asarray):  # quad's nodes and 0-d arrays
+            assert [bose_occupation(form(w), temp) for w in omegas] == scalars
+        assert all(type(n) is float for n in scalars)
+        want = np.array([_bose_reference(float(w), temp) for w in omegas])
+        for values in (got, np.array(scalars)):
+            assert np.all(np.abs(values - want) <= 1e-15 * want)
+
+
+def test_bose_occupation_array_rejects_any_non_positive_entry():
+    for omegas in ([1e12, 0.0], [-1e12, 1e12], [1e12, math.nan], [[1e12], [-1.0]]):
+        with pytest.raises(DomainError, match="omega must be positive"):
+            bose_occupation(np.array(omegas), 300.0)
+    with pytest.raises(DomainError):
+        bose_occupation(np.array([1e12, 2e12]), -0.1)
+
+
+def test_bose_occupation_array_zero_temperature_is_exact_zero():
+    n = bose_occupation(np.array([1e3, 1e12, 1e15]), 0.0)
+    assert n.tolist() == [0.0, 0.0, 0.0]
+
+
+def test_where_returns_the_chosen_operand_for_a_scalar_condition():
+    a, b = np.float64(1.5), 2.5
+    assert where(np.float64(1.0) > 0.0, a, b) is a
+    assert where(False, a, b) is b
+    got = where(np.array([True, False]), np.array([1.0, 2.0]), 0.0)
+    assert got.tolist() == [1.0, 0.0]
 
 
 def test_bose_occupation_classical_limit():

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy.integrate import quad
 
 from hostguest import vibronic
 from hostguest.errors import DomainError, GridTooNarrow
-from hostguest.units import FrequencyGrid, bose_occupation, thermal_frequency
+from hostguest.units import BOLTZMANN, HBAR, FrequencyGrid, bose_occupation, thermal_frequency
 from hostguest.vibronic import (
     ActivatedDephasing,
     PhononSpectralDensity,
@@ -91,6 +92,48 @@ def test_density_shape_and_support():
     grid = np.linspace(1e9, d.cutoff_frequency, 20001)
     peak_at = grid[np.argmax(d.density(grid))]
     assert peak_at == pytest.approx(3.0 * w, rel=1e-3)
+
+
+def _one_phonon_reference(density, delta: float, temperature: float) -> float:
+    """The per-point scalar formula with math functions: J(|d|)/d^2 times
+    n + 1 (d > 0) or n (d < 0), zero at d = 0 and past the cutoff."""
+    w = abs(delta)
+    if w == 0.0 or w > density.cutoff_frequency:
+        return 0.0
+    x = w / density.peak_frequency
+    j = density.coupling_weight * x**3 * math.exp(-x)
+    y = math.inf if temperature == 0.0 else HBAR * w / (BOLTZMANN * temperature)
+    n = 0.0 if y > 700.0 else 1.0 / math.expm1(y)
+    return j / w**2 * (n + 1.0 if delta > 0.0 else n)
+
+
+def test_one_phonon_matches_the_scalar_formula():
+    d = _density()
+    c = d.cutoff_frequency
+    edges = [0.0, c, -c, 1.001 * c, -1.001 * c, 50.0 * c, -50.0 * c, 1e-3, -1e-3]
+    deltas = np.concatenate([edges, np.linspace(-1.2 * c, 1.2 * c, 2401)])
+    for temp in (0.0, 4.2, 300.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = d.one_phonon(deltas, temp)
+            scalars = [d.one_phonon(float(x), temp) for x in deltas]
+            for form in (np.float64, np.asarray):
+                assert [d.one_phonon(form(x), temp) for x in deltas] == scalars
+        want = np.array([_one_phonon_reference(d, float(x), temp) for x in deltas])
+        assert all(type(s) is float for s in scalars)
+        for values in (got, np.array(scalars)):
+            assert np.all(np.abs(values - want) <= 1e-15 * want)
+        assert got[0] == 0.0 and got[1] > 0.0 and got[3:7].tolist() == [0.0] * 4
+    assert d.one_phonon(-c, 0.0) == 0.0  # no anti-Stokes branch at T = 0
+
+
+def test_one_phonon_detailed_balance():
+    d = _density()
+    deltas = np.linspace(0.0, d.cutoff_frequency, 501)[1:]
+    for temp in (4.2, 77.0, 300.0):
+        stokes, anti = d.one_phonon(deltas, temp), d.one_phonon(-deltas, temp)
+        boltzmann = np.exp(-HBAR * deltas / (BOLTZMANN * temp))
+        assert np.allclose(anti, boltzmann * stokes, rtol=1e-12, atol=0.0)
 
 
 def test_debye_waller_trivial_model_is_one():
