@@ -6,11 +6,11 @@ checked against the field table of its kind alone; the JSON schema that
 ``hostguest schema`` prints is generated from the same table. Each runner
 imports its physics module on first use, so checking a config, printing a
 schema and the numpy-only kinds (``crot``, ``spin_spectrum``,
-``screening``) never load scipy. Runs write their artifacts atomically
-(temp file + rename) into an output directory together with a manifest of
-content hashes; identical config and seed give byte-identical files. All
-randomness is opt-in and none of the shipped kinds use any; the seed is
-recorded for provenance.
+``screening``, ``emission_spectrum``, ``relaxation_classify``) never load
+scipy. Runs write their artifacts atomically (temp file + rename) into an
+output directory together with a manifest of content hashes; identical
+config and seed give byte-identical files. All randomness is opt-in and
+none of the shipped kinds use any; the seed is recorded for provenance.
 """
 
 from __future__ import annotations

@@ -13,10 +13,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, GridTooNarrow, IntegrationFailure
-from .units import FrequencyGrid, bose_occupation, lorentzian_sum, thermal_frequency, where
+from .units import FrequencyGrid, bose_occupation, lorentzian_sum, quad, thermal_frequency
 
 _WEIGHT_FLOOR = 1e-12  # vibronic lines below this total weight are dropped
 _MAX_QUANTA = 200  # longest progression kept per vibron mode
@@ -78,11 +77,11 @@ class PhononSpectralDensity:
 
     def density(self, omega):
         """J(omega); accepts scalars or arrays, zero outside (0, cutoff]."""
-        w = np.asarray(omega, dtype=float)[()]  # a numpy float for a scalar
+        w = np.asarray(omega, dtype=float)
         x = w / self.peak_frequency
         j = self.coupling_weight * x**3 * np.exp(-x)
-        j = where((w > 0.0) & (w <= self.cutoff_frequency), j, 0.0)
-        return float(j) if np.isscalar(j) else j
+        j = np.where((w > 0.0) & (w <= self.cutoff_frequency), j, 0.0)
+        return float(j) if w.ndim == 0 else j
 
     def one_phonon(self, delta, temperature: float):
         """One-phonon sideband density at the offset delta = w_zpl - w, for
@@ -90,12 +89,12 @@ class PhononSpectralDensity:
         J(|d|)/d^2 n(|d|,T) for d < 0 (anti-Stokes), 0 at d = 0 and above
         the cutoff. It integrates to the phonon exponent, and S(w) S(w_v - w)
         is the two-phonon decay integrand."""
-        d = np.asarray(delta, dtype=float)[()]  # a numpy float for a scalar
+        d = np.asarray(delta, dtype=float)
         w = np.abs(d)
         # Off the support (0, cutoff], evaluate past the cutoff, where J is 0.
-        w = where((w > 0.0) & (w <= self.cutoff_frequency), w, 2.0 * self.cutoff_frequency)
+        w = np.where((w > 0.0) & (w <= self.cutoff_frequency), w, 2.0 * self.cutoff_frequency)
         s = self.density(w) / (w * w) * (bose_occupation(w, temperature) + (d > 0.0))
-        return float(s) if np.isscalar(s) else s
+        return float(s) if d.ndim == 0 else s
 
 
 @dataclass(frozen=True)
@@ -159,9 +158,7 @@ def _phonon_exponent(density: PhononSpectralDensity | None, temperature: float) 
     def integrand(w):
         return density.one_phonon(w, temperature) + density.one_phonon(-w, temperature)
 
-    value, abserr = quad(
-        integrand, 0.0, density.cutoff_frequency, epsabs=1e-14, epsrel=1e-10, limit=200
-    )
+    value, abserr = quad(integrand, 0.0, density.cutoff_frequency)
     if abserr > 1e-8 * max(abs(value), 1.0):
         raise IntegrationFailure(
             f"phonon-exponent quadrature error {abserr:.2e} exceeds tolerance"

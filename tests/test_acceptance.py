@@ -211,24 +211,29 @@ def test_criterion_04_antibunching_mc_cross_check(capsys):
     dt, t_total, burn = 0.002, 25.0, 8.0
     steps = int(round(t_total / dt))
     h_eff = np.array([[0.0, rabi / 2.0], [rabi / 2.0, -0.5j * gamma]])
-    u_step = expm(-1j * h_eff * dt).T.copy()
+    u = expm(-1j * h_eff * dt)
 
-    psi = np.zeros((n_traj, 2), dtype=complex)
-    psi[:, 0] = 1.0
-    scratch = np.empty_like(psi)
+    # ground and excited amplitudes as two contiguous columns, stepped
+    # elementwise (about 2x faster per step than an (n, 2) @ (2, 2) matmul)
+    ground = np.ones(n_traj, dtype=complex)
+    excited = np.zeros(n_traj, dtype=complex)
     thresholds = rng.uniform(size=n_traj)
     traj_chunks, step_chunks = [], []
     for k in range(1, steps + 1):
-        np.matmul(psi, u_step, out=scratch)
-        psi, scratch = scratch, psi
-        norm2 = (psi.real * psi.real + psi.imag * psi.imag).sum(axis=1)
+        ground, excited = (
+            u[0, 0] * ground + u[0, 1] * excited,
+            u[1, 0] * ground + u[1, 1] * excited,
+        )
+        norm2 = (ground.real * ground.real + ground.imag * ground.imag) + (
+            excited.real * excited.real + excited.imag * excited.imag
+        )
         jumped = norm2 <= thresholds
         if jumped.any():
             idx = np.nonzero(jumped)[0]
             traj_chunks.append(idx.astype(np.int32))
             step_chunks.append(np.full(idx.size, k, dtype=np.int32))
-            psi[idx, 0] = 1.0
-            psi[idx, 1] = 0.0
+            ground[idx] = 1.0
+            excited[idx] = 0.0
             thresholds[idx] = rng.uniform(size=idx.size)
 
     traj = np.concatenate(traj_chunks)

@@ -301,7 +301,7 @@ def test_validate_loads_neither_scipy_nor_jsonschema(tmp_path):
 
 def test_numpy_only_kinds_run_without_scipy(tmp_path):
     code = "from hostguest.cli import main\n"
-    for kind in ("crot", "spin_spectrum", "screening"):
+    for kind in ("crot", "spin_spectrum", "screening", "emission_spectrum", "relaxation_classify"):
         config = SCENARIO_DIR / f"{kind}.json"
         out = tmp_path / kind
         code += f"assert main(['run', {str(config)!r}, '--output-dir', {str(out)!r}]) == 0\n"

@@ -33,7 +33,7 @@ GOLDEN = {
     },
     "emission_spectrum": {
         "result.json": "13cdab359a24da3f9e372e05699c6a4e65732c095115da71260ca81ab2c7f717",
-        "spectrum.csv": "fa8fa3ce132f07eb4cbea100eb329617e361f470e98cdaf2e1babc9ba02bbe0f",
+        "spectrum.csv": "ec9ca364262a19f2368715ad9acb3b78c52fc8dcd55a8d50fb2e444cf0b57fba",
     },
     "g2": {
         "g2.csv": "5409ce7fd96ae5dfece3dc6242eb3177baaf99af4237b5b8cd44e953545f42db",
@@ -53,7 +53,7 @@ GOLDEN = {
         "result.json": "7a863d1f3d802518c75545ec74bff33822045ed04dd1a2fa5a93195c0164414e",
     },
     "relaxation_classify": {
-        "result.json": "246135926c797eae048c76f06235efa106cd3fcfb2d899d4aa24d48b7623f9bc",
+        "result.json": "d70465e5364f8a4d8658ae5ff714b575ce5dcb0edcf19bf30f2eac230f995c32",
     },
     "screening": {
         "candidates.csv": "b234b3029b7ecd48b1e7c39c5c44a242f8181bb123234bc6dc6bee3ae850da29",
@@ -106,7 +106,7 @@ SWEEPS = {
         "relaxation_classify",
         "vibron_frequency.value",
         [0.5, 1.5, 2.5],
-        "1bc2edd018d582f19ad6b1208a20dc2473c651bd4ce39123b03fa35d7a287f4e",
+        "71276a3bd597a6e8b1e83e67b2c15fd19819413acbaeb9fd424eb48c8c3a7fde",
     ),
     "lindblad_rabi": (
         "lindblad",

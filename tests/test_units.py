@@ -18,7 +18,6 @@ from hostguest.units import (
     convert,
     lorentzian_sum,
     thermal_frequency,
-    where,
 )
 
 FREQ_UNITS = [Unit.EV, Unit.THZ, Unit.GHZ, Unit.MHZ, Unit.KHZ, Unit.RAD_PER_S]
@@ -141,7 +140,7 @@ def test_bose_occupation_array_agrees_with_scalar_calls():
             got = bose_occupation(omegas, temp)
         assert isinstance(got, np.ndarray) and got.shape == omegas.shape
         scalars = [bose_occupation(float(w), temp) for w in omegas]
-        for form in (np.float64, np.asarray):  # quad's nodes and 0-d arrays
+        for form in (np.float64, np.asarray):  # numpy floats and 0-d arrays
             assert [bose_occupation(form(w), temp) for w in omegas] == scalars
         assert all(type(n) is float for n in scalars)
         want = np.array([_bose_reference(float(w), temp) for w in omegas])
@@ -160,14 +159,6 @@ def test_bose_occupation_array_rejects_any_non_positive_entry():
 def test_bose_occupation_array_zero_temperature_is_exact_zero():
     n = bose_occupation(np.array([1e3, 1e12, 1e15]), 0.0)
     assert n.tolist() == [0.0, 0.0, 0.0]
-
-
-def test_where_returns_the_chosen_operand_for_a_scalar_condition():
-    a, b = np.float64(1.5), 2.5
-    assert where(np.float64(1.0) > 0.0, a, b) is a
-    assert where(False, a, b) is b
-    got = where(np.array([True, False]), np.array([1.0, 2.0]), 0.0)
-    assert got.tolist() == [1.0, 0.0]
 
 
 def test_bose_occupation_classical_limit():
