@@ -212,18 +212,24 @@ def diagonalize(hamiltonian: np.ndarray) -> SpinEigensystem:
     if float(np.linalg.norm(h - h.conj().T)) > 1e-10 * scale:
         raise NotHermitian("hamiltonian deviates from Hermiticity beyond 1e-10 (relative)")
     energies, states = np.linalg.eigh(h)
-    residual = float(
-        np.linalg.norm(states @ np.diag(energies) @ states.conj().T - h)
-    )
+    residual = float(np.linalg.norm((states * energies) @ states.conj().T - h))
     if residual > 1e-9 * scale:
         raise NotHermitian(f"eigendecomposition residual {residual:.3e} too large")
     return SpinEigensystem(energies=energies, states=states)
 
 
-def _transition_lines(spec: SpinSystemSpec, eig: SpinEigensystem):
-    """All upward eigenpair transitions with spin matrix-element weights."""
+def _transition_lines(eig: SpinEigensystem):
+    """All upward eigenpair transitions with spin matrix-element weights.
+
+    (S_a (x) 1) v acts on the eigenvectors' electron index only, so each 3x3
+    S_a is applied to v viewed as (electron, nucleus, eigenvector) blocks.
+    """
     v = eig.states
-    weights = sum(np.abs(v.conj().T @ op @ v) ** 2 for op in _electron_operators(spec))
+    vh, blocks = v.conj().T, v.reshape(3, -1, v.shape[1])
+    weights = sum(
+        np.abs(vh @ np.tensordot(op, blocks, axes=1).reshape(v.shape)) ** 2
+        for op in angular_momentum_operators(Fraction(1))
+    )
     lower, upper = np.triu_indices(len(eig.energies), k=1)
     return eig.energies[upper] - eig.energies[lower], weights[upper, lower]
 
@@ -243,11 +249,12 @@ def odmr_spectrum(
         raise ValueError(f"linewidth must be positive, got {linewidth}")
     if eigensystem is None:
         eigensystem = diagonalize(build_spin_hamiltonian(spec))
-    gaps, weights = _transition_lines(spec, eigensystem)
+    gaps, weights = _transition_lines(eigensystem)
     bright = weights > 0.0
-    fwhms = [linewidth] * int(bright.sum())
     freqs = grid.frequencies
-    return freqs, lorentzian_sum(freqs, gaps[bright].tolist(), fwhms, weights[bright].tolist())
+    return freqs, lorentzian_sum(
+        freqs, gaps[bright], np.full(int(bright.sum()), linewidth), weights[bright]
+    )
 
 
 @dataclass(frozen=True)

@@ -78,9 +78,9 @@ class PhononSpectralDensity:
     def density(self, omega):
         """J(omega); accepts scalars or arrays, zero outside (0, cutoff]."""
         w = np.asarray(omega, dtype=float)
-        x = w / self.peak_frequency
-        j = self.coupling_weight * x**3 * np.exp(-x)
-        j = np.where((w > 0.0) & (w <= self.cutoff_frequency), j, 0.0)
+        inside = (w > 0.0) & (w <= self.cutoff_frequency)
+        x = np.where(inside, w, 0.0) / self.peak_frequency  # exp(-x) cannot overflow
+        j = np.where(inside, self.coupling_weight * x**3 * np.exp(-x), 0.0)
         return float(j) if w.ndim == 0 else j
 
     def one_phonon(self, delta, temperature: float):
@@ -91,7 +91,8 @@ class PhononSpectralDensity:
         is the two-phonon decay integrand."""
         d = np.asarray(delta, dtype=float)
         w = np.abs(d)
-        # Off the support (0, cutoff], evaluate past the cutoff, where J is 0.
+        # Off the support (0, cutoff], evaluate past the cutoff, where J is 0:
+        # w = 0 would divide by zero, and w * w overflows for a huge offset.
         w = np.where((w > 0.0) & (w <= self.cutoff_frequency), w, 2.0 * self.cutoff_frequency)
         s = self.density(w) / (w * w) * (bose_occupation(w, temperature) + (d > 0.0))
         return float(s) if d.ndim == 0 else s

@@ -33,7 +33,7 @@ GOLDEN = {
     },
     "emission_spectrum": {
         "result.json": "13cdab359a24da3f9e372e05699c6a4e65732c095115da71260ca81ab2c7f717",
-        "spectrum.csv": "ec9ca364262a19f2368715ad9acb3b78c52fc8dcd55a8d50fb2e444cf0b57fba",
+        "spectrum.csv": "39892eee9cc069722329b01decee9ddf06e1125657f4a93f36eff2681f3a6b12",
     },
     "g2": {
         "g2.csv": "5409ce7fd96ae5dfece3dc6242eb3177baaf99af4237b5b8cd44e953545f42db",

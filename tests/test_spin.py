@@ -1,4 +1,6 @@
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,9 +21,13 @@ from hostguest.spin import (
     odmr_spectrum,
     zfs_tensor,
 )
+from hostguest.scenarios import _spin_system, validate_config
 from hostguest.units import BOHR_MAGNETON, HBAR, FrequencyGrid
 
+from line_sum_oracle import assert_matches_ordered_sum
+
 TWO_PI = 2.0 * math.pi
+REPO = Path(__file__).resolve().parents[1]
 
 
 # --- angular momentum algebra ------------------------------------------------
@@ -328,24 +334,94 @@ def test_odmr_spectrum_sums_lines_in_pair_order():
     grid = FrequencyGrid(start=TWO_PI * 0.1e9, stop=TWO_PI * 2.0e9, points=1001)
     linewidth = TWO_PI * 3e6
     eig = diagonalize(build_spin_hamiltonian(spec))
-    _, response = odmr_spectrum(spec, grid, linewidth, eigensystem=eig)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, response = odmr_spectrum(spec, grid, linewidth, eigensystem=eig)
     # The loop this replaced: one pair at a time, upper triangle, row order.
+    weights = _dense_weights(eig)
+    n = len(eig.energies)
+    pairs = [(i, f) for i in range(n) for f in range(i + 1, n) if weights[f, i] > 0.0]
+    centers = [eig.energies[f] - eig.energies[i] for i, f in pairs]
+    assert_matches_ordered_sum(
+        grid.frequencies, centers, [linewidth] * len(pairs), [weights[f, i] for i, f in pairs],
+        response=response,
+    )
+
+
+def _dense_weights(eig):
+    """sum_a |<f|S_a (x) 1|i>|^2 from the full-dimension electron operators."""
     v = eig.states
-    weights = sum(
-        np.abs(v.conj().T @ np.kron(op, np.eye(3)) @ v) ** 2
+    identity = np.eye(v.shape[0] // 3)
+    return sum(
+        np.abs(v.conj().T @ np.kron(op, identity) @ v) ** 2
         for op in angular_momentum_operators(1)
     )
-    expected = np.zeros_like(grid.frequencies)
-    half = 0.5 * linewidth
-    n = len(eig.energies)
-    for i in range(n):
-        for f in range(i + 1, n):
-            omega0, weight = float(eig.energies[f] - eig.energies[i]), float(weights[f, i])
-            if weight > 0.0:
-                expected += weight * (half / math.pi) / (
-                    (grid.frequencies - omega0) ** 2 + half**2
-                )
-    assert np.array_equal(response, expected)
+
+
+def _random_spec(rng, spins):
+    def tensor():
+        a = rng.normal(size=(3, 3))
+        return (a + a.T) * TWO_PI * rng.uniform(0.5, 5.0) * 1e6
+
+    d = TWO_PI * rng.uniform(1.0, 2.0) * 1e9
+    return SpinSystemSpec(
+        zfs_d=d,
+        zfs_e=rng.uniform(0.0, 1.0 / 3.0) * d,
+        magnetic_field=tuple(rng.uniform(-2e-3, 2e-3, 3)),
+        nuclei=tuple(NucleusSpec(spin=s, hyperfine_tensor=tensor()) for s in spins),
+    )
+
+
+@pytest.mark.parametrize("spins", [("1/2",), (1, "3/2"), ("1/2",) * 4, (1, "1/2", "1/2", "1/2")])
+def test_transition_weights_match_the_dense_electron_operators(spins):
+    eig = diagonalize(build_spin_hamiltonian(_random_spec(np.random.default_rng(len(spins)), spins)))
+    _, weights = spin._transition_lines(eig)
+    lower, upper = np.triu_indices(len(eig.energies), k=1)
+    assert np.max(np.abs(weights - _dense_weights(eig)[upper, lower])) <= 1e-14
+
+
+def _assert_odmr_matches_ordered_line_sum(spec, grid, linewidth):
+    eig = diagonalize(build_spin_hamiltonian(spec))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        freqs, response = odmr_spectrum(spec, grid, linewidth, eigensystem=eig)
+    gaps, weights = spin._transition_lines(eig)
+    bright = weights > 0.0
+    assert_matches_ordered_sum(
+        freqs, gaps[bright], np.full(bright.sum(), linewidth), weights[bright], response=response
+    )
+
+
+@pytest.mark.parametrize(
+    "spins",
+    [
+        ("1/2",) * 4,  # dimension 48
+        (1, 1, "1/2", "1/2", "1/2"),  # 216
+        ("3/2", 1, "1/2", "1/2", "1/2", "1/2"),  # 576
+        ("1/2",) * 7,  # 384
+        ("1/2",) * 8,  # 768
+    ],
+)
+def test_odmr_spectrum_of_random_nuclei_matches_the_ordered_line_sum(spins):
+    rng = np.random.default_rng(len(spins))
+    spec = _random_spec(rng, spins)
+    grid = FrequencyGrid(start=TWO_PI * 0.1e9, stop=1.5 * spec.zfs_d, points=601)
+    _assert_odmr_matches_ordered_line_sum(spec, grid, TWO_PI * rng.uniform(1e6, 5e6))
+
+
+def test_bench_odmr_variants_match_the_ordered_line_sum(monkeypatch):
+    # Every spin_spectrum entry of the benchmark's variant pool.
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    import jobs
+
+    monkeypatch.setattr(jobs, "SCENARIOS", REPO / "scenarios")
+    keys = [k for k in jobs.pool_keys() if k.startswith("spin/spin_spectrum/")]
+    assert keys
+    for key in keys:
+        (params,) = validate_config(jobs.make_job(key)["config"])
+        _assert_odmr_matches_ordered_line_sum(
+            _spin_system(params["spin_system"]), FrequencyGrid(**params["grid"]), params["linewidth"]
+        )
 
 
 # --- conditional rotation gate --------------------------------------------------

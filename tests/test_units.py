@@ -7,11 +7,13 @@ import scipy.constants as sc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hostguest import units
 from hostguest.errors import DomainError, IncompatibleUnits
 from hostguest.units import (
     BOLTZMANN,
     HBAR,
     FrequencyGrid,
+    TWO_PI,
     Quantity,
     Unit,
     bose_occupation,
@@ -19,6 +21,8 @@ from hostguest.units import (
     lorentzian_sum,
     thermal_frequency,
 )
+
+from line_sum_oracle import assert_matches_ordered_sum, ordered_line_sum
 
 FREQ_UNITS = [Unit.EV, Unit.THZ, Unit.GHZ, Unit.MHZ, Unit.KHZ, Unit.RAD_PER_S]
 
@@ -192,11 +196,82 @@ def test_lorentzian_sum_adds_lines_in_order_with_their_own_widths():
     centers = rng.uniform(-40.0, 40.0, 30).tolist()
     fwhms = rng.uniform(0.1, 5.0, 30).tolist()
     weights = rng.uniform(0.0, 2.0, 30).tolist()
-    expected = np.zeros_like(freqs)
-    for center, fwhm, weight in zip(centers, fwhms, weights):
-        half = 0.5 * fwhm
-        expected += weight * (half / math.pi) / ((freqs - center) ** 2 + half**2)
+    assert_matches_ordered_sum(freqs, centers, fwhms, weights)
+
+
+@pytest.fixture
+def multipole_lines(monkeypatch):
+    """Line counts handed to the box expansions, to show a case takes them."""
+    counts = []
+    inner = units._multipole_sum
+
+    def counted(out, freqs, centers, *rest):
+        counts.append(centers.size)
+        return inner(out, freqs, centers, *rest)
+
+    monkeypatch.setattr(units, "_multipole_sum", counted)
+    return counts
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lorentzian_sum_of_clustered_lines_matches_the_ordered_sum(seed, multipole_lines):
+    # Clusters of 10 Hz to 10 MHz spread, FWHMs log-uniform in 1e-3 Hz to 5 MHz:
+    # boxes of very unequal load, lines far narrower than the grid spacing and
+    # lines wider than their box.
+    rng = np.random.default_rng(seed)
+    clusters = rng.uniform(0.0, TWO_PI * 2e9, 6)
+    centers = np.concatenate([k + rng.normal(0.0, 10 ** rng.uniform(1, 7), 1500) for k in clusters])
+    fwhms = TWO_PI * 10 ** rng.uniform(-3.0, math.log10(5e6), centers.size)
+    weights = rng.uniform(0.0, 1.0, centers.size)
+    freqs = np.linspace(TWO_PI * 0.1e9, TWO_PI * 2e9, 1201)
+    assert_matches_ordered_sum(freqs, centers, fwhms, weights)
+    assert multipole_lines
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_lorentzian_sum_of_emission_lines_at_optical_offsets_matches_the_ordered_sum(
+    seed, multipole_lines
+):
+    # A zero-phonon line near 466 THz and the two-mode vibronic lines
+    # m1 w1 + m2 w2 below it, m1, m2 < 40, each broadened by its quanta, on a
+    # 4001-point optical grid: box centres near 3e15 rad/s.
+    rng = np.random.default_rng(seed)
+    zpl, (m1, m2) = TWO_PI * 466e12, np.divmod(np.arange(1600.0), 40.0)
+    w1, w2 = TWO_PI * rng.uniform(1e12, 8e12, 2)
+    centers = zpl - (m1 * w1 + m2 * w2)
+    fwhms = TWO_PI * (30e6 + (m1 + m2) * rng.uniform(1e9, 1e11))
+    weights = np.exp(-m1 / rng.uniform(2.0, 8.0) - m2 / rng.uniform(2.0, 8.0))
+    freqs = np.linspace(zpl - 1.2 * 39.0 * (w1 + w2), zpl + TWO_PI * 1e12, 4001)
+    assert_matches_ordered_sum(freqs, centers, fwhms, weights)
+    assert multipole_lines
+
+
+def test_lorentzian_sum_keeps_the_shape_and_order_of_the_targets(multipole_lines):
+    # Unsorted 2-d targets; the last 20 lines are wider than their box.
+    rng = np.random.default_rng(5)
+    centers, weights = rng.uniform(0, 100, 500), rng.uniform(0, 1, 500)
+    fwhms = np.concatenate([rng.uniform(0.5, 2, 480), rng.uniform(30, 60, 20)])
+    freqs = rng.permutation(np.linspace(0.0, 100.0, 600)).reshape(20, 30)
+    flat = lorentzian_sum(freqs.ravel(), centers, fwhms, weights)
+    assert np.array_equal(lorentzian_sum(freqs, centers, fwhms, weights), flat.reshape(20, 30))
+    assert_matches_ordered_sum(freqs.ravel(), centers, fwhms, weights, response=flat)
+    assert multipole_lines == [480, 480]
+
+
+def test_lorentzian_sum_of_a_few_lines_is_the_ordered_sum(multipole_lines):
+    # Every target is near every box here, so all lines are summed directly,
+    # in order, in one block.
+    freqs = np.linspace(-50.0, 50.0, 1001)
+    centers, fwhms, weights = [-30.0, 10.0, 40.0], [1.0, 2.0, 0.5], [1.0, 0.25, 2.0]
+    expected = ordered_line_sum(freqs, centers, fwhms, weights)
     assert np.array_equal(lorentzian_sum(freqs, centers, fwhms, weights), expected)
+    assert not multipole_lines
+
+
+@pytest.mark.parametrize("fwhm, center", [(1e300, 1.0), (1.0, 1e300), (3e154, 0.0)])
+def test_lorentzian_sum_raises_overflow_error_for_unsquarable_lines(fwhm, center):
+    with pytest.raises(OverflowError, match="overflows its square"):
+        lorentzian_sum(np.linspace(0.0, 1.0, 5), [center], [fwhm], [1.0])
 
 
 @pytest.mark.parametrize(

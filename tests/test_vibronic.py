@@ -94,6 +94,16 @@ def test_density_shape_and_support():
     assert peak_at == pytest.approx(3.0 * w, rel=1e-3)
 
 
+def test_density_far_off_the_support_is_zero_without_overflow():
+    # exp(-w / peak) at w = -1e16 rad/s would overflow if taken before the mask.
+    d = _density()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert d.density(-1e16) == 0.0
+        assert np.array_equal(d.density(np.array([-1e300, -1e16, 1e16, 1e300])), np.zeros(4))
+        assert d.one_phonon(-1e16, 4.0) == 0.0
+
+
 def _one_phonon_reference(density, delta: float, temperature: float) -> float:
     """The per-point scalar formula with math functions: J(|d|)/d^2 times
     n + 1 (d > 0) or n (d < 0), zero at d = 0 and past the cutoff."""
