@@ -5,13 +5,18 @@ a long-lived vibron, a one-sided Fabry-Perot spin-photon interface via the
 coupled/uncoupled cavity response, and the optomechanical cooperativity of
 a vibrational mode read out through the zero-phonon line.
 
-The memory cycle takes one ODE solve: its amplitude generator A(t) is
-complex symmetric, A(t)^T = A(t), so the time-reversed read stage
-propagates with the transpose of the write propagator.
+The memory cycle takes one ODE solve, of its write stage: the amplitude
+generator A(t) is complex symmetric, A(t)^T = A(t), so the time-reversed
+read stage propagates with the transpose of the write propagator, and the
+hold enters as a closed-form factor. Pulse windows that do not overlap
+take one solve each, with the dark gap between them in closed form. Cycles
+that differ only in the hold share one write stage: a caller passes the
+storage it already holds; this module caches nothing.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -67,23 +72,42 @@ class RamanMemorySpec:
             raise ValueError("storage hold must be non-negative")
 
 
-def raman_memory_efficiency(spec: RamanMemorySpec) -> tuple[float, float]:
+def raman_memory_efficiency(
+    spec: RamanMemorySpec, storage: float | None = None
+) -> tuple[float, float]:
     """(storage efficiency, total efficiency) of one write/hold/read cycle.
 
-    The amplitudes (c_g, c_e, c_v) start in the incoming-photon channel and
-    evolve as c' = A(t) c over the window holding both pulses to
-    _PULSE_TAILS widths; storage is |c_v|^2 at its end. The read stage
+    Storage is the write stage's (see _write_storage). The read stage
     replays both pulses time-reversed. A(t) is complex symmetric (each
     coupling is -i Omega/2 on both off-diagonals), so the time-reversed
     propagator is the transpose of the write propagator, and the read
     returns c_v times the held amplitude (Gorshkov, Andre, Lukin and
     Sorensen, Phys. Rev. Lett. 98, 123601, 2007). Hence total =
     storage^2 exp(-kappa_v hold), and 0 <= total <= storage <= 1 holds
-    whenever storage <= 1.
+    whenever storage <= 1. A caller that already holds the storage of a
+    spec that differs from this one only in storage_hold passes it as
+    ``storage`` so that the write stage is not solved again.
     """
-    pulses = (spec.signal_pulse, spec.control_pulse)
-    t_start = min(p.center - _PULSE_TAILS * p.width for p in pulses)
-    t_stop = max(p.center + _PULSE_TAILS * p.width for p in pulses)
+    if storage is None:
+        storage = _write_storage(spec)
+    return storage, storage * storage * math.exp(-spec.kappa_v * spec.storage_hold)
+
+
+def _write_storage(spec: RamanMemorySpec) -> float:
+    """|c_v|^2 after the write stage; storage_hold plays no part.
+
+    The amplitudes (c_g, c_e, c_v) start in the incoming-photon channel and
+    evolve as c' = A(t) c over the window holding both pulses to
+    _PULSE_TAILS widths. When the two pulse windows overlap this is one
+    solve. When they are disjoint each window is solved on its own, and the
+    dark gap between them, where A is diagonal, is propagated in closed
+    form: c_g is unchanged, c_e gains exp(-(gamma0/2 + i detuning) T) and
+    c_v exp(-kappa_v T / 2).
+    """
+    (start, stop), (second_start, second_stop) = sorted(
+        (p.center - _PULSE_TAILS * p.width, p.center + _PULSE_TAILS * p.width)
+        for p in (spec.signal_pulse, spec.control_pulse)
+    )
     gamma_half = 0.5 * spec.gamma0
     kappa_half = 0.5 * spec.kappa_v
     delta = spec.detuning
@@ -101,18 +125,27 @@ def raman_memory_efficiency(spec: RamanMemorySpec) -> tuple[float, float]:
         d_v = -0.5j * omega_c * c_e - kappa_half * c_v
         return [d_g, d_e, d_v]
 
-    sol = solve_ivp(
-        rhs,
-        (t_start, t_stop),
-        np.array([1.0, 0.0, 0.0], dtype=complex),
-        method="DOP853",
-        rtol=1e-10,
-        atol=1e-12,
-    )
-    if not sol.success:
-        raise IntegrationFailure(f"amplitude propagation failed: {sol.message}")
-    storage = float(abs(sol.y[2, -1]) ** 2)
-    return storage, storage * storage * math.exp(-spec.kappa_v * spec.storage_hold)
+    def propagate(y, t_start, t_stop):
+        sol = solve_ivp(
+            rhs, (t_start, t_stop), y, method="DOP853", rtol=1e-10, atol=1e-12
+        )
+        if not sol.success:
+            raise IntegrationFailure(f"amplitude propagation failed: {sol.message}")
+        return sol.y[:, -1]
+
+    y = np.array([1.0, 0.0, 0.0], dtype=complex)
+    if second_start <= stop:
+        y = propagate(y, start, max(stop, second_stop))
+    else:
+        gap = second_start - stop
+        if gap == math.inf:
+            raise DomainError("pulse windows too far apart: the dark gap overflows")
+        # the phase delta * gap is reduced mod 2 pi before it can overflow
+        turn = math.fmod(delta, math.tau / gap) * gap
+        dark_e = math.exp(-gamma_half * gap) * cmath.exp(-1j * turn)
+        dark = [1.0, dark_e, math.exp(-kappa_half * gap)]
+        y = propagate(propagate(y, start, stop) * dark, second_start, second_stop)
+    return float(abs(y[2]) ** 2)
 
 
 @dataclass(frozen=True)

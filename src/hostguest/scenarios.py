@@ -23,7 +23,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -696,13 +696,18 @@ def _run_g2(params, _ctx):
     return scalars, {"g2.csv": (("tau_s", "g2"), (taus, values))}
 
 
-def _run_raman_memory(params, _ctx):
+def _run_raman_memory(params, ctx):
     from . import protocols
 
     for name in ("signal_pulse", "control_pulse"):
         params[name] = protocols.Pulse(**params[name])
     spec = protocols.RamanMemorySpec(**params)
-    storage, total = protocols.raman_memory_efficiency(spec)
+    # Sweep points of one run that differ only in the hold share one write
+    # stage; the dict lives in ctx, so nothing outlives the run.
+    stored = ctx.setdefault("raman_storage", {})
+    write_stage = replace(spec, storage_hold=0.0)
+    storage, total = protocols.raman_memory_efficiency(spec, stored.get(write_stage))
+    stored[write_stage] = storage
     return {"storage_efficiency": storage, "total_efficiency": total}, {}
 
 

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +19,8 @@ from hostguest.scenarios import (
     validate_config,
 )
 
-SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIO_DIR = ROOT / "scenarios"
 
 
 def _lindblad_config(output_dir, rabi_mhz=5.0, points=101):
@@ -455,3 +459,22 @@ def test_strong_progression_within_the_quanta_cap_runs(tmp_path, huang_rhys):
     assert main(["run", str(_emission_config(tmp_path, huang_rhys))]) == 0
     result = json.loads((tmp_path / "out" / "result.json").read_text())
     assert result["debye_waller"] < math.exp(-huang_rhys)
+
+
+def test_signal_pulse_a_second_early_runs_in_a_subprocess(tmp_path):
+    # The pulse windows lie a second apart: each is solved on its own and the
+    # dark gap between them is propagated in closed form, so the run is quick.
+    config = load_config(SCENARIO_DIR / "raman_memory.json")
+    config["parameters"]["signal_pulse"]["center"]["value"] = -1.0
+    path = _write(tmp_path, config)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONWARNINGS="error")
+    out = tmp_path / "out"
+    subprocess.run(
+        [sys.executable, "-m", "hostguest.cli", "run", str(path), "--output-dir", str(out)],
+        env=env,
+        capture_output=True,
+        timeout=10,
+        check=True,
+    )
+    result = json.loads((out / "result.json").read_text())
+    assert 0.0 <= result["total_efficiency"] <= result["storage_efficiency"] <= 1e-12

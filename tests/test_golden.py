@@ -120,6 +120,18 @@ SWEEPS = {
         ["ground", "excited"],
         "901c4a2798577f4127dcc25a3d42145c3fbf776c3203f9754c95ce182bf9ba6a",
     ),
+    "raman_memory_storage_hold": (
+        "raman_memory",
+        "storage_hold.value",
+        [0.0, 1e-6, 1e-4, 1e-3],
+        "6d239ba73e164521ae4e8641450715eb686b7c0052a321c0b7ee65c5dcdf3234",
+    ),
+    "raman_memory_detuning": (
+        "raman_memory",
+        "detuning.value",
+        [-120.0, 0.0, 37.5],
+        "5b43d442fec55148ea1261e00db4c1367cec93afe816b6e62878bad363c2d07f",
+    ),
 }
 
 

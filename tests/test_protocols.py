@@ -171,6 +171,91 @@ def test_hold_sweep_keeps_the_stored_population(tmp_path):
     assert totals == sorted(totals, reverse=True)
 
 
+def _counted_solves(monkeypatch):
+    """The time span of every protocols.solve_ivp call from now on."""
+    spans = []
+    original = protocols.solve_ivp
+
+    def counted(*args, **kwargs):
+        spans.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(protocols, "solve_ivp", counted)
+    return spans
+
+
+def _raman_sweep(parameter, values):
+    config = load_config(SCENARIO_DIR / "raman_memory.json")
+    config["sweep"] = {"parameter": parameter, "values": values}
+    return config
+
+
+def test_hold_sweep_solves_its_write_stage_once(monkeypatch, tmp_path):
+    spans = _counted_solves(monkeypatch)
+    holds = [float(h) for h in np.linspace(0.0, 5e-6, 24)]
+    run_scenario(_raman_sweep("storage_hold.value", holds), SCENARIO_DIR, tmp_path / "out")
+    assert len(spans) == 1
+
+
+def test_detuning_sweep_solves_each_write_stage(monkeypatch, tmp_path):
+    spans = _counted_solves(monkeypatch)
+    config = _raman_sweep("detuning.value", [-120.0, 0.0, 37.5])
+    run_scenario(config, SCENARIO_DIR, tmp_path / "out")
+    assert len(spans) == 3
+
+
+def test_write_stage_reuse_ends_with_its_run(monkeypatch, tmp_path):
+    spans = _counted_solves(monkeypatch)
+    config = _raman_sweep("storage_hold.value", [0.0, 1e-6, 1e-4])
+    run_scenario(config, SCENARIO_DIR, tmp_path / "first")
+    assert len(spans) == 1
+    run_scenario(config, SCENARIO_DIR, tmp_path / "second")
+    assert len(spans) == 2
+    first, second = (tmp_path / name / "sweep.csv" for name in ("first", "second"))
+    assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("signal_first", [True, False])
+def test_disjoint_pulse_windows_match_one_solve_across_the_gap(monkeypatch, signal_first):
+    # Windows 6 widths either side of 50 ns and 350 ns: each is solved on its
+    # own and the 180 ns dark gap between them is propagated in closed form.
+    spans = _counted_solves(monkeypatch)
+    centers = (5.0e-8, 3.5e-7) if signal_first else (3.5e-7, 5.0e-8)
+    spec = RamanMemorySpec(
+        gamma0=2.0e6,
+        kappa_v=2.0e5,
+        detuning=3.0e7,
+        signal_pulse=Pulse(peak_rabi=4.0e7, center=centers[0], width=1.0e-8),
+        control_pulse=Pulse(peak_rabi=6.0e7, center=centers[1], width=1.0e-8),
+        storage_hold=1.0e-6,
+    )
+    storage, total = raman_memory_efficiency(spec)
+    assert spans == [pytest.approx(s, rel=1e-12) for s in ((-1e-8, 1.1e-7), (2.9e-7, 4.1e-7))]
+    assert 0.0 <= total <= storage <= 1.0
+    if signal_first:
+        assert total > 1e-8
+    assert total == pytest.approx(_time_reversed_total(spec), rel=1e-8, abs=1e-15)
+
+
+def test_dark_gap_phase_is_reduced_and_an_infinite_gap_is_a_domain_error():
+    # detuning * gap is about 1e309 here; with gamma0 = 0 nothing damps c_e
+    spec = RamanMemorySpec(
+        gamma0=0.0,
+        kappa_v=1.0e3,
+        detuning=1.0e9,
+        signal_pulse=Pulse(peak_rabi=4.0e7, center=-1.0e300, width=1.0e-8),
+        control_pulse=Pulse(peak_rabi=6.0e7, center=5.0e-8, width=1.0e-8),
+        storage_hold=0.0,
+    )
+    with np.errstate(over="ignore"):  # each far envelope overflows its exponent to 0
+        assert raman_memory_efficiency(spec) == (0.0, 0.0)
+        # centres 3.4e308 s apart: the gap itself overflows to inf
+        far = Pulse(peak_rabi=6.0e7, center=1.7e308, width=1.0e-8)
+        spec = replace(spec, signal_pulse=replace(far, center=-1.7e308), control_pulse=far)
+        with pytest.raises(DomainError, match="dark gap overflows"):
+            raman_memory_efficiency(spec)
+
+
 def test_fast_emitter_long_hold_kills_the_memory():
     # 10 ps excited-state lifetime and a millisecond hold leave nothing
     spec = RamanMemorySpec(
