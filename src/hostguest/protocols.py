@@ -45,7 +45,8 @@ class Pulse:
             raise ValueError("pulse width must be positive")
 
     def envelope(self, t):
-        arg = (t - self.center) / self.width
+        # exp has underflowed to 0 well before 40 widths; the cap keeps arg * arg finite.
+        arg = min(abs(t - self.center), 40.0 * self.width) / self.width
         return self.peak_rabi * np.exp(-0.5 * arg * arg)
 
 

@@ -7,8 +7,8 @@ checked against the field table of its kind alone; the JSON schema that
 imports its physics module on first use, so checking a config, printing a
 schema and the numpy-only kinds (``crot``, ``spin_spectrum``,
 ``screening``, ``emission_spectrum``, ``relaxation_classify``) never load
-scipy. Runs write their artifacts atomically (temp file + rename) into an
-output directory together with a manifest of content hashes; identical
+scipy. Runs write each artifact atomically (temp file + rename) into an
+output directory, then a manifest of content hashes; identical
 config and seed give byte-identical files. All randomness is opt-in and
 none of the shipped kinds use any; the seed is recorded for provenance.
 """
@@ -856,12 +856,14 @@ def load_config(path) -> dict:
 def run_scenario(config: dict, config_dir, output_dir=None) -> Path:
     """Validate and execute one scenario; returns the output directory.
 
-    The manifest plus all artifacts are staged in memory and written
-    atomically at the end, so a failing run leaves no partial artifact
-    behind. A plain run renders the runner's tables and result.json; a
-    sweep keeps only each point's scalars and renders sweep.csv. Once the
-    new manifest is written, the files that the directory's previous
-    manifest listed and this run did not write are deleted.
+    A plain run renders the runner's tables and result.json; a sweep keeps
+    only each point's scalars and renders sweep.csv. All files are staged in
+    memory, so a run that fails before the write phase writes nothing. Each
+    file is then renamed from ``<name>.tmp`` one at a time, the manifest
+    last: a kill between renames leaves new artifacts beside the old
+    manifest, and possibly a ``.tmp`` file. After the new manifest, the
+    files that the previous manifest listed and this run did not write are
+    deleted.
     """
     points = validate_config(config)
     kind = config["scenario_kind"]

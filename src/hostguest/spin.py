@@ -134,12 +134,6 @@ def _nuclear_operators(nuclei: tuple[NucleusSpec, ...]):
     return embedded
 
 
-def _electron_operators(spec: SpinSystemSpec):
-    """Electron vector operator S_a (x) I over the full product space."""
-    identity = np.eye(spec.dimension // 3, dtype=complex)
-    return tuple(np.kron(op, identity) for op in angular_momentum_operators(Fraction(1)))
-
-
 def assemble_spin_hamiltonian(
     zfs: np.ndarray,
     magnetic_field,
@@ -218,16 +212,20 @@ def diagonalize(hamiltonian: np.ndarray) -> SpinEigensystem:
     return SpinEigensystem(energies=energies, states=states)
 
 
-def _transition_lines(eig: SpinEigensystem):
-    """All upward eigenpair transitions with spin matrix-element weights.
+def _electron_elements(states: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """<f|(op (x) 1)|i> between eigenvector columns for a 3x3 electron operator.
 
-    (S_a (x) 1) v acts on the eigenvectors' electron index only, so each 3x3
-    S_a is applied to v viewed as (electron, nucleus, eigenvector) blocks.
+    (op (x) 1) v acts on the eigenvectors' electron index only, so op is
+    applied to v viewed as (electron, nucleus, eigenvector) blocks.
     """
-    v = eig.states
-    vh, blocks = v.conj().T, v.reshape(3, -1, v.shape[1])
+    blocks = states.reshape(3, -1, states.shape[1])
+    return states.conj().T @ np.tensordot(op, blocks, axes=1).reshape(states.shape)
+
+
+def _transition_lines(eig: SpinEigensystem):
+    """All upward eigenpair transitions with spin matrix-element weights."""
     weights = sum(
-        np.abs(vh @ np.tensordot(op, blocks, axes=1).reshape(v.shape)) ** 2
+        np.abs(_electron_elements(eig.states, op)) ** 2
         for op in angular_momentum_operators(Fraction(1))
     )
     lower, upper = np.triu_indices(len(eig.energies), k=1)
@@ -276,21 +274,22 @@ _MAGNUS_BATCH = 4096
 def _magnus_segment(h0, drive_op, amplitude, omega_d, duration, steps):
     """Fourth-order two-point Magnus propagator over [0, duration]; exactly unitary.
 
-    The steps are independent, so each batch is diagonalized in one stacked
-    eigh call; the step exponentials are then multiplied in time order.
+    For H(t) = H0 + a(t) X the step exponent is dt H0 + (dt/2)(a1 + a2) X -
+    i k (a1 - a2) [H0, X], with [H0, X] formed once per segment. The steps
+    are independent: each batch is diagonalized in one stacked eigh call and
+    the step exponentials are multiplied in time order.
     """
     dt = duration / steps
     c1 = 0.5 - math.sqrt(3.0) / 6.0
     c2 = 0.5 + math.sqrt(3.0) / 6.0
     k_comm = math.sqrt(3.0) * dt * dt / 12.0
+    comm = h0 @ drive_op - drive_op @ h0
     u = np.eye(h0.shape[0], dtype=complex)
     for first in range(0, steps, _MAGNUS_BATCH):
-        t = np.arange(first, min(first + _MAGNUS_BATCH, steps)) * dt
+        t = np.arange(first, min(first + _MAGNUS_BATCH, steps))[:, None, None] * dt
         a1 = amplitude * np.cos(omega_d * (t + c1 * dt))
         a2 = amplitude * np.cos(omega_d * (t + c2 * dt))
-        h1 = h0 + a1[:, None, None] * drive_op
-        h2 = h0 + a2[:, None, None] * drive_op
-        m = (0.5 * dt) * (h1 + h2) - (1j * k_comm) * (h2 @ h1 - h1 @ h2)
+        m = dt * h0 + (0.5 * dt) * (a1 + a2) * drive_op - (1j * k_comm) * (a1 - a2) * comm
         w, v = np.linalg.eigh(m)
         for step in (v * np.exp(-1j * w)[:, None, :]) @ v.conj().transpose(0, 2, 1):
             u = step @ u
@@ -347,59 +346,55 @@ def crot_gate(
     if rabi_frequency < 0.0 or duration <= 0.0 or drive_frequency <= 0.0:
         raise PreconditionViolated("drive frequency and duration must be positive")
 
-    h0 = build_spin_hamiltonian(spec)
-    eig = diagonalize(h0)
-    sx, sy, sz = _electron_operators(spec)
-    u_axis = np.asarray(drive_axis, dtype=float)
-    u_axis = u_axis / np.linalg.norm(u_axis)
-    drive = u_axis[0] * sx + u_axis[1] * sy + u_axis[2] * sz
-    v = eig.states
-    drive_eig = v.conj().T @ drive @ v
-    dim = h0.shape[0]
+    axis = np.asarray(drive_axis, dtype=float)
+    largest = float(np.max(np.abs(axis)))
+    if not 0.0 < largest < math.inf:
+        raise PreconditionViolated(f"drive axis must be finite and nonzero, got {axis.tolist()}")
+    axis = axis / largest  # first, so that the norm is finite and nonzero
+    axis = axis / np.linalg.norm(axis)
 
-    # Addressed pair: the drive-coupled transition nearest the drive tone.
-    coupled = []
-    for i in range(dim):
-        for f in range(i + 1, dim):
-            elem = abs(drive_eig[f, i])
-            if elem > 1e-9:
-                gap = float(eig.energies[f] - eig.energies[i])
-                coupled.append((abs(gap - drive_frequency), gap, i, f, elem))
-    if not coupled:
+    eig = diagonalize(build_spin_hamiltonian(spec))
+    energies = eig.energies
+    # Propagate in the H0 eigenbasis: H0 is diag(E) and the drive is u . S there.
+    svec = angular_momentum_operators(Fraction(1))
+    drive = _electron_elements(eig.states, np.tensordot(axis, svec, axes=1))
+    dim = len(energies)
+
+    # Addressed pair: the drive-coupled transition nearest the drive tone,
+    # ties broken by gap, lower level, upper level, then element size.
+    upper, lower = np.nonzero(np.tril(np.abs(drive), k=-1) > 1e-9)
+    if not upper.size:
         raise PreconditionViolated("drive axis couples no transition")
-    coupled.sort()
-    _, gap, lo, hi, elem = coupled[0]
-    others = [abs(c[1] - gap) for c in coupled[1:] if abs(c[1] - gap) > 1e-6 * max(gap, 1.0)]
-    if others and rabi_frequency > 0.1 * min(others):
+    elems, gaps = np.abs(drive[upper, lower]), energies[upper] - energies[lower]
+    best = np.lexsort((elems, upper, lower, gaps, np.abs(gaps - drive_frequency)))[0]
+    gap, lo, hi, elem = gaps[best], int(lower[best]), int(upper[best]), elems[best]
+    others = np.abs(gaps - gap)
+    if rabi_frequency > 0.1 * others.min(initial=np.inf, where=others > 1e-6 * max(gap, 1.0)):
         warnings.warn(
             "rabi frequency is not small against the splitting being addressed",
             stacklevel=2,
         )
 
     amplitude = 0.0 if rabi_frequency == 0.0 else rabi_frequency / elem
-    omega_scale = max(
-        float(np.max(np.abs(eig.energies))), drive_frequency, rabi_frequency
-    )
+    omega_scale = max(float(np.max(np.abs(energies))), drive_frequency, rabi_frequency)
     # Steps per drive period; omega_scale >= drive_frequency makes this >= 315.
     steps = math.ceil(2.0 * math.pi / drive_frequency * 50.0 * omega_scale)
+    h0 = np.diag(energies)
     u_coarse, _ = _magnus_propagate(h0, drive, amplitude, drive_frequency, duration, steps)
     # Halve the step until two propagators agree, at most three times.
     for _ in range(3):
         steps *= 2
-        u_lab, evaluated = _magnus_propagate(
-            h0, drive, amplitude, drive_frequency, duration, steps
-        )
-        err = float(np.linalg.norm(u_lab - u_coarse)) / math.sqrt(dim)
+        u, evaluated = _magnus_propagate(h0, drive, amplitude, drive_frequency, duration, steps)
+        err = float(np.linalg.norm(u - u_coarse)) / math.sqrt(dim)
         if err <= 1e-6:
             break
-        u_coarse = u_lab
+        u_coarse = u
     else:
         warnings.warn(f"step-halving check stalled at {err:.2e}", stacklevel=2)
 
-    # Interaction picture of H0, expressed in the H0 eigenbasis so the
-    # addressed indices label rows/columns of the returned matrix directly.
-    phase = v @ np.diag(np.exp(1j * eig.energies * duration)) @ v.conj().T
-    b = v.conj().T @ (phase @ u_lab) @ v
+    # Interaction picture of H0: in its eigenbasis exp(i H0 T) is a row phase,
+    # and the addressed indices label rows/columns of the matrix directly.
+    b = np.exp(1j * energies * duration)[:, None] * u
 
     spectator = sum(b[k, k] for k in range(dim) if k not in (lo, hi))
     phis = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)

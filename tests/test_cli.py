@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -461,20 +462,61 @@ def test_strong_progression_within_the_quanta_cap_runs(tmp_path, huang_rhys):
     assert result["debye_waller"] < math.exp(-huang_rhys)
 
 
+def _run_with_warnings_as_errors(path, out):
+    """``hostguest run`` in a fresh interpreter with every warning an error."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONWARNINGS="error")
+    return subprocess.run(
+        [sys.executable, "-m", "hostguest.cli", "run", str(path), "--output-dir", str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+
+
 def test_signal_pulse_a_second_early_runs_in_a_subprocess(tmp_path):
     # The pulse windows lie a second apart: each is solved on its own and the
     # dark gap between them is propagated in closed form, so the run is quick.
     config = load_config(SCENARIO_DIR / "raman_memory.json")
     config["parameters"]["signal_pulse"]["center"]["value"] = -1.0
-    path = _write(tmp_path, config)
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONWARNINGS="error")
     out = tmp_path / "out"
-    subprocess.run(
-        [sys.executable, "-m", "hostguest.cli", "run", str(path), "--output-dir", str(out)],
-        env=env,
-        capture_output=True,
-        timeout=10,
-        check=True,
-    )
+    _run_with_warnings_as_errors(_write(tmp_path, config), out).check_returncode()
     result = json.loads((out / "result.json").read_text())
     assert 0.0 <= result["total_efficiency"] <= result["storage_efficiency"] <= 1e-12
+
+
+def test_signal_pulse_1e300_seconds_early_runs_without_a_warning(tmp_path):
+    # The control envelope is evaluated 1e300 s from its centre; arg * arg
+    # would overflow there, and exp has underflowed to 0 long before.
+    config = load_config(SCENARIO_DIR / "raman_memory.json")
+    config["parameters"]["signal_pulse"]["center"]["value"] = -1e300
+    out = tmp_path / "out"
+    proc = _run_with_warnings_as_errors(_write(tmp_path, config), out)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads((out / "result.json").read_text())
+    assert result["storage_efficiency"] == result["total_efficiency"] == 0.0
+
+
+def test_zero_crot_drive_axis_exits_2_with_one_stderr_line(tmp_path):
+    config = load_config(SCENARIO_DIR / "crot.json")
+    config["parameters"]["drive_axis"] = [0.0, 0.0, 0.0]
+    out = tmp_path / "out"
+    proc = _run_with_warnings_as_errors(_write(tmp_path, config), out)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "runtime error: drive axis must be finite and nonzero, got [0.0, 0.0, 0.0]"
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-300])
+def test_scaled_crot_drive_axis_writes_the_x_axis_artifacts(tmp_path, scale):
+    config = load_config(SCENARIO_DIR / "crot.json")
+    assert config["parameters"]["drive_axis"] == [1.0, 0.0, 0.0]
+    run_scenario(config, SCENARIO_DIR, output_dir=tmp_path / "x")
+    config["parameters"]["drive_axis"] = [scale, 0.0, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_scenario(config, SCENARIO_DIR, output_dir=tmp_path / "scaled")
+    for name in ("manifest.json", "result.json", "unitary.csv"):
+        assert (tmp_path / "scaled" / name).read_bytes() == (tmp_path / "x" / name).read_bytes()

@@ -28,8 +28,8 @@ GOLDEN = {
         "result.json": "1bedc03080a8c39681befffc7f7cd4aa6dfaf18ae67350d20423a8f01f1b2aa6",
     },
     "crot": {
-        "result.json": "1f66918455649d97a8c8b537263f62c7980ace5ae899e4643469f73afca619b0",
-        "unitary.csv": "174ac359f5f0a4911f6dba0d1aad40b5f9959bbd0d671d3da86e2793ef2fdc6c",
+        "result.json": "7e498bc110f404080f12bc4f3f237d5ee5f6b8d337e1d5e9db605c9825eaa158",
+        "unitary.csv": "2254cbe733f85b621ee53f106b0fc41c266bf0c8f27a5e9d2050de7071c9cb0f",
     },
     "emission_spectrum": {
         "result.json": "13cdab359a24da3f9e372e05699c6a4e65732c095115da71260ca81ab2c7f717",
