@@ -248,12 +248,27 @@ def kasha_emitting_state(populations: Mapping[LevelKet, float]) -> LevelKet:
 #
 # Canonical form:  S1;v=[0,1];p=[];n=[(1/2,+1/2)]
 # Triplets name the sublevel after a comma:  T1,x;v=[];p=[];n=[]
-# Occupation lists are dense (position = mode index); nuclear entries are
-# (spin, signed projection) as exact fractions. format/parse round-trip
-# bit-exactly in both directions.
+# Occupation lists are dense (position = mode index) and end in a non-zero
+# entry; nuclear entries are (spin, signed projection) as reduced fractions,
+# zero written +0. parse_ket accepts only what format_ket prints, so the two
+# round-trip exactly in both directions. The patterns are ECMA-262 regexes
+# too (no \d, no named groups): the same text is a JSON-schema "pattern".
 
-_MANIFOLD_RE = re.compile(r"^([ST])(\d+)(?:,([xyz]))?$")
-_NUCLEUS_RE = re.compile(r"^\((\d+(?:/2)?),([+-]?\d+(?:/2)?)\)$")
+_POSITIVE = "[1-9][0-9]*"
+_NATURAL = f"(?:0|{_POSITIVE})"
+_ODD_HALF = f"(?:{_POSITIVE})?[13579]/2"
+_HALF_INTEGER = f"(?:{_ODD_HALF}|{_NATURAL})"
+_POSITIVE_HALF_INTEGER = f"(?:{_ODD_HALF}|{_POSITIVE})"
+_DENSE = rf"\[((?:{_NATURAL},)*{_POSITIVE})?\]"
+_NUCLEUS = rf"\(({_HALF_INTEGER}),(\+{_HALF_INTEGER}|-{_POSITIVE_HALF_INTEGER})\)"
+
+SPIN_PATTERN = f"^{_POSITIVE_HALF_INTEGER}$"
+KET_PATTERN = (
+    rf"^(?:S({_NATURAL})|T({_POSITIVE}),([xyz]));v={_DENSE};p={_DENSE}"
+    rf";n=\[((?:{_NUCLEUS}(?:,{_NUCLEUS})*)?)\]$"
+)
+KET_EXAMPLE = "T1,x;v=[0,1];p=[];n=[(1/2,+1/2)]"
+_KET = re.compile(KET_PATTERN)
 
 
 def _dense(occ: tuple[tuple[int, int], ...]) -> str:
@@ -276,60 +291,17 @@ def format_ket(ket: LevelKet) -> str:
     return f"{head};v={_dense(ket.vibrons)};p={_dense(ket.phonons)};n=[{nuclei}]"
 
 
-def _parse_occupation(text: str, label: str) -> tuple[int, ...]:
-    if not (text.startswith(f"{label}=[") and text.endswith("]")):
-        raise ValueError(f"malformed occupation field {text!r}")
-    body = text[len(label) + 2 : -1]
-    if not body:
-        return ()
-    try:
-        return tuple(int(tok) for tok in body.split(","))
-    except ValueError:
-        raise ValueError(f"non-integer occupation in {text!r}") from None
-
-
-def _split_nuclei(body: str) -> list[str]:
-    # Entries are parenthesized; split on commas between groups only.
-    parts, depth, cur = [], 0, []
-    for ch in body:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        parts.append("".join(cur))
-    return parts
-
-
 def parse_ket(text: str) -> LevelKet:
-    """Parse the literal syntax emitted by :func:`format_ket`."""
-    fields = text.split(";")
-    if len(fields) != 4:
-        raise ValueError(f"ket literal needs 4 ;-separated fields, got {text!r}")
-    head, v_field, p_field, n_field = fields
-    m = _MANIFOLD_RE.match(head)
-    if not m:
-        raise ValueError(f"malformed manifold field {head!r}")
-    kind, index, sublevel = m.group(1), int(m.group(2)), m.group(3)
-    if not (n_field.startswith("n=[") and n_field.endswith("]")):
-        raise ValueError(f"malformed nuclear field {n_field!r}")
-    nuclei = []
-    body = n_field[3:-1]
-    if body:
-        for entry in _split_nuclei(body):
-            nm = _NUCLEUS_RE.match(entry)
-            if not nm:
-                raise ValueError(f"malformed nuclear entry {entry!r}")
-            nuclei.append((Fraction(nm.group(1)), Fraction(nm.group(2))))
+    """Parse a literal of the form :func:`format_ket` prints, and only that;
+    raises ValueError otherwise, or if the ket rejects a nuclear projection."""
+    match = _KET.fullmatch(text)
+    if match is None:
+        raise ValueError(f"malformed ket literal {text!r}; expected e.g. {KET_EXAMPLE!r}")
+    singlet, triplet, sublevel, v, p, n = match.groups()[:6]
     return LevelKet(
-        manifold=Manifold(kind, index),
+        manifold=Manifold("S", int(singlet)) if triplet is None else Manifold("T", int(triplet)),
         sublevel=sublevel,
-        vibrons=_parse_occupation(v_field, "v"),
-        phonons=_parse_occupation(p_field, "p"),
-        nuclei=tuple(nuclei),
+        vibrons=tuple(map(int, v.split(","))) if v else (),
+        phonons=tuple(map(int, p.split(","))) if p else (),
+        nuclei=tuple((Fraction(i), Fraction(m)) for i, m in re.findall(_NUCLEUS, n)),
     )

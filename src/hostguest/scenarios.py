@@ -23,7 +23,9 @@ import json
 import math
 import numbers
 import os
+import re
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
@@ -31,6 +33,7 @@ import numpy as np
 
 from . import screening, spin
 from .errors import ConfigError, DomainError
+from .levels import KET_EXAMPLE, KET_PATTERN, SPIN_PATTERN, parse_ket
 from .units import GAMMA_PROTON, TWO_PI, FrequencyGrid, Quantity, Unit, convert
 
 SCHEMA_VERSION = 1
@@ -169,6 +172,25 @@ def integer(minimum: int, default=_REQUIRED) -> Field:
     return _bounded("integer", lambda node, where: int(node), default, {"minimum": minimum})
 
 
+def literal(pattern: str, parse, form: str) -> Field:
+    """A string that ``pattern``, an anchored ECMA-262 regex the schema also
+    carries, matches whole, coerced by ``parse``. A mismatch ("is not
+    ``form``") and a ValueError from ``parse`` both fail at the node's path."""
+    compiled = re.compile(pattern)
+
+    def check(node, where):
+        if not isinstance(node, str):
+            raise _not_of_type(node, ["string"], where)
+        if compiled.fullmatch(node) is None:
+            raise _fail(where, f"{node!r} is not {form}")
+        try:
+            return parse(node)
+        except ValueError as exc:
+            raise _fail(where, f"{node!r}: {exc}") from None
+
+    return Field({"type": "string", "pattern": pattern}, check)
+
+
 def enum(*values: str) -> Field:
     """One of the strings ``values``; compared type-strictly, so 1 is never "1"."""
 
@@ -189,15 +211,20 @@ def _const(value) -> Field:
     return Field({"const": value}, check)
 
 
-def array(item: Field, length: int | None = None, default=_REQUIRED, min_items: int = 0) -> Field:
+def array(
+    item: Field, length: int | None = None, default=_REQUIRED, min_items: int = 0, unique=False
+) -> Field:
     """A list of ``item``, of exactly ``length`` entries if given, else of at
-    least ``min_items``; coerces to a tuple."""
+    least ``min_items``, with no two coerced entries equal if ``unique``;
+    coerces to a tuple."""
     low, high = (length, length) if length is not None else (min_items, math.inf)
     schema = {"type": "array", "items": item.schema}
     if low:
         schema["minItems"] = low
     if high < math.inf:
         schema["maxItems"] = high
+    if unique:
+        schema["uniqueItems"] = True
 
     def check(node, where):
         if not isinstance(node, list):
@@ -206,7 +233,10 @@ def array(item: Field, length: int | None = None, default=_REQUIRED, min_items: 
             raise _fail(where, f"{node!r} is too short" if node else "[] should be non-empty")
         if len(node) > high:
             raise _fail(where, f"{node!r} is too long")
-        return tuple(item.check(x, _join(where, i)) for i, x in enumerate(node))
+        items = tuple(item.check(x, _join(where, i)) for i, x in enumerate(node))
+        if unique and len(set(items)) < len(items):
+            raise _fail(where, f"{node!r} has non-unique elements")
+        return items
 
     return Field(schema, check, default)
 
@@ -252,7 +282,7 @@ def _nucleus() -> Field:
     """A nuclear spin. Its hyperfine tensor coerces to rad/s through the
     sibling ``hyperfine_unit``; the result holds NucleusSpec's keywords."""
     fields = record(
-        spin=_STRING,
+        spin=literal(SPIN_PATTERN, Fraction, "a positive half-integer such as '3/2'"),
         hyperfine_tensor=array(array(number(), 3), 3),
         hyperfine_unit=enum(*_ANGULAR_UNITS),
         gyromagnetic_ratio=number(default=GAMMA_PROTON),
@@ -272,6 +302,7 @@ def _nucleus() -> Field:
 
 
 _STRING = _typed("string")
+_KET = literal(KET_PATTERN, parse_ket, f"a canonical ket literal such as {KET_EXAMPLE!r}")
 _GRID = record(start=angular(), stop=angular(), points=integer(2))
 _TIME_AXIS = record(stop=seconds(exclusiveMinimum=0), points=integer(2))
 _PULSE = record(
@@ -314,11 +345,11 @@ PARAMETERS = {
     ),
     "odmr": record(
         network=record(
-            states=array(_STRING),
-            rates=array(record(source=_STRING, target=_STRING, rate=angular(minimum=0))),
-            emissive=array(_STRING),
+            states=array(_KET, unique=True),
+            rates=array(record(source=_KET, target=_KET, rate=angular(minimum=0))),
+            emissive=array(_KET),
         ),
-        mw_pair=array(enum("x", "y", "z"), 2),
+        mw_pair=array(enum("x", "y", "z"), 2, unique=True),
         mw_mixing_rate=angular(minimum=0),
     ),
     "crot": record(
@@ -564,27 +595,18 @@ def _run_spin_spectrum(params, _ctx):
     return scalars, tables
 
 
-def _parse_network(node):
-    from . import dynamics, levels
-
-    states = tuple(levels.parse_ket(s) for s in node["states"])
-    rates = {}
-    for item in node["rates"]:
-        key = (levels.parse_ket(item["source"]), levels.parse_ket(item["target"]))
-        rates[key] = item["rate"]
-    flags = {k: False for k in states}
-    for s in node["emissive"]:
-        flags[levels.parse_ket(s)] = True
-    return dynamics.RateNetwork(states, rates, flags)
-
-
 def _run_odmr(params, _ctx):
     from . import dynamics
 
+    node = params["network"]
     try:
-        network = _parse_network(params["network"])
+        network = dynamics.RateNetwork(
+            node["states"],
+            {(r["source"], r["target"]): r["rate"] for r in node["rates"]},
+            dict.fromkeys(node["states"], False) | dict.fromkeys(node["emissive"], True),
+        )
     except ValueError as exc:
-        raise ConfigError(f"at network: {exc}") from None
+        raise ConfigError(f"at parameters.network: {exc}") from None
     contrast = dynamics.odmr_contrast(network, params["mw_pair"], params["mw_mixing_rate"])
     return {"contrast": contrast}, {}
 

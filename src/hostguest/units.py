@@ -302,9 +302,12 @@ class FrequencyGrid:
         if int(self.points) != self.points or self.points < 2:
             raise DomainError(f"grid needs at least 2 points, got {self.points}")
 
-    @property
+    @functools.cached_property
     def frequencies(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, int(self.points))
+        """The grid points, computed once per grid and read-only."""
+        freqs = np.linspace(self.start, self.stop, int(self.points))
+        freqs.flags.writeable = False
+        return freqs
 
     @property
     def spacing(self) -> float:

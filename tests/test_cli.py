@@ -354,6 +354,24 @@ def _set(tree, dotted, value):
         ),
         ("relaxation_classify", "parameters.rate_model.temperature.value", -300.0, None),
         ("relaxation_classify", "parameters.rate_model.density.peak_frequency.value", -1.0, None),
+        ("odmr", "parameters.network.states.1", "S1;v=[];p=[]", None),
+        ("odmr", "parameters.network.states.1", "S1;v=[0];p=[];n=[]", None),
+        ("odmr", "parameters.network.rates.0.target", "S1;v=[];p=[];n=[]\n", None),
+        ("odmr", "parameters.network.emissive.0", "S1;v=[];p=[];n=[(1/2,1/2)]", None),
+        ("odmr", "parameters.network.emissive.0", "S1;v=[];p=[];n=[(1/2,+3/2)]", None),
+        (
+            "odmr",
+            "parameters.network.states",
+            ["S0;v=[];p=[];n=[]", "S1;v=[];p=[];n=[]", "S0;v=[];p=[];n=[]"],
+            None,
+        ),
+        ("odmr", "parameters.mw_pair", ["x", "x"], None),
+        ("crot", "parameters.spin_system.nuclei.0.spin", "abc", None),
+        ("crot", "parameters.spin_system.nuclei.0.spin", "3/4", None),
+        ("crot", "parameters.spin_system.nuclei.0.spin", "0", None),
+        ("crot", "parameters.spin_system.nuclei.0.spin", " 1/2", None),
+        ("crot", "parameters.spin_system.nuclei.0.spin", "0.5", None),
+        ("crot", "parameters.spin_system.nuclei.0.spin", "2/4", None),
     ],
 )
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, kind, dotted, value, where):

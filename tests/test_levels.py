@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 from hostguest.errors import EmptyPopulation
 from hostguest.levels import (
+    KET_PATTERN,
     RADIATIVE_CLASSES,
+    SPIN_PATTERN,
     S0,
     S1,
     T1,
@@ -107,6 +110,57 @@ def test_parse_rejects_malformed():
             parse_ket(bad)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "S1;v=[ 1];p=[];n=[]",                  # space in a list
+        "S1;v=[+1];p=[];n=[]",                  # signed occupation
+        "S1;v=[\u0661];p=[];n=[]",              # non-ASCII digit
+        "S01;v=[];p=[];n=[]",                   # leading zero
+        "S1;v=[0];p=[];n=[]",                   # dense list ends in zero
+        "S1;v=[1,0];p=[];n=[]",
+        "S1;v=[];p=[];n=[(1/2,1/2)]",           # unsigned projection
+        "S1;v=[];p=[];n=[(1,-0)]",              # zero is written +0
+        "S1;v=[];p=[];n=[(2/2,+1)]",            # unreduced fraction
+        "S1;v=[];p=[];n=[(1/2,+1/2),]",         # trailing comma
+        "S1;v=[];p=[];n=[]\n",                  # trailing newline
+    ],
+)
+def test_parse_rejects_non_canonical(bad):
+    # format_ket prints none of these, so parse_ket accepts none of them.
+    assert re.fullmatch(KET_PATTERN, bad) is None
+    with pytest.raises(ValueError):
+        parse_ket(bad)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(text=st.from_regex(KET_PATTERN, fullmatch=True))
+def test_every_literal_the_pattern_admits_round_trips(text):
+    # A projection beyond its spin, or off the spin's integer ladder, fits
+    # the pattern; the ket rejects it.
+    try:
+        k = parse_ket(text)
+    except ValueError as exc:
+        assert "projection" in str(exc)
+    else:
+        assert format_ket(k) == text
+
+
+def test_patterns_are_ecma_262_and_anchored():
+    # The same text is the JSON-schema "pattern" of ket and spin fields.
+    for pattern in (KET_PATTERN, SPIN_PATTERN):
+        assert pattern.startswith("^") and pattern.endswith("$")
+        for construct in ("\\d", "(?P", "\\A", "\\Z", "(?<"):
+            assert construct not in pattern
+
+
+def test_spin_pattern_is_the_positive_half_integers():
+    for twice in range(1, 40):
+        assert re.fullmatch(SPIN_PATTERN, str(Fraction(twice, 2)))
+    for bad in ("0", "0.5", "3/4", "2/4", "2/2", "01", "+1/2", "-1/2", " 1/2", "abc", "1/2\n"):
+        assert re.fullmatch(SPIN_PATTERN, bad) is None
+
+
 _manifolds = st.sampled_from([S0, S1, T1, Manifold("S", 2), Manifold("T", 3)])
 _occ = st.lists(st.integers(0, 3), max_size=3)
 _spin_half = st.sampled_from(
@@ -125,6 +179,7 @@ _spin_half = st.sampled_from(
 def test_literal_round_trip_property(manifold, sub, v, p, n):
     k = ket(manifold, sub if manifold.is_triplet else None, v=v, p=p, n=n)
     text = format_ket(k)
+    assert re.fullmatch(KET_PATTERN, text)
     assert parse_ket(text) == k
     assert format_ket(parse_ket(text)) == text
 

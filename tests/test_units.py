@@ -179,6 +179,14 @@ def test_frequency_grid_basics():
     assert np.allclose(grid.frequencies, np.arange(11.0))
 
 
+def test_frequency_grid_points_are_built_once_and_read_only():
+    grid = FrequencyGrid(start=0.0, stop=10.0, points=11)
+    assert grid.frequencies is grid.frequencies
+    assert not grid.frequencies.flags.writeable
+    with pytest.raises(ValueError):
+        grid.frequencies[0] = 1.0
+
+
 def test_frequency_grid_validation():
     with pytest.raises((ValueError, DomainError)):
         FrequencyGrid(start=1.0, stop=1.0, points=5)
