@@ -14,19 +14,19 @@ from functools import cached_property
 from typing import Mapping
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .errors import (
-    DegenerateSteadyState,
-    DomainError,
-    IntegrationFailure,
-    InvalidState,
-    SingularNetwork,
-)
+# Never called here. bench/tracer.py looks this module-level name up and
+# wraps it, so it stays until the tracer names the package's own kernels.
+from scipy.integrate import solve_ivp  # noqa: F401
+
+from .errors import DegenerateSteadyState, DomainError, InvalidState, SingularNetwork
 from .levels import RADIATIVE_CLASSES, LevelKet, S0, S1, T1, classify_transition
+from .units import expm
 
-_RTOL = 1e-9
-_ATOL = 1e-12
+# A step with ||L||_1 * dt above this is over 2^52 times the generator's
+# fastest time scale. expm would square its scaled propagator at least 50
+# times, and 2^50 times a one-ulp error of a slow mode is 0.1.
+_MAX_STEP_NORM = 2.0**52
 
 
 @dataclass(frozen=True)
@@ -113,37 +113,48 @@ def _check_times(times, name: str) -> np.ndarray:
 
 def _propagate_matrix(gen: np.ndarray, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Propagate a (not necessarily trace-one) matrix from t = 0 under the
-    generator to times that passed _check_times. A repeated time is solved
-    once and its state repeated."""
+    generator to times that passed _check_times: one exact step propagator
+    per bit-distinct step between the distinct times, all exponentiated in
+    one stacked call. A repeated time is reached once and its state repeated.
+
+    The state is stepped in the coordinates z = S y of its row-major vector
+    y: z_0 = tr, z_k = y_k otherwise, so S and S^-1 are 0/+-1 matrices. The
+    generator conserves the trace, so row 0 of S L S^-1 is zero up to
+    rounding; it is set to zero, which expm keeps exact, so every step
+    propagator's row 0 is e_0^T and the trace is carried exactly however
+    stiff the generator."""
     d = x0.shape[0]
-    if float(times[-1]) == 0.0:
-        return np.repeat(x0[None, :, :], len(times), axis=0)
     distinct, index = np.unique(times, return_inverse=True)
-
-    def rhs(_, y):
-        return gen @ y
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, float(times[-1])),
-        x0.reshape(-1),
-        t_eval=distinct,
-        method="DOP853",
-        rtol=_RTOL,
-        atol=_ATOL,
-    )
-    if not sol.success:
-        raise IntegrationFailure(f"propagation failed: {sol.message}")
-    out = sol.y.T[index].reshape(len(times), d, d)
-    # The generator preserves Hermiticity exactly; scrub solver roundoff.
+    steps, which = np.unique(np.diff(distinct, prepend=0.0), return_inverse=True)
+    norm = float(np.abs(gen).sum(axis=0).max())
+    if norm * float(steps[-1]) > _MAX_STEP_NORM:
+        raise DomainError(
+            f"time step {steps[-1]:.3e} s is over 2^52 times the generator's fastest "
+            f"time scale 1/||L||_1 = {1.0 / norm:.3e} s; use more time points"
+        )
+    s, s_inv = np.eye(d * d), np.eye(d * d)
+    s[0, d + 1 :: d + 1], s_inv[0, d + 1 :: d + 1] = 1.0, -1.0
+    gen_z = s @ gen @ s_inv
+    gen_z[0] = 0.0
+    propagators = list(expm(steps[:, None, None] * gen_z))
+    z = s @ x0.reshape(-1)
+    states = []
+    for j in which.tolist():
+        z = propagators[j].dot(z)
+        states.append(z)
+    out = (np.array(states) @ s_inv.T)[index].reshape(len(times), d, d)
+    # The generator preserves Hermiticity exactly; scrub roundoff.
     return 0.5 * (out + np.conj(np.transpose(out, (0, 2, 1))))
 
 
 def evolve(system: OpenSystem, rho0: np.ndarray, times) -> np.ndarray:
     """Density matrices at the requested times (sorted, starting at t >= 0).
 
-    Adaptive propagation at 1e-9 relative tolerance; outputs keep unit trace
-    to 1e-7 and Hermiticity to 1e-9.
+    Exact propagation: one matrix exponential of the Liouvillian per
+    distinct time step (units.expm), applied step by step. Outputs keep the
+    initial trace and Hermiticity to roundoff, however stiff the system.
+    Raises DomainError for a step over 2^52 times the generator's fastest
+    time scale.
     """
     times = _check_times(times, "times")
     rho0 = _check_state(rho0, system.dimension)

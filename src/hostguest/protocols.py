@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+# Imported at module level: bench/tracer.py looks this name up and wraps it.
 from scipy.integrate import solve_ivp
 
 from .errors import DomainError, IntegrationFailure

@@ -599,10 +599,16 @@ def _run_odmr(params, _ctx):
     from . import dynamics
 
     node = params["network"]
+    rates = {}
+    for i, r in enumerate(node["rates"]):
+        pair = (r["source"], r["target"])
+        if pair in rates:
+            raise _fail(f"parameters.network.rates.{i}", f"a second rate from {pair[0]} to {pair[1]}")
+        rates[pair] = r["rate"]
     try:
         network = dynamics.RateNetwork(
             node["states"],
-            {(r["source"], r["target"]): r["rate"] for r in node["rates"]},
+            rates,
             dict.fromkeys(node["states"], False) | dict.fromkeys(node["emissive"], True),
         )
     except ValueError as exc:

@@ -161,6 +161,45 @@ def quad(integrand, lo: float, hi: float) -> tuple[float, float]:
     return float(q32.sum()), float(np.abs(q32 - q16).sum())
 
 
+# Numerator coefficients of the degree-13 Padé approximant to exp, and the
+# 1-norm up to which it meets double precision unscaled (Higham 2005, Table 2.3).
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+    40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+
+def expm(a) -> np.ndarray:
+    """Matrix exponential of each square matrix in the stack ``a`` (..., n, n):
+    the degree-13 Padé approximant with scaling and squaring (Higham, SIAM J.
+    Matrix Anal. Appl. 26, 1179, 2005). Each matrix is scaled by 2^-s, with
+    the fewest s that brings its 1-norm to at most theta_13, and its
+    approximant is squared s times. A zero row of a matrix gives exactly the
+    identity's row of its exponential."""
+    a = np.asarray(a)
+    stack = a.reshape((-1,) + a.shape[-2:])
+    norms = np.abs(stack).sum(axis=-2).max(axis=-1)
+    squarings = np.maximum(0, np.ceil(np.log2(np.maximum(norms, 1e-300) / _THETA13))).astype(int)
+    x = stack * np.ldexp(1.0, -squarings)[:, None, None]
+    b = _PADE13
+    ident = np.eye(a.shape[-1])
+    x2 = x @ x
+    x4 = x2 @ x2
+    x6 = x4 @ x2
+    u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2) + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * ident)
+    v = x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2) + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * ident
+    # r = (v + u)(v - u)^-1 = 1 + 2 u (v - u)^-1. Solved from the right, a
+    # zero row of u gives an exactly zero row of the solution, so r keeps
+    # the identity's row there, and so does every square of r.
+    r = ident + 2.0 * np.linalg.solve((v - u).swapaxes(-1, -2), u.swapaxes(-1, -2)).swapaxes(-1, -2)
+    for k in range(int(squarings.max(initial=0))):
+        again = squarings > k
+        r[again] = r[again] @ r[again]
+    return r.reshape(a.shape)
+
+
 # A box's moment expansion serves the targets at least _FAR box half-widths
 # from its centre, and _EPS bounds its truncation error there relative to the
 # box's own contribution. _BLOCK caps the elements of each scratch array.

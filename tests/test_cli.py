@@ -3,13 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hostguest import scenarios
+from hostguest import dynamics, scenarios
 from hostguest.cli import main
 from hostguest.errors import ConfigError, DomainError
 from hostguest.scenarios import (
@@ -538,3 +539,74 @@ def test_scaled_crot_drive_axis_writes_the_x_axis_artifacts(tmp_path, scale):
         run_scenario(config, SCENARIO_DIR, output_dir=tmp_path / "scaled")
     for name in ("manifest.json", "result.json", "unitary.csv"):
         assert (tmp_path / "scaled" / name).read_bytes() == (tmp_path / "x" / name).read_bytes()
+
+
+def _run_in_process(path, out):
+    """(exit code, seconds) of ``hostguest run`` with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        start = time.perf_counter()
+        code = main(["run", str(path), "--output-dir", str(out)])
+        return code, time.perf_counter() - start
+
+
+@pytest.mark.parametrize(
+    "kind, dotted, value",
+    [
+        ("lindblad", "parameters.system.decay.value", 1e12),
+        ("lindblad", "parameters.times.stop.value", 1e3),
+        ("g2", "parameters.system.decay.value", 1e12),
+        ("g2", "parameters.taus.stop.value", 1e3),
+    ],
+)
+def test_stiff_two_level_runs_finish_in_a_second_with_the_trace_kept(tmp_path, kind, dotted, value):
+    # A decay of 1e12 MHz, or a run 3e10 lifetimes long, kept the adaptive
+    # solver of earlier versions past a 10 s timeout; each step is now one
+    # exact exponential.
+    config = load_config(SCENARIO_DIR / f"{kind}.json")
+    _set(config, dotted, value)
+    out = tmp_path / "out"
+    code, seconds = _run_in_process(_write(tmp_path, config), out)
+    assert code == 0
+    assert seconds < 1.0
+    result = json.loads((out / "result.json").read_text())
+    assert all(math.isfinite(v) for v in result.values())
+    for table in out.glob("*.csv"):
+        assert np.isfinite(np.loadtxt(table, delimiter=",", skiprows=1)).all()
+    if kind == "lindblad":
+        assert result["max_trace_error"] <= 1e-7
+
+
+@pytest.mark.parametrize(
+    "kind, dotted, step",
+    [("lindblad", "parameters.times.stop.value", "2.000e+297"), ("g2", "parameters.taus.stop.value", "2.500e+297")],
+)
+def test_a_step_beyond_double_precision_exits_2_before_any_exponential(
+    tmp_path, capsys, monkeypatch, kind, dotted, step
+):
+    def no_exponential(_):
+        raise AssertionError("expm called")
+
+    monkeypatch.setattr(dynamics, "expm", no_exponential)
+    config = load_config(SCENARIO_DIR / f"{kind}.json")
+    _set(config, dotted, 1e300)
+    out = tmp_path / "out"
+    assert _run_in_process(_write(tmp_path, config), out)[0] == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"runtime error: time step {step} s is over 2^52 times")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_a_repeated_rate_pair_exits_1_naming_the_second_entry(tmp_path, capsys):
+    # Building the rate dict would otherwise keep only the last of the two.
+    config = load_config(SCENARIO_DIR / "odmr.json")
+    rates = config["parameters"]["network"]["rates"]
+    rates.insert(0, dict(rates[0], rate={"value": 1e12, "unit": "rad/s"}))
+    config["output_dir"] = str(tmp_path / "out")
+    assert main(["run", str(_write(tmp_path, config))]) == 1
+    assert capsys.readouterr().err == (
+        "config error: at parameters.network.rates.1: "
+        "a second rate from S0;v=[];p=[];n=[] to S1;v=[];p=[];n=[]\n"
+    )
+    assert not (tmp_path / "out").exists()

@@ -36,12 +36,12 @@ GOLDEN = {
         "spectrum.csv": "39892eee9cc069722329b01decee9ddf06e1125657f4a93f36eff2681f3a6b12",
     },
     "g2": {
-        "g2.csv": "5409ce7fd96ae5dfece3dc6242eb3177baaf99af4237b5b8cd44e953545f42db",
-        "result.json": "3a29c61824c895e9ebee84ff534d9bf72c2e72f157486771df0d949f05260003",
+        "g2.csv": "52b2b1e36b4eaa9582a374768e5621e486c98b79062be468b534b6e1651bee66",
+        "result.json": "dbcbd229d9f7289ca1092f7d19f77f4b6f9ed5911d9135dad56d488beed590f0",
     },
     "lindblad": {
-        "result.json": "417a81c181fb65880f2e32482cfcce93cd20a1ba2634a5808b6904dce18471ea",
-        "trajectory.csv": "a12a7c66113d110f122fada9aa9726df467b934eea8ae9ad70391c121e72d333",
+        "result.json": "653dcac02e581d186cee37d80f5ac3940b1ee5774eb56022eb0680651dcc4837",
+        "trajectory.csv": "d7822c24379a88aedabdff4dcf6074c0acfd3f09d208794eb4ef27a31a04d5ab",
     },
     "odmr": {
         "result.json": "691759ab72f6ca4d300bffd1f121de818fbb447d8a9f021d139294df4a6b55ab",
@@ -112,13 +112,13 @@ SWEEPS = {
         "lindblad",
         "system.rabi.value",
         [1, 5.0, 20.5],
-        "fed95c176a5bdbd24b3e0ad5c3ad95d8bdda8ac0ca8010c7ad149e189c920ae0",
+        "484c101d16394c5f46ed60e7e8acd5e0cacc3c872eb4ca92652a05427bff4dcb",
     ),
     "lindblad_initial_state": (
         "lindblad",
         "initial_state",
         ["ground", "excited"],
-        "901c4a2798577f4127dcc25a3d42145c3fbf776c3203f9754c95ce182bf9ba6a",
+        "66f3c61b54b0ef8b72059ed9d75c234f2b43b83cd176779f3ede5482f76dc3bf",
     ),
     "raman_memory_storage_hold": (
         "raman_memory",

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.constants as sc
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from hostguest.units import (
     Unit,
     bose_occupation,
     convert,
+    expm,
     lorentzian_sum,
     thermal_frequency,
 )
@@ -293,3 +295,69 @@ def test_each_lorentzian_line_integrates_to_its_weight(center, fwhm, weight):
     area = float(np.trapezoid(line, freqs))
     assert area == pytest.approx(weight * (2.0 / math.pi) * math.atan(4000.0), rel=1e-9)
     assert area == pytest.approx(weight, rel=2e-4)
+
+
+def _with_norm(a, norm):
+    """The matrix a rescaled to the given 1-norm; a zero matrix stays zero."""
+    scale = np.abs(a).sum(axis=0).max()
+    return a * (norm / scale) if scale else a
+
+
+def _dense(rng, n, norm):
+    return _with_norm(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), norm)
+
+
+def _trace_generator(rng, n, norm):
+    """A random complex matrix with a zero first row whose other rows damp:
+    the rest of its spectrum has real part at most minus the rest's 1-norm.
+    This is the shape of a Liouvillian in trace coordinates."""
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    rest = a[1:, 1:]
+    if n > 1:
+        shift = np.linalg.eigvals(rest).real.max() + np.abs(rest).sum(axis=0).max()
+        rest -= shift * np.eye(n - 1)
+    a[0] = 0.0
+    return _with_norm(a, norm)
+
+
+def _assert_matches_scipy(stack):
+    got = expm(np.array(stack))
+    for a, g in zip(stack, got):
+        want = scipy.linalg.expm(a)
+        assert np.abs(g - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", range(1, 26))
+def test_expm_matches_scipy_on_random_stacks(n):
+    # Dense random matrices up to 1-norm 10 only: a dense matrix with an
+    # eigenvalue near 0 has an exponential conditioned like its norm, so two
+    # backward-stable algorithms may differ by about 1e-16 times the norm.
+    # Trace-coordinate generators stay well-conditioned up to 1-norm 1e12,
+    # and their zero first row gives exactly e_0 as the exponential's first
+    # row however many squarings are taken.
+    rng = np.random.default_rng(n)
+    _assert_matches_scipy([_dense(rng, n, 10.0**k) for k in range(-3, 2)])
+    stack = [_trace_generator(rng, n, 10.0**k) for k in range(-3, 13)]
+    _assert_matches_scipy(stack)
+    first_rows = expm(np.array(stack))[:, 0, :]
+    assert np.array_equal(first_rows, np.broadcast_to(np.eye(n)[0], first_rows.shape))
+
+
+def test_expm_of_a_stack_mixing_small_and_large_norms():
+    # Each matrix takes its own number of squarings, from 0 to 38.
+    rng = np.random.default_rng(26)
+    _assert_matches_scipy(
+        [
+            _trace_generator(rng, 6, 1e12),
+            _dense(rng, 6, 1e-3),
+            np.zeros((6, 6)),
+            _trace_generator(rng, 6, 1e6),
+            _dense(rng, 6, 10.0),
+            _trace_generator(rng, 6, 1.0),
+        ]
+    )
+
+
+def test_expm_of_zero_is_the_identity():
+    assert np.array_equal(expm(np.zeros((3, 5, 5))), np.broadcast_to(np.eye(5), (3, 5, 5)))
+    assert np.array_equal(expm(np.zeros((4, 4), dtype=complex)), np.eye(4))
