@@ -5,13 +5,16 @@ a long-lived vibron, a one-sided Fabry-Perot spin-photon interface via the
 coupled/uncoupled cavity response, and the optomechanical cooperativity of
 a vibrational mode read out through the zero-phonon line.
 
-The memory cycle takes one ODE solve, of its write stage: the amplitude
-generator A(t) is complex symmetric, A(t)^T = A(t), so the time-reversed
-read stage propagates with the transpose of the write propagator, and the
-hold enters as a closed-form factor. Pulse windows that do not overlap
-take one solve each, with the dark gap between them in closed form. Cycles
-that differ only in the hold share one write stage: a caller passes the
-storage it already holds; this module caches nothing.
+The memory cycle propagates only its write stage, by fourth-order
+commutator-free Magnus (CF4) steps: the amplitude generator A(t) is complex
+symmetric, A(t)^T = A(t), so the time-reversed read stage propagates with
+the transpose of the write propagator, and the hold enters as a closed-form
+factor. The pulse-window edges cut the write stage into segments, each
+stepped at the narrowest pulse width active in it; the dark gap between
+disjoint windows is in closed form. Every step count is fixed from the spec
+before any array is built. Cycles that differ only in the hold share one
+write stage: a caller passes the storage it already holds; this module
+caches nothing.
 """
 
 from __future__ import annotations
@@ -22,13 +25,30 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# Imported at module level: bench/tracer.py looks this name up and wraps it.
-from scipy.integrate import solve_ivp
+from .errors import DomainError
+from .units import bose_occupation, expm, solve_ivp_on_lookup
 
-from .errors import DomainError, IntegrationFailure
-from .units import bose_occupation
+
+# bench/tracer.py looks up a module-level ``solve_ivp`` here and wraps it;
+# nothing here calls it. Goes away with ROADMAP item 1.
+__getattr__ = solve_ivp_on_lookup(__name__)
+
 
 _PULSE_TAILS = 6.0  # integration window extends this many widths past centers
+
+# CF4 (Blanes and Moan, Appl. Numer. Math. 56, 1519, 2006): each step takes
+# A(t) at its two Gauss nodes and applies exp(dt (q A1 + p A2)) exp(dt (p A1 + q A2)),
+# p = 1/4 + sqrt(3)/6 and q = 1/4 - sqrt(3)/6. Row k of _CF4_WEIGHTS weighs
+# (A1, A2) in the k-th exponent to act.
+_CF4_NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
+_CF4_WEIGHTS = np.array(
+    [[0.25 + math.sqrt(3.0) / 6.0, 0.25 - math.sqrt(3.0) / 6.0],
+     [0.25 - math.sqrt(3.0) / 6.0, 0.25 + math.sqrt(3.0) / 6.0]]
+)
+# CF4 steps per pulse width at vanishing pulse area, detuning and decay (see
+# _segment_steps), and the most steps one write-stage segment may take.
+_STEPS_PER_WIDTH = 48.0
+_MAX_SEGMENT_STEPS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -47,8 +67,9 @@ class Pulse:
             raise ValueError("pulse width must be positive")
 
     def envelope(self, t):
+        """Omega at the time or array of times t."""
         # exp has underflowed to 0 well before 40 widths; the cap keeps arg * arg finite.
-        arg = min(abs(t - self.center), 40.0 * self.width) / self.width
+        arg = np.minimum(np.abs(t - self.center), 40.0 * self.width) / self.width
         return self.peak_rabi * np.exp(-0.5 * arg * arg)
 
 
@@ -89,7 +110,7 @@ def raman_memory_efficiency(
     storage^2 exp(-kappa_v hold), and 0 <= total <= storage <= 1 holds
     whenever storage <= 1. A caller that already holds the storage of a
     spec that differs from this one only in storage_hold passes it as
-    ``storage`` so that the write stage is not solved again.
+    ``storage`` so that the write stage is not stepped again.
     """
     if storage is None:
         storage = _write_storage(spec)
@@ -100,55 +121,103 @@ def _write_storage(spec: RamanMemorySpec) -> float:
     """|c_v|^2 after the write stage; storage_hold plays no part.
 
     The amplitudes (c_g, c_e, c_v) start in the incoming-photon channel and
-    evolve as c' = A(t) c over the window holding both pulses to
-    _PULSE_TAILS widths. When the two pulse windows overlap this is one
-    solve. When they are disjoint each window is solved on its own, and the
-    dark gap between them, where A is diagonal, is propagated in closed
-    form: c_g is unchanged, c_e gains exp(-(gamma0/2 + i detuning) T) and
-    c_v exp(-kappa_v T / 2).
+    evolve as c' = A(t) c through the segments of _write_segments. A
+    segment inside a pulse window is stepped by CF4 with the full A(t). A
+    dark gap between disjoint windows, where A is diagonal, is propagated
+    in closed form: c_g is unchanged, c_e gains
+    exp(-(gamma0/2 + i detuning) T) and c_v exp(-kappa_v T / 2).
     """
-    (start, stop), (second_start, second_stop) = sorted(
-        (p.center - _PULSE_TAILS * p.width, p.center + _PULSE_TAILS * p.width)
-        for p in (spec.signal_pulse, spec.control_pulse)
-    )
-    gamma_half = 0.5 * spec.gamma0
-    kappa_half = 0.5 * spec.kappa_v
-    delta = spec.detuning
-
-    def rhs(t, y):
-        omega_s = spec.signal_pulse.envelope(t)
-        omega_c = spec.control_pulse.envelope(t)
-        c_g, c_e, c_v = y
-        d_g = -0.5j * omega_s * c_e
-        d_e = (
-            -0.5j * omega_s * c_g
-            - 0.5j * omega_c * c_v
-            - (gamma_half + 1j * delta) * c_e
-        )
-        d_v = -0.5j * omega_c * c_e - kappa_half * c_v
-        return [d_g, d_e, d_v]
-
-    def propagate(y, t_start, t_stop):
-        sol = solve_ivp(
-            rhs, (t_start, t_stop), y, method="DOP853", rtol=1e-10, atol=1e-12
-        )
-        if not sol.success:
-            raise IntegrationFailure(f"amplitude propagation failed: {sol.message}")
-        return sol.y[:, -1]
-
-    y = np.array([1.0, 0.0, 0.0], dtype=complex)
-    if second_start <= stop:
-        y = propagate(y, start, max(stop, second_stop))
-    else:
-        gap = second_start - stop
+    c = np.array([1.0, 0.0, 0.0], dtype=complex)
+    for start, stop, steps in _write_segments(spec):
+        if steps:
+            c = _segment_propagator(spec, start, stop, steps) @ c
+            continue
+        gap = stop - start
         if gap == math.inf:
             raise DomainError("pulse windows too far apart: the dark gap overflows")
         # the phase delta * gap is reduced mod 2 pi before it can overflow
-        turn = math.fmod(delta, math.tau / gap) * gap
-        dark_e = math.exp(-gamma_half * gap) * cmath.exp(-1j * turn)
-        dark = [1.0, dark_e, math.exp(-kappa_half * gap)]
-        y = propagate(propagate(y, start, stop) * dark, second_start, second_stop)
-    return float(abs(y[2]) ** 2)
+        turn = math.fmod(spec.detuning, math.tau / gap) * gap
+        dark_e = math.exp(-0.5 * spec.gamma0 * gap) * cmath.exp(-1j * turn)
+        c *= np.array([1.0, dark_e, math.exp(-0.5 * spec.kappa_v * gap)])
+    return float(abs(c[2]) ** 2)
+
+
+def _write_segments(spec: RamanMemorySpec) -> list[tuple[float, float, int]]:
+    """(start, stop, CF4 steps) of each write-stage segment, in time order.
+
+    Each pulse window holds its pulse to _PULSE_TAILS widths. The window
+    edges cut the write stage into segments; a segment covered by no
+    window is a dark gap and takes 0 steps. Every count is fixed here,
+    before any array is built.
+    """
+    windows = [
+        (p.center - _PULSE_TAILS * p.width, p.center + _PULSE_TAILS * p.width, p)
+        for p in (spec.signal_pulse, spec.control_pulse)
+    ]
+    edges = sorted({t for start, stop, _ in windows for t in (start, stop)})
+    segments = []
+    for start, stop in zip(edges, edges[1:]):
+        active = [p for a, b, p in windows if a <= start and stop <= b]
+        steps = _segment_steps(spec, stop - start, active) if active else 0
+        segments.append((start, stop, steps))
+    return segments
+
+
+def _segment_steps(spec: RamanMemorySpec, length: float, pulses) -> int:
+    """CF4 steps for a segment of the given length (seconds) inside the
+    windows of the given pulses.
+
+    With w the narrowest of their widths and Omega the largest of their
+    peak Rabi frequencies, the count is _STEPS_PER_WIDTH sqrt(w r) steps
+    per w, where r is the root sum of squares of the rates 1/w (pulse
+    resolution), |detuning|, Omega/4 (pulse area) and min(gamma0/2,
+    Omega^2 w) (decay). The area enters at a quarter: couplings of one
+    pulse shape commute, so only their offset and width ratio cost steps.
+    Decay enters only up to Omega^2 w: past it the excited state follows
+    the pulses adiabatically, the CF4 error relative to storage settles at
+    second order in the step, and storage itself falls as
+    (Omega^2 w / gamma0)^2. A count above _MAX_SEGMENT_STEPS is a
+    DomainError.
+    """
+    width = min(p.width for p in pulses)
+    peak = max(p.peak_rabi for p in pulses)
+    decay = min(0.5 * spec.gamma0, peak * peak * width)
+    rate = math.hypot(1.0 / width, spec.detuning, 0.25 * peak, decay)
+    steps = length * _STEPS_PER_WIDTH * math.sqrt(rate / width)
+    if not steps <= _MAX_SEGMENT_STEPS:
+        raise DomainError(
+            f"the Raman write stage needs {steps:.3g} CF4 steps in one segment, "
+            f"over the cap of {_MAX_SEGMENT_STEPS}"
+        )
+    return max(1, math.ceil(steps))
+
+
+def _segment_propagator(
+    spec: RamanMemorySpec, start: float, stop: float, steps: int
+) -> np.ndarray:
+    """3x3 propagator of c' = A(t) c from start to stop in `steps` CF4 steps.
+
+    A(t) = D + C(t) with D = diag(0, -(gamma0/2 + i detuning), -kappa_v/2)
+    and C(t) the couplings -i Omega/2, which are anti-Hermitian. Each CF4
+    exponent is dt (D/2 + anti-Hermitian), whose Hermitian part dt Re(D)/2
+    is negative semidefinite, so every factor is a contraction. All 2 * steps
+    exponents go through one stacked expm, and their ordered product is
+    taken pairwise, later factor on the left.
+    """
+    dt = (stop - start) / steps
+    nodes = start + dt * (np.arange(steps)[:, None] + _CF4_NODES)
+    exponents = np.zeros((2 * steps, 3, 3), dtype=complex)
+    exponents[:, 1, 1] = -0.5 * dt * (0.5 * spec.gamma0 + 1j * spec.detuning)
+    exponents[:, 2, 2] = -0.25 * dt * spec.kappa_v
+    for (i, j), pulse in (((0, 1), spec.signal_pulse), ((1, 2), spec.control_pulse)):
+        omega = (pulse.envelope(nodes) @ _CF4_WEIGHTS.T).reshape(-1)
+        exponents[:, i, j] = exponents[:, j, i] = -0.5j * dt * omega
+    factors = expm(exponents)
+    while len(factors) > 1:
+        if len(factors) % 2:
+            factors = np.concatenate((factors, np.eye(3)[None]))
+        factors = factors[1::2] @ factors[0::2]
+    return factors[0]
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,9 @@ A scenario is a JSON document naming one computation kind plus its
 parameters, optionally swept over one dotted parameter path. A config is
 checked against the field table of its kind alone; the JSON schema that
 ``hostguest schema`` prints is generated from the same table. Each runner
-imports its physics module on first use, so checking a config, printing a
-schema and the numpy-only kinds (``crot``, ``spin_spectrum``,
-``screening``, ``emission_spectrum``, ``relaxation_classify``) never load
-scipy. Runs write each artifact atomically (temp file + rename) into an
+imports its physics module on first use, so checking a config or printing
+a schema loads no physics module, and every kind runs without scipy.
+Runs write each artifact atomically (temp file + rename) into an
 output directory, then a manifest of content hashes; identical
 config and seed give byte-identical files. All randomness is opt-in and
 none of the shipped kinds use any; the seed is recorded for provenance.

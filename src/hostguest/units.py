@@ -171,6 +171,21 @@ _PADE13 = (
 _THETA13 = 5.371920351148152
 
 
+def solve_ivp_on_lookup(module: str):
+    """A module ``__getattr__`` that resolves the name ``solve_ivp`` alone,
+    importing scipy.integrate only when that name is looked up, so that no
+    run loads scipy."""
+
+    def lookup(name):
+        if name == "solve_ivp":
+            from scipy.integrate import solve_ivp
+
+            return solve_ivp
+        raise AttributeError(f"module {module!r} has no attribute {name!r}")
+
+    return lookup
+
+
 def expm(a) -> np.ndarray:
     """Matrix exponential of each square matrix in the stack ``a`` (..., n, n):
     the degree-13 Padé approximant with scaling and squaring (Higham, SIAM J.

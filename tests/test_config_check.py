@@ -4,7 +4,8 @@ The schema that ``hostguest schema`` prints is pinned by SHA-256 per kind.
 The field-table check is compared with jsonschema, used here as an oracle
 only: each shipped config and a fixed list of single-field mutations must
 be accepted or rejected by both alike. The cold path is guarded: importing
-the CLI or validating a config loads neither scipy nor jsonschema.
+the CLI or validating a config loads neither scipy nor jsonschema, and
+running any kind does not load scipy.
 """
 
 import copy
@@ -331,9 +332,20 @@ def test_validate_loads_neither_scipy_nor_jsonschema(tmp_path):
 
 
 def test_numpy_only_kinds_run_without_scipy(tmp_path):
+    # every shipped kind, a Raman storage-hold sweep and a Raman config with
+    # disjoint pulse windows
+    raman = load_config(SCENARIO_DIR / "raman_memory.json")
+    hold_sweep = dict(raman, sweep={"parameter": "storage_hold.value", "values": [0.0, 1e-6, 1e-4]})
+    far_pulse = copy.deepcopy(raman)
+    far_pulse["parameters"]["signal_pulse"]["center"]["value"] = -1.0
+    configs = sorted(SCENARIO_DIR.glob("*.json"))
+    assert len(configs) == len(SCENARIO_KINDS) == 11
+    for name, config in (("raman_hold_sweep", hold_sweep), ("raman_far_pulse", far_pulse)):
+        configs.append(tmp_path / f"{name}.json")
+        configs[-1].write_text(json.dumps(config))
     code = "from hostguest.cli import main\n"
-    for kind in ("crot", "spin_spectrum", "screening", "emission_spectrum", "relaxation_classify"):
-        config = SCENARIO_DIR / f"{kind}.json"
-        out = tmp_path / kind
+    for config in configs:
+        out = tmp_path / "out" / config.stem
         code += f"assert main(['run', {str(config)!r}, '--output-dir', {str(out)!r}]) == 0\n"
+    code += "import sys\nassert not any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
     assert "scipy" not in _loaded_after(code, tmp_path)

@@ -50,7 +50,7 @@ GOLDEN = {
         "result.json": "e9036fc21f554c1d2bd41b202684c5cb5842aca83062f6bc6b455550c76718a8",
     },
     "raman_memory": {
-        "result.json": "7a863d1f3d802518c75545ec74bff33822045ed04dd1a2fa5a93195c0164414e",
+        "result.json": "575b6ab4d6afb50cba06bdd96c5c7b2d7db3c289d610fc0fb649fba249f6c7b2",
     },
     "relaxation_classify": {
         "result.json": "d70465e5364f8a4d8658ae5ff714b575ce5dcb0edcf19bf30f2eac230f995c32",
@@ -124,13 +124,13 @@ SWEEPS = {
         "raman_memory",
         "storage_hold.value",
         [0.0, 1e-6, 1e-4, 1e-3],
-        "6d239ba73e164521ae4e8641450715eb686b7c0052a321c0b7ee65c5dcdf3234",
+        "d0a87714efa7cde9bc1ae58563828c0f6f78e7dea033f8dec9d7cf41a15d5a06",
     ),
     "raman_memory_detuning": (
         "raman_memory",
         "detuning.value",
         [-120.0, 0.0, 37.5],
-        "5b43d442fec55148ea1261e00db4c1367cec93afe816b6e62878bad363c2d07f",
+        "077d6bce80c53561ca8e1c1106d06e8c7ed611ab7843b52f2363555f7c275bad",
     ),
 }
 

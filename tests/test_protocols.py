@@ -146,18 +146,11 @@ def test_read_stage_is_the_transpose_of_the_write_stage():
 
 
 def test_memory_cycle_makes_one_solve(monkeypatch):
-    calls = []
-    original = protocols.solve_ivp
-
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(protocols, "solve_ivp", counted)
+    spans = _counted_solves(monkeypatch)
     raman_memory_efficiency(_memory_spec(3.0e7))
-    # one solve over the real pulse window, 6 widths either side of 50 ns
-    assert len(calls) == 1
-    assert calls[0] == pytest.approx((-1.0e-8, 1.1e-7), rel=1e-12)
+    # one segment over the real pulse window, 6 widths either side of 50 ns
+    assert len(spans) == 1
+    assert spans[0] == pytest.approx((-1.0e-8, 1.1e-7), rel=1e-12)
 
 
 def test_hold_sweep_keeps_the_stored_population(tmp_path):
@@ -172,15 +165,15 @@ def test_hold_sweep_keeps_the_stored_population(tmp_path):
 
 
 def _counted_solves(monkeypatch):
-    """The time span of every protocols.solve_ivp call from now on."""
+    """The time span of every write-stage segment stepped from now on."""
     spans = []
-    original = protocols.solve_ivp
+    original = protocols._segment_propagator
 
-    def counted(*args, **kwargs):
-        spans.append(args[1])
-        return original(*args, **kwargs)
+    def counted(spec, start, stop, steps):
+        spans.append((start, stop))
+        return original(spec, start, stop, steps)
 
-    monkeypatch.setattr(protocols, "solve_ivp", counted)
+    monkeypatch.setattr(protocols, "_segment_propagator", counted)
     return spans
 
 
@@ -217,7 +210,7 @@ def test_write_stage_reuse_ends_with_its_run(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("signal_first", [True, False])
 def test_disjoint_pulse_windows_match_one_solve_across_the_gap(monkeypatch, signal_first):
-    # Windows 6 widths either side of 50 ns and 350 ns: each is solved on its
+    # Windows 6 widths either side of 50 ns and 350 ns: each is stepped on its
     # own and the 180 ns dark gap between them is propagated in closed form.
     spans = _counted_solves(monkeypatch)
     centers = (5.0e-8, 3.5e-7) if signal_first else (3.5e-7, 5.0e-8)
@@ -235,6 +228,91 @@ def test_disjoint_pulse_windows_match_one_solve_across_the_gap(monkeypatch, sign
     if signal_first:
         assert total > 1e-8
     assert total == pytest.approx(_time_reversed_total(spec), rel=1e-8, abs=1e-15)
+
+
+def test_doubling_the_step_count_moves_storage_by_at_most_1e_10(monkeypatch):
+    # the random specs of criterion 10 (same seed, same draws)
+    rng = np.random.default_rng(1010)
+    specs = [_random_memory_spec(rng) for _ in range(100)]
+    stored = [raman_memory_efficiency(spec)[0] for spec in specs]
+    monkeypatch.setattr(protocols, "_STEPS_PER_WIDTH", 2.0 * protocols._STEPS_PER_WIDTH)
+    doubled = [raman_memory_efficiency(spec)[0] for spec in specs]
+    assert max(abs(a - b) for a, b in zip(stored, doubled)) <= 1e-10
+
+
+def _radau_storage(spec):
+    """Oracle: the write stage as a real 6-dimensional system, (Re c, Im c),
+    stepped by Radau at rtol 1e-12 with its exact Jacobian."""
+    pulses = (spec.signal_pulse, spec.control_pulse)
+    start = min(p.center - 6.0 * p.width for p in pulses)
+    stop = max(p.center + 6.0 * p.width for p in pulses)
+
+    def generator(t):
+        omega_s = spec.signal_pulse.envelope(t)
+        omega_c = spec.control_pulse.envelope(t)
+        a = np.array(
+            [
+                [0.0, -0.5j * omega_s, 0.0],
+                [-0.5j * omega_s, -(0.5 * spec.gamma0 + 1j * spec.detuning), -0.5j * omega_c],
+                [0.0, -0.5j * omega_c, -0.5 * spec.kappa_v],
+            ]
+        )
+        return np.block([[a.real, -a.imag], [a.imag, a.real]])
+
+    sol = solve_ivp(
+        lambda t, y: generator(t) @ y, (start, stop), [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        method="Radau", rtol=1e-12, atol=1e-16, jac=lambda t, y: generator(t),
+    )
+    assert sol.success
+    return float(sol.y[2, -1] ** 2 + sol.y[5, -1] ** 2)
+
+
+@pytest.mark.parametrize("gamma0", [1e11, 1e13])
+def test_stiff_decay_matches_a_radau_oracle(gamma0):
+    # the shipped raman_memory pulses, 2 pi x 20 and 40 MHz peaks
+    spec = RamanMemorySpec(
+        gamma0=gamma0,
+        kappa_v=1.0e3,
+        detuning=0.0,
+        signal_pulse=Pulse(peak_rabi=2.0 * math.pi * 2.0e7, center=5.0e-8, width=1.0e-8),
+        control_pulse=Pulse(peak_rabi=2.0 * math.pi * 4.0e7, center=5.0e-8, width=1.0e-8),
+        storage_hold=1.0e-6,
+    )
+    storage, _ = raman_memory_efficiency(spec)
+    assert storage > 0.0
+    assert abs(storage - _radau_storage(spec)) <= 1e-10
+
+
+def test_step_count_over_the_cap_is_a_domain_error_before_any_step(monkeypatch):
+    spans = _counted_solves(monkeypatch)
+    # a detuning of 1e15 rad/s
+    with pytest.raises(DomainError, match="over the cap of 32768"):
+        raman_memory_efficiency(replace(_memory_spec(3.0e7), detuning=1.0e15))
+    # a control pulse area of about 1e6 rad, 1 s after a signal whose own
+    # window is within the cap: no window is stepped before the check
+    far = replace(_memory_spec(1.0e14), signal_pulse=Pulse(2.0e7, -1.0, 1.0e-8))
+    with pytest.raises(DomainError, match="over the cap of 32768"):
+        raman_memory_efficiency(far)
+    assert spans == []
+
+
+def test_short_signal_in_a_long_control_steps_each_segment_at_its_own_width(monkeypatch):
+    # a 1 ns signal 50 ns after the centre of a 100 ns control: the 1.2 us
+    # window is cut at the signal's window, whose 12 ns alone are stepped
+    # at the 1 ns width
+    spans = _counted_solves(monkeypatch)
+    spec = RamanMemorySpec(
+        gamma0=5.0e7,
+        kappa_v=1.0e3,
+        detuning=2.0e8,
+        signal_pulse=Pulse(peak_rabi=1.5e9, center=6.5e-7, width=1.0e-9),
+        control_pulse=Pulse(peak_rabi=6.0e7, center=6.0e-7, width=1.0e-7),
+        storage_hold=1.0e-6,
+    )
+    storage, total = raman_memory_efficiency(spec)
+    edges = (0.0, 6.44e-7, 6.56e-7, 1.2e-6)
+    assert spans == [pytest.approx(s, rel=1e-12, abs=1e-20) for s in zip(edges, edges[1:])]
+    assert total == pytest.approx(_time_reversed_total(spec), rel=1e-8)
 
 
 def test_dark_gap_phase_is_reduced_and_an_infinite_gap_is_a_domain_error():
