@@ -40,11 +40,9 @@ _PULSE_TAILS = 6.0  # integration window extends this many widths past centers
 # A(t) at its two Gauss nodes and applies exp(dt (q A1 + p A2)) exp(dt (p A1 + q A2)),
 # p = 1/4 + sqrt(3)/6 and q = 1/4 - sqrt(3)/6. Row k of _CF4_WEIGHTS weighs
 # (A1, A2) in the k-th exponent to act.
-_CF4_NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
-_CF4_WEIGHTS = np.array(
-    [[0.25 + math.sqrt(3.0) / 6.0, 0.25 - math.sqrt(3.0) / 6.0],
-     [0.25 - math.sqrt(3.0) / 6.0, 0.25 + math.sqrt(3.0) / 6.0]]
-)
+_SQRT3_6 = math.sqrt(3.0) / 6.0
+_CF4_NODES = np.array([0.5 - _SQRT3_6, 0.5 + _SQRT3_6])
+_CF4_WEIGHTS = np.array([[0.25 + _SQRT3_6, 0.25 - _SQRT3_6], [0.25 - _SQRT3_6, 0.25 + _SQRT3_6]])
 # CF4 steps per pulse width at vanishing pulse area, detuning and decay (see
 # _segment_steps), and the most steps one write-stage segment may take.
 _STEPS_PER_WIDTH = 48.0

@@ -309,7 +309,7 @@ def test_short_signal_in_a_long_control_steps_each_segment_at_its_own_width(monk
         control_pulse=Pulse(peak_rabi=6.0e7, center=6.0e-7, width=1.0e-7),
         storage_hold=1.0e-6,
     )
-    storage, total = raman_memory_efficiency(spec)
+    _, total = raman_memory_efficiency(spec)
     edges = (0.0, 6.44e-7, 6.56e-7, 1.2e-6)
     assert spans == [pytest.approx(s, rel=1e-12, abs=1e-20) for s in zip(edges, edges[1:])]
     assert total == pytest.approx(_time_reversed_total(spec), rel=1e-8)
