@@ -1,7 +1,7 @@
 """Command line entry point.
 
 Exit codes: 0 on success, 1 for configuration problems (bad JSON, schema
-violations, unknown scenario kinds, bad sweep paths), 2 for runtime
+violations, rules across fields, unknown kinds, bad sweep paths), 2 for runtime
 failures inside an otherwise valid scenario: a domain or solver error, a
 NaN or inf that would reach an artifact, or any unexpected exception. Each
 failure prints one line to stderr, never a traceback, and writes no output.

@@ -263,6 +263,26 @@ class RateNetwork:
             m[i, i] -= rate
         return m
 
+    def microwave_targets(self, mw_pair) -> tuple[LevelKet, LevelKet]:
+        """The two distinct T1 states that a microwave tone on the sublevels
+        mw_pair mixes; ValueError unless S0, S1 and each T1 sublevel are here."""
+        manifolds = {k.manifold for k in self.state_labels}
+        if S0 not in manifolds or S1 not in manifolds:
+            raise ValueError("network must contain S0 and S1 states")
+        triplet = [k for k in self.state_labels if k.manifold == T1]
+        if {k.sublevel for k in triplet} != {"x", "y", "z"}:
+            raise ValueError("network must contain all three T1 sublevels")
+        targets = []
+        for tag in mw_pair:
+            matches = [k for k in triplet if k.sublevel == tag]
+            if len(matches) != 1:
+                raise ValueError(f"sublevel {tag!r} must match exactly one T1 state")
+            targets.append(matches[0])
+        a, b = targets
+        if a == b:
+            raise ValueError("mw_pair must name two distinct sublevels")
+        return a, b
+
 
 def steady_populations(network: RateNetwork) -> np.ndarray:
     """Normalized stationary populations of the rate network."""
@@ -305,29 +325,11 @@ def odmr_contrast(network: RateNetwork, mw_pair, mw_mixing_rate: float) -> float
     sublevels: (F_on - F_off) / F_off from two steady-state solves.
 
     mw_pair names the two T1 sublevels ('x', 'y', 'z') to connect with a
-    symmetric mixing rate (1/s).
+    symmetric mixing rate (1/s); see RateNetwork.microwave_targets.
     """
     if mw_mixing_rate < 0.0:
         raise ValueError("mixing rate must be non-negative")
-    manifolds = {k.manifold for k in network.state_labels}
-    if S0 not in manifolds or S1 not in manifolds:
-        raise ValueError("network must contain S0 and S1 states")
-    sublevels = {k.sublevel for k in network.state_labels if k.manifold == T1}
-    if sublevels != {"x", "y", "z"}:
-        raise ValueError("network must contain all three T1 sublevels")
-
-    targets = []
-    for tag in mw_pair:
-        matches = [
-            k for k in network.state_labels if k.manifold == T1 and k.sublevel == tag
-        ]
-        if len(matches) != 1:
-            raise ValueError(f"sublevel {tag!r} must match exactly one T1 state")
-        targets.append(matches[0])
-    a, b = targets
-    if a == b:
-        raise ValueError("mw_pair must name two distinct sublevels")
-
+    a, b = network.microwave_targets(mw_pair)
     f_off = _fluorescence(network)
     driven = dict(network.rates)
     driven[(a, b)] = driven.get((a, b), 0.0) + mw_mixing_rate

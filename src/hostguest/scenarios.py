@@ -3,9 +3,10 @@
 A scenario is a JSON document naming one computation kind plus its
 parameters, optionally swept over one dotted parameter path. A config is
 checked against the field table of its kind alone; the JSON schema that
-``hostguest schema`` prints is generated from the same table. Each runner
-imports its physics module on first use, so checking a config or printing
-a schema loads no physics module, and every kind runs without scipy.
+``hostguest schema`` prints is generated from the same table. The table
+also builds the domain objects that the runners take, so ``validate``
+rejects every config that ``run`` rejects as a config error. A schema loads
+no physics module, a config only its kind's; no kind loads scipy.
 Runs write each artifact atomically (temp file + rename) into an
 output directory, then a manifest of content hashes; identical
 config and seed give byte-identical files. All randomness is opt-in and
@@ -17,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -46,9 +48,9 @@ _REQUIRED = object()
 # Each parameter is declared once, as a Field in the table of its scenario
 # kind. The field yields its JSON-schema fragment and its check: one walk
 # over a config node that enforces that fragment, with the semantics of a
-# JSON Schema 2020-12 validator, and coerces the node to the plain value the
-# runners take: quantities become floats in rad/s, s or K, and every number
-# must be finite.
+# JSON Schema 2020-12 validator, and coerces the node to the value the
+# runners take: quantities become floats in rad/s, s or K, every number
+# must be finite, and a record with a constructor becomes its domain object.
 
 
 @dataclass(frozen=True)
@@ -110,12 +112,12 @@ def _finite(x, where: str) -> float:
 
 
 def _bounded(json_type: str, coerce, default, bounds: dict) -> Field:
-    """A number or integer under the JSON-schema keywords ``minimum`` and
-    ``exclusiveMinimum`` (the only bounds supported)."""
-    unknown = set(bounds) - {"minimum", "exclusiveMinimum"}
+    """A number or integer under the JSON-schema keywords ``minimum``,
+    ``exclusiveMinimum`` and ``maximum`` (the only bounds supported)."""
+    unknown = set(bounds) - {"minimum", "exclusiveMinimum", "maximum"}
     if unknown:
         raise TypeError(f"unsupported bounds {sorted(unknown)}")
-    low, above = bounds.get("minimum"), bounds.get("exclusiveMinimum")
+    low, above, high = map(bounds.get, ("minimum", "exclusiveMinimum", "maximum"))
     is_type = _JSON_TYPES[json_type]
 
     def check(node, where):
@@ -125,6 +127,8 @@ def _bounded(json_type: str, coerce, default, bounds: dict) -> Field:
             raise _fail(where, f"{node!r} is less than the minimum of {low!r}")
         if above is not None and node <= above:
             raise _fail(where, f"{node!r} is less than or equal to the minimum of {above!r}")
+        if high is not None and node > high:
+            raise _fail(where, f"{node!r} is greater than the maximum of {high!r}")
         return coerce(node, where)
 
     return Field({"type": json_type, **bounds}, check, default)
@@ -133,17 +137,20 @@ def _bounded(json_type: str, coerce, default, bounds: dict) -> Field:
 def _quantity(target: Unit, units: list[str], default, bounds: dict) -> Field:
     # Every unit converts by a positive factor, so a sign bound on the value
     # holds in any unit.
-    fields = record(value=number(**bounds), unit=enum(*units))
+    build = _converter(target)
+    return record(value=number(**bounds), unit=enum(*units), default=default, build=build)
 
-    def check(node, where):
-        q = fields.check(node, where)
+
+def _converter(target: Unit):
+    """A build of the value of ``value`` ``unit`` in ``target``."""
+
+    def build(value, unit):
         try:
-            return convert(Quantity(q["value"], Unit(q["unit"])), target).value
+            return convert(Quantity(value, Unit(unit)), target).value
         except DomainError:
-            message = f"{q['value']!r} {q['unit']} is not finite in {target.value}"
-            raise _fail(where, message) from None
+            raise ValueError(f"{value!r} {unit} is not finite in {target.value}") from None
 
-    return Field(fields.schema, check, default)
+    return build
 
 
 def angular(default=_REQUIRED, **bounds) -> Field:
@@ -163,12 +170,12 @@ def kelvin(default=_REQUIRED, **bounds) -> Field:
 
 
 def number(default=_REQUIRED, **bounds) -> Field:
-    """A finite float; ``bounds`` are ``minimum`` or ``exclusiveMinimum``."""
+    """A finite float; ``bounds`` are keywords of ``_bounded``."""
     return _bounded("number", _finite, default, bounds)
 
 
-def integer(minimum: int, default=_REQUIRED) -> Field:
-    return _bounded("integer", lambda node, where: int(node), default, {"minimum": minimum})
+def integer(minimum: int, default=_REQUIRED, **bounds) -> Field:
+    return _bounded("integer", lambda node, _: int(node), default, {"minimum": minimum, **bounds})
 
 
 def literal(pattern: str, parse, form: str) -> Field:
@@ -240,9 +247,10 @@ def array(
     return Field(schema, check, default)
 
 
-def record(default=_REQUIRED, **fields: Field) -> Field:
+def record(default=_REQUIRED, build=None, **fields: Field) -> Field:
     """An object with at most these keys; coerces to a dict holding every key,
-    where a key left out takes its field's default."""
+    where a key left out takes its field's default. With a constructor
+    ``build``, coerces to ``build(**that dict)``; its ValueError fails here."""
     required = tuple(key for key, f in fields.items() if f.default is _REQUIRED)
     schema = {
         "type": "object",
@@ -260,10 +268,16 @@ def record(default=_REQUIRED, **fields: Field) -> Field:
         for key in node:
             if key not in fields:
                 raise _fail(where, f"unexpected property {key!r}; allowed: {', '.join(fields)}")
-        return {
+        values = {
             key: f.check(node[key], _join(where, key)) if key in node else f.default
             for key, f in fields.items()
         }
+        if build is None:
+            return values
+        try:
+            return build(**values)
+        except ValueError as exc:
+            raise _fail(where, str(exc)) from None
 
     return Field(schema, check, default)
 
@@ -277,67 +291,105 @@ def nullable(field: Field) -> Field:
     return Field({"oneOf": [{"type": "null"}, field.schema]}, check, None)
 
 
-def _nucleus() -> Field:
-    """A nuclear spin. Its hyperfine tensor coerces to rad/s through the
-    sibling ``hyperfine_unit``; the result holds NucleusSpec's keywords."""
-    fields = record(
-        spin=literal(SPIN_PATTERN, Fraction, "a positive half-integer such as '3/2'"),
-        hyperfine_tensor=array(array(number(), 3), 3),
-        hyperfine_unit=enum(*_ANGULAR_UNITS),
-        gyromagnetic_ratio=number(default=GAMMA_PROTON),
-    )
+def _physics(module: str, name: str, *kept: str):
+    """A build by the constructor ``name`` of the physics module ``module``, imported
+    at first use; keys named in ``kept`` skip it and follow the object in a tuple."""
 
-    def check(node, where):
-        nucleus = fields.check(node, where)
-        unit = Unit(nucleus.pop("hyperfine_unit"))
-        factor = convert(Quantity(1.0, unit), Unit.RAD_PER_S).value
-        nucleus["hyperfine_tensor"] = [
-            [_finite(factor * x, f"{where}.hyperfine_tensor") for x in row]
-            for row in nucleus["hyperfine_tensor"]
-        ]
-        return nucleus
+    def build(**values):
+        rest = [values.pop(key) for key in kept]
+        built = getattr(importlib.import_module(f"{__package__}.{module}"), name)(**values)
+        return (built, *rest) if kept else built
 
-    return Field(fields.schema, check)
+    return build
+
+
+def _nucleus(hyperfine_tensor, hyperfine_unit, **nucleus) -> spin.NucleusSpec:
+    """A NucleusSpec, its hyperfine tensor converted from ``hyperfine_unit``."""
+    to_rad = _converter(Unit.RAD_PER_S)
+    tensor = [[to_rad(x, hyperfine_unit) for x in row] for row in hyperfine_tensor]
+    return spin.NucleusSpec(hyperfine_tensor=tensor, **nucleus)
+
+
+def _two_level(rabi, detuning, decay, dephasing):
+    from . import dynamics
+
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # basis (g, e)
+    project_e = np.diag([0.0, 1.0]).astype(complex)
+    h = detuning * project_e + 0.5 * rabi * (lower + lower.conj().T)
+    return dynamics.OpenSystem(h, ((lower, decay), (project_e, dephasing)))
+
+
+def _rate_network(states, rates, emissive):
+    from . import dynamics
+
+    pairs = {}
+    for i, r in enumerate(rates):
+        pair = (r["source"], r["target"])
+        if pair in pairs:
+            message = f"a second rate from {pair[0]} to {pair[1]}"
+            raise _fail(f"parameters.network.rates.{i}", message)
+        pairs[pair] = r["rate"]
+    flags = dict.fromkeys(states, False) | dict.fromkeys(emissive, True)
+    return dynamics.RateNetwork(states, pairs, flags)
+
+
+def _microwave_drive(network, mw_pair, mw_mixing_rate):
+    """odmr_contrast's arguments, once its preconditions on them hold."""
+    network.microwave_targets(mw_pair)
+    return network, mw_pair, mw_mixing_rate
 
 
 _STRING = _typed("string")
 _KET = literal(KET_PATTERN, parse_ket, f"a canonical ket literal such as {KET_EXAMPLE!r}")
-_GRID = record(start=angular(), stop=angular(), points=integer(2))
-_TIME_AXIS = record(stop=seconds(exclusiveMinimum=0), points=integer(2))
+# A length numpy can index: a larger one fails in np.linspace.
+_POINTS = integer(2, maximum=int(np.iinfo(np.intp).max))
+_GRID = record(start=angular(), stop=angular(), points=_POINTS, build=FrequencyGrid)
+_TIME_AXIS = record(stop=seconds(exclusiveMinimum=0), points=_POINTS)
 _PULSE = record(
-    peak_rabi=angular(minimum=0), center=seconds(), width=seconds(exclusiveMinimum=0)
+    peak_rabi=angular(minimum=0),
+    center=seconds(),
+    width=seconds(exclusiveMinimum=0),
+    build=_physics("protocols", "Pulse"),
 )
-
-
-def _phonon_density(**bounds) -> Field:
-    """A phonon spectral density; ``bounds`` apply to both frequencies."""
-    return record(
-        coupling_weight=number(minimum=0),
-        peak_frequency=angular(**bounds),
-        cutoff_frequency=angular(**bounds),
-    )
-
-
+_PHONON_DENSITY = record(
+    coupling_weight=number(minimum=0),
+    peak_frequency=angular(exclusiveMinimum=0),
+    cutoff_frequency=angular(exclusiveMinimum=0),
+    build=_physics("vibronic", "PhononSpectralDensity"),
+)
 _SPIN_SYSTEM = record(
     zfs_d=angular(),
     zfs_e=angular(),
     magnetic_field_tesla=array(number(), 3, default=(0.0, 0.0, 0.0)),
     g_electron=number(default=spin.G_ELECTRON_DEFAULT),
-    nuclei=array(_nucleus(), default=()),
+    nuclei=array(
+        record(
+            spin=literal(SPIN_PATTERN, Fraction, "a positive half-integer such as '3/2'"),
+            hyperfine_tensor=array(array(number(), 3), 3),
+            hyperfine_unit=enum(*_ANGULAR_UNITS),
+            gyromagnetic_ratio=number(default=GAMMA_PROTON),
+            build=_nucleus,
+        ),
+        default=(),
+    ),
+    build=lambda magnetic_field_tesla, **system: spin.SpinSystemSpec(
+        magnetic_field=magnetic_field_tesla, **system
+    ),
 )
 _TWO_LEVEL = record(
     rabi=angular(),
     detuning=angular(),
     decay=angular(minimum=0),
     dephasing=angular(default=0.0, minimum=0),
+    build=_two_level,
 )
 
 # Bounds: each minimum or exclusiveMinimum below is a sign rule that the
-# kind's runner or a domain constructor it always calls enforces as well;
-# rules that span several fields (grid start < stop, port couplings <= kappa)
-# stay with the constructors. relaxation_classify builds the density of its
-# rate model whatever the channel; the model's temperature is used, and its
-# bound enforced by two_phonon_rate, only on the two-phonon channel.
+# kind's runner or a domain constructor enforces as well. A rule across
+# fields (grid start < stop, port couplings <= kappa) is declared once, in
+# the constructor that its record builds. The relaxation_classify rate model
+# is built whatever the channel; its temperature is used, and its bound
+# enforced by two_phonon_rate, only on the two-phonon channel.
 PARAMETERS = {
     "spin_spectrum": record(
         spin_system=_SPIN_SYSTEM, grid=_GRID, linewidth=angular(exclusiveMinimum=0)
@@ -347,9 +399,11 @@ PARAMETERS = {
             states=array(_KET, unique=True),
             rates=array(record(source=_KET, target=_KET, rate=angular(minimum=0))),
             emissive=array(_KET),
+            build=_rate_network,
         ),
         mw_pair=array(enum("x", "y", "z"), 2, unique=True),
         mw_mixing_rate=angular(minimum=0),
+        build=_microwave_drive,
     ),
     "crot": record(
         spin_system=_SPIN_SYSTEM,
@@ -368,11 +422,13 @@ PARAMETERS = {
                     frequency=angular(exclusiveMinimum=0),
                     huang_rhys=number(minimum=0),
                     relaxation_rate=angular(minimum=0),
+                    build=_physics("vibronic", "VibronMode"),
                 ),
                 default=(),
             ),
-            phonon_density=nullable(_phonon_density(exclusiveMinimum=0)),
+            phonon_density=nullable(_PHONON_DENSITY),
             extra_linewidth=angular(default=0.0, minimum=0),
+            build=_physics("vibronic", "VibronicModel"),
         ),
         grid=_GRID,
     ),
@@ -381,11 +437,12 @@ PARAMETERS = {
         phonon_cutoff=angular(exclusiveMinimum=0),
         other_vibrons=array(angular(exclusiveMinimum=0), default=()),
         rate_model=record(
-            density=_phonon_density(exclusiveMinimum=0),
+            density=_PHONON_DENSITY,
             coupling=number(),
             temperature=kelvin(minimum=0),
             default=None,
         ),
+        build=_physics("relaxation", "RelaxationInput", "rate_model"),
     ),
     "lindblad": record(
         system=_TWO_LEVEL, initial_state=enum("ground", "excited"), times=_TIME_AXIS
@@ -398,6 +455,7 @@ PARAMETERS = {
         signal_pulse=_PULSE,
         control_pulse=_PULSE,
         storage_hold=seconds(minimum=0),
+        build=_physics("protocols", "RamanMemorySpec"),
     ),
     "cavity_interface": record(
         g=angular(minimum=0),
@@ -407,6 +465,7 @@ PARAMETERS = {
         gamma=angular(minimum=0),
         emitter_coupled=_typed("boolean", default=True),
         grid=_GRID,
+        build=_physics("protocols", "CavityInterfaceSpec", "grid"),
     ),
     "optomech": record(
         g0=angular(minimum=0),
@@ -415,16 +474,15 @@ PARAMETERS = {
         gamma0=angular(exclusiveMinimum=0),
         temperature=kelvin(minimum=0),
         n_bar=nullable(number(minimum=0)),
+        build=_physics("protocols", "OptomechParams", "n_bar"),
     ),
     "screening": record(
         input_csv=_STRING,
         criteria=record(
             min_t1_ev=number(default=screening.DEFAULT_MIN_T1_EV),
             max_s1_ev=number(default=screening.DEFAULT_MAX_S1_EV),
-            default={
-                "min_t1_ev": screening.DEFAULT_MIN_T1_EV,
-                "max_s1_ev": screening.DEFAULT_MAX_S1_EV,
-            },
+            default=screening.SelectionCriteria(),
+            build=screening.SelectionCriteria,
         ),
     ),
 }
@@ -460,14 +518,14 @@ def config_schema(kind: str) -> dict:
     return {"$schema": "https://json-schema.org/draft/2020-12/schema", **_ENVELOPES[kind].schema}
 
 
-def validate_config(config) -> list[dict]:
-    """Check a config and coerce its parameters.
+def validate_config(config) -> list:
+    """Check a config and build its parameters.
 
-    Returns the coerced parameters to run: one entry for a plain run, or one
-    per sweep value, in order. Each sweep value is put in place and checked
-    with the rest of the parameters, so a bad value is named by the path of
-    the swept leaf. Raises ConfigError naming the path of the first
-    violation.
+    Returns what the kind's runner takes, each record with a constructor
+    built: one entry for a plain run, or one per sweep value, in order.
+    Each sweep value is put in place and checked with the rest of the
+    parameters, so a bad value is named by the path of the swept leaf.
+    Raises ConfigError naming the path of the first violation.
     """
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
@@ -485,25 +543,6 @@ def validate_config(config) -> list[dict]:
         params = _with_value(config["parameters"], sweep["parameter"], value)
         points.append(PARAMETERS[kind].check(params, "parameters"))
     return points
-
-
-def _spin_system(p: dict) -> spin.SpinSystemSpec:
-    return spin.SpinSystemSpec(
-        zfs_d=p["zfs_d"],
-        zfs_e=p["zfs_e"],
-        magnetic_field=p["magnetic_field_tesla"],
-        g_electron=p["g_electron"],
-        nuclei=tuple(spin.NucleusSpec(**n) for n in p["nuclei"]),
-    )
-
-
-def _two_level(p: dict):
-    from . import dynamics
-
-    lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # basis (g, e)
-    project_e = np.diag([0.0, 1.0]).astype(complex)
-    h = p["detuning"] * project_e + 0.5 * p["rabi"] * (lower + lower.conj().T)
-    return dynamics.OpenSystem(h, ((lower, p["decay"]), (project_e, p["dephasing"])))
 
 
 # --- CSV / JSON byte renderers ----------------------------------------------
@@ -563,21 +602,17 @@ def _json_bytes(payload) -> bytes:
 
 # --- scenario runners --------------------------------------------------------
 #
-# Each runner maps coerced parameters to (scalars, tables); scalars are
-# flat key -> scalar (these populate result.json and sweep columns),
-# tables are file name -> (header, columns), where a column is a float
-# ndarray or a list of scalars. Runners do not render: run_scenario renders
-# the tables of a plain run and drops those of each sweep point. A runner
-# owns the coerced dict it is given and may replace entries in it by the
-# objects built from them.
+# Each runner maps the built parameters of one point to (scalars, tables);
+# scalars are flat key -> scalar (these populate result.json and sweep
+# columns), tables are file name -> (header, columns), where a column is a
+# float ndarray or a list of scalars. Runners do not render: run_scenario
+# renders the tables of a plain run and drops those of each sweep point.
 
 
 def _run_spin_spectrum(params, _ctx):
-    system = _spin_system(params["spin_system"])
+    system = params["spin_system"]
     eig = spin.diagonalize(spin.build_spin_hamiltonian(system))
-    freqs, response = spin.odmr_spectrum(
-        system, FrequencyGrid(**params["grid"]), params["linewidth"], eig
-    )
+    freqs, response = spin.odmr_spectrum(system, params["grid"], params["linewidth"], eig)
     gaps = np.diff(eig.energies)
     scalars = {
         "level_count": len(eig.energies),
@@ -594,31 +629,15 @@ def _run_spin_spectrum(params, _ctx):
     return scalars, tables
 
 
-def _run_odmr(params, _ctx):
+def _run_odmr(drive, _ctx):
     from . import dynamics
 
-    node = params["network"]
-    rates = {}
-    for i, r in enumerate(node["rates"]):
-        pair = (r["source"], r["target"])
-        if pair in rates:
-            raise _fail(f"parameters.network.rates.{i}", f"a second rate from {pair[0]} to {pair[1]}")
-        rates[pair] = r["rate"]
-    try:
-        network = dynamics.RateNetwork(
-            node["states"],
-            rates,
-            dict.fromkeys(node["states"], False) | dict.fromkeys(node["emissive"], True),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"at parameters.network: {exc}") from None
-    contrast = dynamics.odmr_contrast(network, params["mw_pair"], params["mw_mixing_rate"])
-    return {"contrast": contrast}, {}
+    return {"contrast": dynamics.odmr_contrast(*drive)}, {}
 
 
 def _run_crot(params, _ctx):
     result = spin.crot_gate(
-        _spin_system(params["spin_system"]),
+        params["spin_system"],
         drive_frequency=params["drive_frequency"],
         rabi_frequency=params["rabi_frequency"],
         duration=params["duration"],
@@ -645,12 +664,8 @@ def _run_crot(params, _ctx):
 def _run_emission_spectrum(params, _ctx):
     from . import vibronic
 
-    node = params["model"]
-    node["vibron_modes"] = tuple(vibronic.VibronMode(**m) for m in node["vibron_modes"])
-    if node["phonon_density"] is not None:
-        node["phonon_density"] = vibronic.PhononSpectralDensity(**node["phonon_density"])
-    model = vibronic.VibronicModel(**node)
-    spectrum = vibronic.emission_spectrum(model, FrequencyGrid(**params["grid"]))
+    model = params["model"]
+    spectrum = vibronic.emission_spectrum(model, params["grid"])
     # The ZPL branching ratio equals the Debye-Waller factor by construction.
     scalars = {
         "debye_waller": spectrum.zpl_weight,
@@ -665,27 +680,20 @@ def _run_emission_spectrum(params, _ctx):
 
 
 def _run_relaxation_classify(params, _ctx):
-    from . import relaxation, vibronic
+    from . import relaxation
 
-    rm = params.pop("rate_model")
-    density = None if rm is None else vibronic.PhononSpectralDensity(**rm["density"])
-    data = relaxation.RelaxationInput(**params)
+    data, rm = params
     channel = relaxation.classify_relaxation(data)
     scalars = {"channel": channel.value, "two_phonon_rate": 0.0}
-    if density is not None and channel is relaxation.RelaxationChannel.TWO_PHONON:
-        scalars["two_phonon_rate"] = relaxation.two_phonon_rate(
-            data.vibron_frequency,
-            density,
-            coupling=rm["coupling"],
-            temperature=rm["temperature"],
-        )
+    if rm is not None and channel is relaxation.RelaxationChannel.TWO_PHONON:
+        scalars["two_phonon_rate"] = relaxation.two_phonon_rate(data.vibron_frequency, **rm)
     return scalars, {}
 
 
 def _run_lindblad(params, _ctx):
     from . import dynamics
 
-    system = _two_level(params["system"])
+    system = params["system"]
     stop, points = params["times"]["stop"], params["times"]["points"]
     times = np.linspace(0.0, stop, points)
     ground = params["initial_state"] == "ground"
@@ -714,21 +722,18 @@ def _run_lindblad(params, _ctx):
 def _run_g2(params, _ctx):
     from . import dynamics
 
-    system = _two_level(params["system"])
+    system = params["system"]
     stop, points = params["taus"]["stop"], params["taus"]["points"]
     taus = np.linspace(0.0, stop, points)
-    lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    lower, _ = system.collapse_channels[0]  # the decay channel
     values = dynamics.g2_correlation(system, lower, taus)
     scalars = {"g2_zero": float(values[0]), "g2_final": float(values[-1])}
     return scalars, {"g2.csv": (("tau_s", "g2"), (taus, values))}
 
 
-def _run_raman_memory(params, ctx):
+def _run_raman_memory(spec, ctx):
     from . import protocols
 
-    for name in ("signal_pulse", "control_pulse"):
-        params[name] = protocols.Pulse(**params[name])
-    spec = protocols.RamanMemorySpec(**params)
     # Sweep points of one run that differ only in the hold share one write
     # stage; the dict lives in ctx, so nothing outlives the run.
     stored = ctx.setdefault("raman_storage", {})
@@ -741,8 +746,8 @@ def _run_raman_memory(params, ctx):
 def _run_cavity_interface(params, _ctx):
     from . import protocols
 
-    detunings = FrequencyGrid(**params.pop("grid")).frequencies
-    spec = protocols.CavityInterfaceSpec(**params)
+    spec, grid = params
+    detunings = grid.frequencies
     # Detuning 0 rides along as one extra point at the end of the grid.
     reflection, transmission = protocols.cavity_response(spec, np.append(detunings, 0.0))
     r0, t0 = reflection[-1:], transmission[-1:]
@@ -765,8 +770,7 @@ def _run_cavity_interface(params, _ctx):
 def _run_optomech(params, _ctx):
     from . import protocols
 
-    n_bar = params.pop("n_bar")
-    result = protocols.optomech_cooperativity(protocols.OptomechParams(**params), n_bar)
+    result = protocols.optomech_cooperativity(*params)
     scalars = {
         "cooperativity": result.cooperativity,
         "thermal_occupation": result.thermal_occupation,
@@ -779,8 +783,7 @@ def _run_screening(params, ctx):
     raw = Path(params["input_csv"])
     path = raw if raw.is_absolute() else ctx["config_dir"] / raw
     result = screening.ingest(path)
-    criteria = screening.SelectionCriteria(**params["criteria"])
-    chosen = screening.select_candidates(result, criteria)
+    chosen = screening.select_candidates(result, params["criteria"])
     fit = screening.fit_linear_scaling(result)
     scalars = {
         "record_count": len(result),
@@ -816,14 +819,6 @@ _RUNNERS = {
 
 
 # --- sweep plumbing and the driver ------------------------------------------
-
-
-def _invoke(runner, params, ctx):
-    # Constructor ValueErrors at this point come from config-derived values.
-    try:
-        return runner(params, ctx)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _with_value(tree: dict, dotted: str, value) -> dict:
@@ -904,12 +899,13 @@ def run_scenario(config: dict, config_dir, output_dir=None) -> Path:
     files: dict[str, bytes] = {}
     sweep = config.get("sweep")
     if sweep:
-        results = [_invoke(runner, params, ctx)[0] for params in points]
+        # Pop each point as it runs: its built objects (a grid caches its array) go with it.
+        results = [runner(points.pop(0), ctx)[0] for _ in range(len(points))]
         keys = sorted(results[0])
         columns = [sweep["values"], *([point[k] for point in results] for k in keys)]
         files["sweep.csv"] = _csv_bytes("sweep.csv", [sweep["parameter"], *keys], columns)
     else:
-        scalars, tables = _invoke(runner, points[0], ctx)
+        scalars, tables = runner(points[0], ctx)
         for name, (header, columns) in tables.items():
             files[name] = _csv_bytes(name, header, columns)
         files["result.json"] = _json_bytes(

@@ -348,13 +348,13 @@ class FrequencyGrid:
 
     def __post_init__(self):
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise DomainError("grid endpoints must be finite")
+            raise ValueError("grid endpoints must be finite")
         if self.stop <= self.start:
-            raise DomainError(
+            raise ValueError(
                 f"grid must be strictly increasing, got [{self.start}, {self.stop}]"
             )
         if int(self.points) != self.points or self.points < 2:
-            raise DomainError(f"grid needs at least 2 points, got {self.points}")
+            raise ValueError(f"grid needs at least 2 points, got {self.points}")
 
     @functools.cached_property
     def frequencies(self) -> np.ndarray:

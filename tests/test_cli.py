@@ -315,6 +315,15 @@ def test_rerun_is_byte_identical(tmp_path):
     assert first == second
 
 
+# The shipped ODMR network without its T1,z sublevel.
+_ODMR_NETWORK = load_config(SCENARIO_DIR / "odmr.json")["parameters"]["network"]
+_ODMR_WITHOUT_TZ = {
+    "states": [k for k in _ODMR_NETWORK["states"] if not k.startswith("T1,z")],
+    "rates": [r for r in _ODMR_NETWORK["rates"] if "T1,z" not in r["source"] + r["target"]],
+    "emissive": _ODMR_NETWORK["emissive"],
+}
+
+
 def _set(tree, dotted, value):
     *head, leaf = dotted.split(".")
     for tok in head:
@@ -373,6 +382,60 @@ def _set(tree, dotted, value):
         ("crot", "parameters.spin_system.nuclei.0.spin", " 1/2", None),
         ("crot", "parameters.spin_system.nuclei.0.spin", "0.5", None),
         ("crot", "parameters.spin_system.nuclei.0.spin", "2/4", None),
+        # rules across fields, held by the domain constructors
+        (
+            "crot",
+            "parameters.spin_system.nuclei.0.hyperfine_tensor.0.1",
+            3,
+            "parameters.spin_system.nuclei.0",
+        ),
+        ("spin_spectrum", "parameters.spin_system.zfs_e.value", 3, "parameters.spin_system"),
+        ("cavity_interface", "parameters.kappa_in.value", 1e12, "parameters"),
+        (
+            "emission_spectrum",
+            "parameters.model.phonon_density.cutoff_frequency.value",
+            1e-300,
+            "parameters.model.phonon_density",
+        ),
+        (
+            "relaxation_classify",
+            "parameters.rate_model.density.peak_frequency.value",
+            3,
+            "parameters.rate_model.density",
+        ),
+        (
+            "relaxation_classify",
+            "parameters.other_vibrons",
+            [{"value": 2.0, "unit": "THz"}],
+            "parameters",
+        ),
+        ("spin_spectrum", "parameters.grid.start.value", 1e12, "parameters.grid"),
+        (
+            "cavity_interface",
+            "sweep",
+            {"parameter": "grid.stop.value", "values": [1.0, -1e3]},
+            "parameters.grid",
+        ),
+        ("odmr", "parameters.network.emissive.0", "S2;v=[];p=[];n=[]", "parameters.network"),
+        (
+            "odmr",
+            "parameters.network.emissive.0",
+            "S1;v=[0,2];p=[1];n=[(1,+0),(3/2,-3/2)]",
+            "parameters.network",
+        ),
+        (
+            "odmr",
+            "parameters.network.rates.0.source",
+            "T12,z;v=[];p=[];n=[(1/2,-1/2)]",
+            "parameters.network",
+        ),
+        (
+            "odmr",
+            "parameters.network.rates.1",
+            dict(_ODMR_NETWORK["rates"][0], rate={"value": 1.0, "unit": "rad/s"}),
+            "parameters.network.rates.1",
+        ),
+        ("odmr", "parameters.network", _ODMR_WITHOUT_TZ, "parameters"),
     ],
 )
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, kind, dotted, value, where):

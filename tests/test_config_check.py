@@ -4,8 +4,9 @@ The schema that ``hostguest schema`` prints is pinned by SHA-256 per kind.
 The field-table check is compared with jsonschema, used here as an oracle
 only: each shipped config and a fixed list of single-field mutations must
 be accepted or rejected by both alike. The cold path is guarded: importing
-the CLI or validating a config loads neither scipy nor jsonschema, and
-running any kind does not load scipy.
+the CLI or validating a config loads neither scipy nor jsonschema, running
+any kind does not load scipy, and printing a schema or validating a config
+loads only the physics modules of its kind.
 """
 
 import copy
@@ -27,17 +28,17 @@ ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = ROOT / "scenarios"
 
 SCHEMA_SHA256 = {
-    "cavity_interface": "3d39e3408e7014604a1cc376c908389d4a22f265cc3a7db411f0a5ef0195f293",
+    "cavity_interface": "e331575ecee60884b9b4cb20883d849594e2771fa4b1d490602bfb0d51ae1a52",
     "crot": "cb817b89df36d8341344c15486ee48cbff8cd6986d625e40816b9d373566e29a",
-    "emission_spectrum": "7d869aa1940d4e244c0a337715bb9e1d3f2b699de9568a787282ef68a2c1bfb8",
-    "g2": "945e4fc14a5a0f012ae97746c9dfa5c2b7e4dc5d8b78668b70843a0e6603fd9b",
-    "lindblad": "b5ef9b28cf9cbcb91d2e0755a4e26df8f22184cbbb5d28074547ef401204d16d",
+    "emission_spectrum": "8fcdf21e728f148cb370b9e6ff82ba268e6f18daf3d7f007223c685581502620",
+    "g2": "60a9ee2ef006f7a333b0a6b35483a5f22d9d01fea05d81b593693f68855f0663",
+    "lindblad": "059ad3be6711199fc09dc570998ecc2f26ad9c63f609b1a8254e55c96f4e9e6d",
     "odmr": "d06f8c6484d4953918add920623fe57235b28ff82f2745b32084f2cfb58c98d8",
     "optomech": "16168f7c5639b3c98652afb99d0c36ffef45c6c7c1724345fc45e8b60923a2a3",
     "raman_memory": "64c4d212e22f2101c0b248a2ff9929a19ff0aab42fbc22bb49243760b8b60d15",
     "relaxation_classify": "ce9ba353881a053df3d05bab9195b5733339da9bb2c601b8bb61a9c522894ea0",
     "screening": "fc89251cb8984d7750efed2e5ae87744afc8cc6a789df01c30b2fc87bb302277",
-    "spin_spectrum": "021d2f317716cfe242f9202434c178dab1da2ad8a47784eabcefd93e58cd0248",
+    "spin_spectrum": "b40a06b074692918c9c2df132ebeb49bc76d061f67a88e7778c660c4fdde9058",
 }
 
 
@@ -55,14 +56,17 @@ def test_schema_output_matches_pinned_hash(kind, capsys):
 # --- agreement with jsonschema ----------------------------------------------
 
 DELETE = object()
+_ODMR_STATES = load_config(SCENARIO_DIR / "odmr.json")["parameters"]["network"]["states"]
 
 # (kind, dotted path in the config, new value or DELETE, where): ``where`` is
 # None for an input both checks accept, else the dotted path that the
 # ConfigError of the field-table check starts with.
-# Two kinds of reject stay out, because jsonschema accepts them: a ket that
+# Three kinds of reject stay out, because jsonschema accepts them: a ket that
 # fits the pattern but not the ket rules, such as a projection beyond its
-# spin, and a literal with a trailing newline, which the ``$`` of Python's
-# ``re.search`` admits and ECMA-262's does not. test_cli covers both.
+# spin; a literal with a trailing newline, which the ``$`` of Python's
+# ``re.search`` admits and ECMA-262's does not; and a rule across fields
+# that a domain constructor holds, such as an emissive ket missing from the
+# network's states. test_cli covers all three.
 MUTATIONS = [
     ("lindblad", "parameters.system.rabi.value", "5", "parameters.system.rabi.value"),
     ("lindblad", "parameters.system.rabi.value", True, "parameters.system.rabi.value"),
@@ -76,6 +80,7 @@ MUTATIONS = [
     ("lindblad", "parameters.times.points", 2.5, "parameters.times.points"),
     ("lindblad", "parameters.times.points", True, "parameters.times.points"),
     ("lindblad", "parameters.times.points", 1, "parameters.times.points"),
+    ("lindblad", "parameters.times.points", 1e300, "parameters.times.points"),
     ("lindblad", "parameters.initial_state", "middle", "parameters.initial_state"),
     ("lindblad", "parameters.initial_state", 1, "parameters.initial_state"),
     ("lindblad", "parameters", [], "parameters"),
@@ -153,8 +158,13 @@ MUTATIONS = [
         "S1;v=[];p=[];n=[(1/2,1/2)]",
         "parameters.network.emissive.0",
     ),
-    ("odmr", "parameters.network.emissive.0", "S1;v=[0,2];p=[1];n=[(1,+0),(3/2,-3/2)]", None),
-    ("odmr", "parameters.network.rates.0.source", "T12,z;v=[];p=[];n=[(1/2,-1/2)]", None),
+    (
+        "odmr",
+        "parameters.network.states",
+        [*_ODMR_STATES, "S1;v=[0,2];p=[1];n=[(1,+0),(3/2,-3/2)]"],
+        None,
+    ),
+    ("odmr", "parameters.network.states", [*_ODMR_STATES, "T12,z;v=[];p=[];n=[(1/2,-1/2)]"], None),
     (
         "odmr",
         "parameters.network.states",
@@ -349,3 +359,51 @@ def test_numpy_only_kinds_run_without_scipy(tmp_path):
         code += f"assert main(['run', {str(config)!r}, '--output-dir', {str(out)!r}]) == 0\n"
     code += "import sys\nassert not any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
     assert "scipy" not in _loaded_after(code, tmp_path)
+
+
+# The physics modules that the field table itself imports, and those that
+# validating a config of each kind adds by building its domain objects.
+_TABLE_MODULES = {"levels", "screening", "spin", "units"}
+_KIND_MODULES = {
+    "cavity_interface": {"protocols"},
+    "crot": set(),
+    "emission_spectrum": {"vibronic"},
+    "g2": {"dynamics"},
+    "lindblad": {"dynamics"},
+    "odmr": {"dynamics"},
+    "optomech": {"protocols"},
+    "raman_memory": {"protocols"},
+    "relaxation_classify": {"relaxation", "vibronic"},
+    "screening": set(),
+    "spin_spectrum": set(),
+}
+_PHYSICS = _TABLE_MODULES | {"dynamics", "protocols", "relaxation", "vibronic"}
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEMA_SHA256))
+def test_schema_and_validate_load_only_the_physics_of_the_kind(kind, tmp_path):
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "from hostguest.cli import main\n"
+        f"physics = {sorted(_PHYSICS)!r}\n"
+        "def loaded():\n"
+        "    return sorted(m for m in physics if 'hostguest.' + m in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['schema', {kind!r}]) == 0\n"
+        "    after_schema = loaded()\n"
+        f"    assert main(['validate', {str(SCENARIO_DIR / f'{kind}.json')!r}]) == 0\n"
+        "print(json.dumps([after_schema, loaded()]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    after_schema, after_validate = json.loads(out.stdout.splitlines()[-1])
+    assert set(after_schema) == _TABLE_MODULES
+    assert set(after_validate) == _TABLE_MODULES | _KIND_MODULES[kind]

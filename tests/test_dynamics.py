@@ -66,8 +66,7 @@ def test_evolve_matches_superoperator_exponential():
 def test_evolve_matches_the_exponential_on_the_shipped_lindblad_system():
     config = load_config(SCENARIO_DIR / "lindblad.json")
     (params,) = validate_config(config)
-    p = params["system"]
-    system = _two_level(p["rabi"], p["detuning"], p["decay"], p["dephasing"])
+    system = params["system"]
     times = np.linspace(0.0, params["times"]["stop"], params["times"]["points"])
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     states = evolve(system, rho0, times)

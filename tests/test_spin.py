@@ -21,7 +21,7 @@ from hostguest.spin import (
     odmr_spectrum,
     zfs_tensor,
 )
-from hostguest.scenarios import _spin_system, validate_config
+from hostguest.scenarios import validate_config
 from hostguest.units import BOHR_MAGNETON, HBAR, FrequencyGrid
 
 from line_sum_oracle import assert_matches_ordered_sum
@@ -420,7 +420,7 @@ def test_bench_odmr_variants_match_the_ordered_line_sum(monkeypatch):
     for key in keys:
         (params,) = validate_config(jobs.make_job(key)["config"])
         _assert_odmr_matches_ordered_line_sum(
-            _spin_system(params["spin_system"]), FrequencyGrid(**params["grid"]), params["linewidth"]
+            params["spin_system"], params["grid"], params["linewidth"]
         )
 
 
