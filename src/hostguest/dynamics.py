@@ -46,8 +46,11 @@ class OpenSystem:
         h = np.asarray(self.hamiltonian, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValueError(f"hamiltonian must be square, got {h.shape}")
-        scale = max(float(np.linalg.norm(h)), 1.0)
-        if float(np.linalg.norm(h - h.conj().T)) > 1e-10 * scale:
+        # Checked on h over its largest entry, so neither norm can overflow.
+        top = float(np.abs(h).max(initial=0.0))
+        unit = h / top if top > 1.0 else h
+        scale = max(float(np.linalg.norm(unit)), 1.0)
+        if float(np.linalg.norm(unit - unit.conj().T)) > 1e-10 * scale:
             raise ValueError("hamiltonian must be Hermitian")
         channels = []
         for op, rate in self.collapse_channels:

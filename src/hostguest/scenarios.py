@@ -16,10 +16,8 @@ none of the shipped kinds use any; the seed is recorded for provenance.
 from __future__ import annotations
 
 import contextlib
-import csv
 import hashlib
 import importlib
-import io
 import json
 import math
 import numbers
@@ -574,26 +572,33 @@ def _fmt(x, where: str) -> str:
     return repr(x) if isinstance(x, float) else str(x)
 
 
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _quote(text: str) -> str:
+    """One CSV field (RFC 4180): quoted, each ``"`` doubled, exactly when it
+    holds a comma, a quote, a CR or an LF."""
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
+
+
 def _cells(column, where: str):
     """The text of one column: a float ndarray is checked in one vectorized
-    call and formatted with ``repr``; anything else goes through ``_fmt``."""
+    call and formatted with ``repr``; anything else goes through ``_fmt``
+    and ``_quote``."""
     if isinstance(column, np.ndarray) and column.dtype.kind == "f":
         finite = np.isfinite(column)
         if not finite.all():
             raise _nonfinite(where, column[~finite][0].item())
         return map(repr, column.tolist())
-    return [_fmt(x, where) for x in column]
+    return [_quote(_fmt(x, where)) for x in column]
 
 
 def _csv_bytes(name: str, header, columns) -> bytes:
     """Render the artifact ``name``: a header row, then one row per index of
-    the equally long ``columns``."""
+    the equally long ``columns``, each line ended by ``\\n``."""
     cells = [_cells(col, f"{name} column {title!r}") for title, col in zip(header, columns)]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(zip(*cells))
-    return buf.getvalue().encode()
+    lines = [",".join(map(_quote, header)), *map(",".join, zip(*cells)), ""]
+    return "\n".join(lines).encode()
 
 
 def _json_bytes(payload) -> bytes:

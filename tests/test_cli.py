@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hostguest import dynamics, scenarios
 from hostguest.cli import main
@@ -498,6 +502,53 @@ def test_csv_renderer_rejects_non_finite_float_array_columns():
         scenarios._csv_bytes("t.csv", header, ([1, 2], np.array([0.5, np.nan])))
 
 
+_CSV_TEXT = st.text(alphabet=[",", '"', "\n", "\r", "\t", " ", "é", "λ", "分", "😀"], max_size=6)
+_CSV_CELLS = {
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "int": st.integers(),
+    "bool": st.booleans(),
+    "text": _CSV_TEXT,
+}
+
+
+@st.composite
+def _csv_tables(draw):
+    """A header and its columns, each column with the texts it must render to."""
+    kinds = draw(st.lists(st.sampled_from(sorted(_CSV_CELLS)), min_size=2, max_size=5))
+    rows = draw(st.integers(0, 5))
+    header = [draw(_CSV_TEXT) for _ in kinds]
+    columns, texts = [], []
+    for kind in kinds:
+        values = draw(st.lists(_CSV_CELLS[kind], min_size=rows, max_size=rows))
+        if kind == "float":
+            columns.append(np.array(values, dtype=float))
+            texts.append([repr(v) for v in values])
+        elif kind == "bool":
+            columns.append(values)
+            texts.append(["true" if v else "false" for v in values])
+        else:
+            columns.append(values)
+            texts.append([str(v) for v in values])
+    return header, columns, [list(row) for row in zip(*texts)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(table=_csv_tables())
+def test_csv_renderer_quotes_text_by_rfc_4180_and_reads_back(table):
+    header, columns, rows = table
+    rendered = scenarios._csv_bytes("t.csv", header, columns)
+    text = rendered.decode()
+    assert list(csv.reader(io.StringIO(text, newline=""))) == [header, *rows]
+    if "\r" not in text:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        assert text == buf.getvalue()
+    if not rows:
+        assert text == ",".join(map(scenarios._quote, header)) + "\n"
+
+
 @pytest.mark.parametrize("kind, dotted", [("spin_spectrum", "parameters.linewidth.value")])
 def test_unexpected_exception_exits_2_with_one_line(tmp_path, capsys, kind, dotted):
     # 1e300 validates, then overflows a float power inside the physics layer
@@ -544,11 +595,13 @@ def test_strong_progression_within_the_quanta_cap_runs(tmp_path, huang_rhys):
     assert result["debye_waller"] < math.exp(-huang_rhys)
 
 
-def _run_with_warnings_as_errors(path, out):
-    """``hostguest run`` in a fresh interpreter with every warning an error."""
+def _run_with_warnings_as_errors(path, out, command="run"):
+    """``hostguest run`` (or ``validate``, which writes nothing to ``out``) in a
+    fresh interpreter with every warning an error."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONWARNINGS="error")
+    args = ["--output-dir", str(out)] if command == "run" else []
     return subprocess.run(
-        [sys.executable, "-m", "hostguest.cli", "run", str(path), "--output-dir", str(out)],
+        [sys.executable, "-m", "hostguest.cli", command, str(path), *args],
         env=env,
         capture_output=True,
         text=True,
@@ -577,6 +630,33 @@ def test_signal_pulse_1e300_seconds_early_runs_without_a_warning(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads((out / "result.json").read_text())
     assert result["storage_efficiency"] == result["total_efficiency"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "kind, field, error",
+    [
+        ("lindblad", "rabi", "runtime error: time step 2.000e-09 s is over 2^52 times "),
+        ("lindblad", "detuning", "runtime error: time step 2.000e-09 s is over 2^52 times "),
+        ("g2", "rabi", "runtime error: steady state is not unique"),
+        ("g2", "detuning", "runtime error: steady state is not unique"),
+    ],
+)
+def test_1e300_mhz_two_level_drive_validates_then_run_exits_2_with_one_line(
+    tmp_path, kind, field, error
+):
+    # Building the two-level system checks Hermiticity without overflow, so
+    # validate passes; the physics then fails with one line.
+    config = load_config(SCENARIO_DIR / f"{kind}.json")
+    config["parameters"]["system"][field]["value"] = 1e300
+    path = _write(tmp_path, config)
+    out = tmp_path / "out"
+    proc = _run_with_warnings_as_errors(path, out, command="validate")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    proc = _run_with_warnings_as_errors(path, out)
+    assert proc.returncode == 2
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(error)
+    assert not out.exists()
 
 
 def test_zero_crot_drive_axis_exits_2_with_one_stderr_line(tmp_path):

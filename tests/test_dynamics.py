@@ -1,4 +1,5 @@
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +138,17 @@ def test_steady_state_requires_unique_null_space():
     with pytest.raises(DegenerateSteadyState):
         steady_state(OpenSystem(hamiltonian=h, collapse_channels=()))
     del c
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e300])
+def test_hermiticity_check_is_relative_and_does_not_overflow(scale):
+    h = scale * np.array([[0.0, 1.0], [1.0, 0.5]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        OpenSystem(hamiltonian=h, collapse_channels=())
+        h[0, 1] *= 1.0 + 1e-9
+        with pytest.raises(ValueError, match="must be Hermitian"):
+            OpenSystem(hamiltonian=h, collapse_channels=())
 
 
 def test_invalid_initial_states_rejected():
