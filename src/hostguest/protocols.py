@@ -5,16 +5,16 @@ a long-lived vibron, a one-sided Fabry-Perot spin-photon interface via the
 coupled/uncoupled cavity response, and the optomechanical cooperativity of
 a vibrational mode read out through the zero-phonon line.
 
-The memory cycle propagates only its write stage, by fourth-order
-commutator-free Magnus (CF4) steps: the amplitude generator A(t) is complex
-symmetric, A(t)^T = A(t), so the time-reversed read stage propagates with
-the transpose of the write propagator, and the hold enters as a closed-form
-factor. The pulse-window edges cut the write stage into segments, each
-stepped at the narrowest pulse width active in it; the dark gap between
-disjoint windows is in closed form. Every step count is fixed from the spec
-before any array is built. Cycles that differ only in the hold share one
-write stage: a caller passes the storage it already holds; this module
-caches nothing.
+The memory cycle propagates only its write stage, by the fourth-order
+commutator-free Magnus (CF4) steps of units.cf4_propagator: the amplitude
+generator A(t) is complex symmetric, A(t)^T = A(t), so the time-reversed
+read stage propagates with the transpose of the write propagator, and the
+hold enters as a closed-form factor. The pulse-window edges cut the write
+stage into segments, each stepped at the narrowest pulse width active in
+it; the dark gap between disjoint windows is in closed form. Every step
+count is fixed from the spec before any array is built. Cycles that differ
+only in the hold share one write stage: a caller passes the storage it
+already holds; this module caches nothing.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .units import bose_occupation, expm, solve_ivp_on_lookup
+from .units import bose_occupation, cf4_propagator, solve_ivp_on_lookup
 
 
 # bench/tracer.py looks up a module-level ``solve_ivp`` here and wraps it;
@@ -36,13 +36,6 @@ __getattr__ = solve_ivp_on_lookup(__name__)
 
 _PULSE_TAILS = 6.0  # integration window extends this many widths past centers
 
-# CF4 (Blanes and Moan, Appl. Numer. Math. 56, 1519, 2006): each step takes
-# A(t) at its two Gauss nodes and applies exp(dt (q A1 + p A2)) exp(dt (p A1 + q A2)),
-# p = 1/4 + sqrt(3)/6 and q = 1/4 - sqrt(3)/6. Row k of _CF4_WEIGHTS weighs
-# (A1, A2) in the k-th exponent to act.
-_SQRT3_6 = math.sqrt(3.0) / 6.0
-_CF4_NODES = np.array([0.5 - _SQRT3_6, 0.5 + _SQRT3_6])
-_CF4_WEIGHTS = np.array([[0.25 + _SQRT3_6, 0.25 - _SQRT3_6], [0.25 - _SQRT3_6, 0.25 + _SQRT3_6]])
 # CF4 steps per pulse width at vanishing pulse area, detuning and decay (see
 # _segment_steps), and the most steps one write-stage segment may take.
 _STEPS_PER_WIDTH = 48.0
@@ -198,24 +191,13 @@ def _segment_propagator(
     A(t) = D + C(t) with D = diag(0, -(gamma0/2 + i detuning), -kappa_v/2)
     and C(t) the couplings -i Omega/2, which are anti-Hermitian. Each CF4
     exponent is dt (D/2 + anti-Hermitian), whose Hermitian part dt Re(D)/2
-    is negative semidefinite, so every factor is a contraction. All 2 * steps
-    exponents go through one stacked expm, and their ordered product is
-    taken pairwise, later factor on the left.
+    is negative semidefinite, so every factor is a contraction.
     """
-    dt = (stop - start) / steps
-    nodes = start + dt * (np.arange(steps)[:, None] + _CF4_NODES)
-    exponents = np.zeros((2 * steps, 3, 3), dtype=complex)
-    exponents[:, 1, 1] = -0.5 * dt * (0.5 * spec.gamma0 + 1j * spec.detuning)
-    exponents[:, 2, 2] = -0.25 * dt * spec.kappa_v
-    for (i, j), pulse in (((0, 1), spec.signal_pulse), ((1, 2), spec.control_pulse)):
-        omega = (pulse.envelope(nodes) @ _CF4_WEIGHTS.T).reshape(-1)
-        exponents[:, i, j] = exponents[:, j, i] = -0.5j * dt * omega
-    factors = expm(exponents)
-    while len(factors) > 1:
-        if len(factors) % 2:
-            factors = np.concatenate((factors, np.eye(3)[None]))
-        factors = factors[1::2] @ factors[0::2]
-    return factors[0]
+    decay = np.diag([0.0, -(0.5 * spec.gamma0 + 1j * spec.detuning), -0.5 * spec.kappa_v])
+    signal, control = np.zeros((2, 3, 3), dtype=complex)
+    signal[0, 1] = signal[1, 0] = control[1, 2] = control[2, 1] = -0.5j
+    drives = ((spec.signal_pulse.envelope, signal), (spec.control_pulse.envelope, control))
+    return cf4_propagator(decay, drives, start, stop, steps)
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,8 @@ GOLDEN = {
         "result.json": "1bedc03080a8c39681befffc7f7cd4aa6dfaf18ae67350d20423a8f01f1b2aa6",
     },
     "crot": {
-        "result.json": "7e498bc110f404080f12bc4f3f237d5ee5f6b8d337e1d5e9db605c9825eaa158",
-        "unitary.csv": "2254cbe733f85b621ee53f106b0fc41c266bf0c8f27a5e9d2050de7071c9cb0f",
+        "result.json": "b8921a4a8268f446a8c3684ddba81a5f5b0bc1c7e02ee04c7f668d8dc1c44b09",
+        "unitary.csv": "2d09578eecac19c3e093733023c881e6ecb009a46bfa73e1b9853c33d884cdf3",
     },
     "emission_spectrum": {
         "result.json": "13cdab359a24da3f9e372e05699c6a4e65732c095115da71260ca81ab2c7f717",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from hostguest import protocols
+from hostguest import protocols, units
 from hostguest.errors import DomainError
 from hostguest.protocols import (
     CavityInterfaceSpec,
@@ -19,7 +20,7 @@ from hostguest.protocols import (
     spin_photon_fidelity,
     vacuum_rabi_splitting,
 )
-from hostguest.scenarios import load_config, run_scenario
+from hostguest.scenarios import load_config, run_scenario, validate_config
 from hostguest.units import bose_occupation
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -294,6 +295,23 @@ def test_step_count_over_the_cap_is_a_domain_error_before_any_step(monkeypatch):
     with pytest.raises(DomainError, match="over the cap of 32768"):
         raman_memory_efficiency(far)
     assert spans == []
+
+
+def test_write_stage_at_the_step_cap_is_folded_in_bounded_blocks(monkeypatch):
+    # the shipped pulses at a detuning of 3e11 rad/s: one segment of 31,549
+    # CF4 steps, just under the cap
+    (shipped,) = validate_config(load_config(SCENARIO_DIR / "raman_memory.json"))
+    spec = replace(shipped, detuning=3.0e11)
+    assert [steps for *_, steps in protocols._write_segments(spec)] == [31549]
+    tracemalloc.start()
+    try:
+        storage = protocols._write_storage(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    monkeypatch.setattr(units, "_CF4_BLOCK", 1 << 15)
+    assert storage == pytest.approx(protocols._write_storage(spec), rel=1e-12, abs=0.0)
 
 
 def test_short_signal_in_a_long_control_steps_each_segment_at_its_own_width(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.spatial.transform import Rotation
 
-from hostguest import spin
+from hostguest import spin, units
 from hostguest.errors import DimensionOverflow, NotHermitian, PreconditionViolated
 from hostguest.spin import (
     G_ELECTRON_DEFAULT,
@@ -540,7 +540,7 @@ def _lab_frame_crot(spec, drive_frequency, rabi_frequency, duration, drive_axis)
     _, _, lo, hi, elem = coupled[0]
     amplitude = rabi_frequency / elem
     scale = max(float(np.max(np.abs(energies))), drive_frequency, rabi_frequency)
-    steps = math.ceil(TWO_PI / drive_frequency * 50.0 * scale)
+    steps = math.ceil(TWO_PI / drive_frequency * spin._STEPS_PER_RADIAN * scale)
     u_coarse, _ = spin._magnus_propagate(h0, drive, amplitude, drive_frequency, duration, steps)
     for _ in range(3):
         steps *= 2
@@ -577,8 +577,9 @@ def test_crot_rejects_an_infinite_drive_axis():
             crot_gate(_crot_spec(), TWO_PI * 66e6, TWO_PI * 0.3e6, 1e-6, (math.inf, 0.0, 0.0))
 
 
-def _serial_magnus(h0, drive_op, amplitude, omega_d, duration, steps_per_period):
-    """Step-by-step two-point Magnus product in absolute time, no period reuse.
+def _serial_cf4(h0, drive_op, amplitude, omega_d, duration, steps_per_period):
+    """Step-by-step CF4 product in absolute time, no period reuse, one
+    scipy expm per exponent.
 
     Same step grid as the propagator: whole periods at T / m, then the
     remainder at the same density.
@@ -591,24 +592,22 @@ def _serial_magnus(h0, drive_op, amplitude, omega_d, duration, steps_per_period)
               for j in range(periods) for k in range(steps_per_period)]
     starts += [(periods * period + k * remainder / tail, remainder / tail) for k in range(tail)]
     c1, c2 = 0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0
+    p, q = 0.25 + math.sqrt(3.0) / 6.0, 0.25 - math.sqrt(3.0) / 6.0
     u = np.eye(h0.shape[0], dtype=complex)
     for t, dt in starts:
         h1 = h0 + amplitude * math.cos(omega_d * (t + c1 * dt)) * drive_op
         h2 = h0 + amplitude * math.cos(omega_d * (t + c2 * dt)) * drive_op
-        omega = 0.5 * dt * (h1 + h2) - 1j * (math.sqrt(3.0) * dt * dt / 12.0) * (
-            h2 @ h1 - h1 @ h2
-        )
-        u = expm(-1j * omega) @ u
+        u = expm(-1j * dt * (q * h1 + p * h2)) @ expm(-1j * dt * (p * h1 + q * h2)) @ u
     return u
 
 
-# (drive periods, Magnus steps evaluated at 200 per period)
+# (drive periods, CF4 steps evaluated at 200 per period)
 @pytest.mark.parametrize(
     "periods, expected_steps", [(0.4321, 87), (4.0, 200), (2.3711, 200 + 75)]
 )
 def test_period_reuse_matches_serial_magnus(periods, expected_steps, monkeypatch):
-    # Small batches, so that segments span several stacked eigh calls.
-    monkeypatch.setattr(spin, "_MAGNUS_BATCH", 64)
+    # Small blocks, so that segments span several stacked expm calls.
+    monkeypatch.setattr(units, "_CF4_BLOCK", 64)
     spec = _crot_spec()
     h0 = build_spin_hamiltonian(spec)
     drive = np.kron(angular_momentum_operators(1)[0], np.eye(2))
@@ -617,7 +616,33 @@ def test_period_reuse_matches_serial_magnus(periods, expected_steps, monkeypatch
     steps = 200
     duration = periods * TWO_PI / omega_d
     u, evaluated = spin._magnus_propagate(h0, drive, amplitude, omega_d, duration, steps)
-    reference = _serial_magnus(h0, drive, amplitude, omega_d, duration, steps)
+    reference = _serial_cf4(h0, drive, amplitude, omega_d, duration, steps)
     assert evaluated == expected_steps
     assert np.max(np.abs(u - reference)) <= 1e-10
     assert np.max(np.abs(u.conj().T @ u - np.eye(6))) <= 1e-12
+
+
+def _shipped_crot():
+    rabi = TWO_PI * 0.3e6
+    return crot_gate(_crot_spec(), TWO_PI * 66.0144e6, rabi, math.pi / rabi)
+
+
+def test_crot_diagonalizes_once_and_propagates_without_eigh(monkeypatch):
+    calls = []
+    original = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    _shipped_crot()
+    assert calls == [(6, 6)]
+
+
+def test_shipped_crot_matches_a_32x_finer_propagation(monkeypatch):
+    result = _shipped_crot()
+    monkeypatch.setattr(spin, "_STEPS_PER_RADIAN", 32 * spin._STEPS_PER_RADIAN)
+    fine = _shipped_crot()
+    assert fine.step_count > 31 * result.step_count
+    assert np.max(np.abs(result.unitary - fine.unitary)) <= 1e-9
