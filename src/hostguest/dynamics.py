@@ -75,19 +75,25 @@ class OpenSystem:
         return gen
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two d x d matrices, product for product, as one broadcast."""
+    d = a.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(d * d, d * d)
+
+
 def liouvillian(system: OpenSystem) -> np.ndarray:
     """Matrix of the generator acting on row-major vectorized density matrices."""
     d = system.dimension
     ident = np.eye(d, dtype=complex)
     h = system.hamiltonian
-    gen = -1j * (np.kron(h, ident) - np.kron(ident, h.T))
+    gen = -1j * (_kron(h, ident) - _kron(ident, h.T))
     for op, rate in system.collapse_channels:
         if rate == 0.0:
             continue
         opdag_op = op.conj().T @ op
         gen += rate * (
-            np.kron(op, op.conj())
-            - 0.5 * (np.kron(opdag_op, ident) + np.kron(ident, opdag_op.T))
+            _kron(op, op.conj())
+            - 0.5 * (_kron(opdag_op, ident) + _kron(ident, opdag_op.T))
         )
     return gen
 
@@ -166,37 +172,40 @@ def evolve(system: OpenSystem, rho0: np.ndarray, times) -> np.ndarray:
     return _propagate_matrix(system.generator, rho0, times)
 
 
-def _null_vector(matrix: np.ndarray) -> tuple[int, np.ndarray]:
-    """Kernel dimension of a square matrix at 1e-10 relative to its largest
-    singular value, and its last right-singular vector."""
-    _, svals, vh = np.linalg.svd(matrix)
-    scale = max(float(svals[0]), 1e-300)
-    return int(np.sum(svals < 1e-10 * scale)), vh[-1]
+def _at_unit_scale(a: np.ndarray) -> np.ndarray:
+    top = float(np.abs(a).max(initial=0.0))
+    return a / top if top > 0.0 else a
 
 
 def steady_state(system: OpenSystem) -> np.ndarray:
     """The unique trace-one kernel element of the Liouvillian.
 
-    Solved by singular-value decomposition of the vectorized generator with
-    the trace constraint applied afterwards; raises DegenerateSteadyState
-    when the kernel is empty or more than one-dimensional.
+    Uniqueness is decided on the unit-rate structure, the Liouvillian of H
+    and of each positive-rate channel with every operator scaled to a
+    largest entry of 1 and every rate 1, so no rate size sways it: its
+    kernel counts the singular values at most 1e-10 times the largest. The
+    state is one solve of the generator with row 0 replaced by the trace row
+    (QuTiP's "direct" method). Raises DegenerateSteadyState for a kernel of
+    more than one dimension, a singular solve or a state that is not positive.
     """
-    if system.dimension > 64:
-        raise DomainError("direct steady-state solve supports dimension <= 64")
-    null_count, vector = _null_vector(system.generator)
-    if null_count == 0:
-        raise DegenerateSteadyState("Liouvillian has no null vector at tolerance")
-    if null_count > 1:
+    unit = OpenSystem(
+        _at_unit_scale(system.hamiltonian),
+        tuple((_at_unit_scale(op), 1.0) for op, rate in system.collapse_channels if rate > 0.0),
+    )
+    svals = np.linalg.svd(liouvillian(unit), compute_uv=False)
+    kernel = int(np.sum(svals <= 1e-10 * svals[0]))
+    if kernel > 1:
         raise DegenerateSteadyState(
-            f"steady state is not unique ({null_count}-dimensional kernel)"
+            f"steady state is not unique ({kernel}-dimensional kernel at unit rates)"
         )
     d = system.dimension
-    rho = vector.conj().reshape(d, d)
+    bordered = np.array(system.generator)
+    bordered[0] = np.eye(d).reshape(-1)
+    try:
+        rho = np.linalg.solve(bordered, np.r_[1.0, np.zeros(d * d - 1)]).reshape(d, d)
+    except np.linalg.LinAlgError:
+        raise DegenerateSteadyState("steady state is not unique (singular generator)") from None
     rho = 0.5 * (rho + rho.conj().T)
-    tr = float(np.trace(rho).real)
-    if abs(tr) < 1e-12:
-        raise DegenerateSteadyState("null vector is traceless; no physical steady state")
-    rho = rho / tr
     if float(np.linalg.eigvalsh(rho).min()) < -1e-7:
         raise DegenerateSteadyState("steady-state candidate is not positive")
     return rho
@@ -255,17 +264,6 @@ class RateNetwork:
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "emissive_flags", flags)
 
-    def rate_matrix(self) -> np.ndarray:
-        """M with dp/dt = M p for the population vector in label order."""
-        n = len(self.state_labels)
-        index = {k: i for i, k in enumerate(self.state_labels)}
-        m = np.zeros((n, n))
-        for (src, dst), rate in self.rates.items():
-            i, j = index[src], index[dst]
-            m[j, i] += rate
-            m[i, i] -= rate
-        return m
-
     def microwave_targets(self, mw_pair) -> tuple[LevelKet, LevelKet]:
         """The two distinct T1 states that a microwave tone on the sublevels
         mw_pair mixes; ValueError unless S0, S1 and each T1 sublevel are here."""
@@ -288,20 +286,39 @@ class RateNetwork:
 
 
 def steady_populations(network: RateNetwork) -> np.ndarray:
-    """Normalized stationary populations of the rate network."""
-    null_count, vector = _null_vector(network.rate_matrix())
-    if null_count != 1:
-        raise SingularNetwork(
-            f"rate network kernel is {null_count}-dimensional; no unique steady state"
-        )
-    p = np.real(vector)
-    total = p.sum()
-    if abs(total) < 1e-12:
-        raise SingularNetwork("stationary vector does not normalize")
-    p = p / total
-    if np.any(p < -1e-9):
-        raise SingularNetwork("stationary vector has negative populations")
-    return np.clip(p, 0.0, None)
+    """Normalized stationary populations of the rate network.
+
+    They are unique exactly when some state is reachable from every state
+    through positive rates, that is, when there is one closed class (Norris,
+    Markov Chains, 1997); a boolean reachability closure decides it with no
+    tolerance. The populations come from the Grassmann-Taksar-Heyman state
+    reduction (Oper. Res. 33, 1107, 1985) rooted at such a state. It adds
+    and multiplies rates but never subtracts them, so each population is
+    >= 0 to a small relative error, and a transient state's is exactly 0.
+    """
+    n = len(network.state_labels)
+    index = {k: i for i, k in enumerate(network.state_labels)}
+    rates = np.zeros((n, n))  # rates[i, j]: the rate from state i to state j
+    for (src, dst), rate in network.rates.items():
+        rates[index[src], index[dst]] = rate
+    reach = (rates > 0.0) | np.eye(n, dtype=bool)
+    for _ in range((n - 1).bit_length()):  # each pass doubles the path length
+        reach = reach @ reach
+    roots = np.flatnonzero(reach.all(axis=0))
+    if len(roots) == 0:
+        raise SingularNetwork("no state is reachable from every state; no unique steady state")
+    # Reduce every other state away, the last one first, so the root is left.
+    order = np.r_[roots[0], np.delete(np.arange(n), roots[0])]
+    q = rates[np.ix_(order, order)]
+    for k in range(n - 1, 0, -1):
+        q[:k, k] /= q[k, :k].sum()
+        q[:k, :k] += np.outer(q[:k, k], q[k, :k])
+    p = np.ones(n)
+    for j in range(1, n):
+        p[j] = p[:j] @ q[:j, j]
+    populations = np.empty(n)
+    populations[order] = p / p.sum()
+    return populations
 
 
 def _fluorescence(network: RateNetwork) -> float:

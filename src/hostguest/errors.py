@@ -45,7 +45,9 @@ class InvalidState(HostGuestError):
 
 
 class DegenerateSteadyState(HostGuestError):
-    """The Liouvillian null space is empty or more than one-dimensional."""
+    """The Liouvillian kernel at unit rates (H and each positive-rate channel
+    scaled to a largest entry of 1, every rate 1) is more than
+    one-dimensional, or the trace-one solve is singular or not positive."""
 
 
 class SingularNetwork(HostGuestError):

@@ -1,5 +1,7 @@
+import json
 import math
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ from hostguest.dynamics import (
 from hostguest.errors import DegenerateSteadyState, InvalidState, SingularNetwork
 from hostguest.levels import LevelKet, S0, S1, T1
 from hostguest.scenarios import load_config, run_scenario, validate_config
+from rate_network_oracle import exact_odmr_contrast
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -130,14 +133,71 @@ def test_resonant_saturation_third():
     assert rho[1, 1].real == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
-def test_steady_state_requires_unique_null_space():
-    # two decoupled decaying qubits: Liouvillian kernel is 2-dimensional
+def _degenerate_systems():
     lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    c = np.kron(lower, np.eye(2)) + np.kron(np.eye(2), lower)
-    h = np.zeros((4, 4), dtype=complex)
+    excited = np.diag([0.0, 1.0]).astype(complex)
+    ident = np.eye(2)
+    collective = np.kron(lower, ident) + np.kron(ident, lower)
+    swap_symmetric = np.kron(ident, excited) + np.kron(excited, ident)
+    sinks = np.zeros((2, 3, 3), dtype=complex)
+    sinks[0, 0, 2] = sinks[1, 1, 2] = 1.0  # |0><2| and |1><2|
+    rng = np.random.default_rng(17)
+    u = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+    return {
+        "zero": OpenSystem(np.zeros((4, 4)), ()),
+        "collective_decay": OpenSystem(np.zeros((4, 4)), ((collective, 1.0),)),
+        "collective_decay_symmetric_h": OpenSystem(swap_symmetric, ((collective, 1.0),)),
+        "two_sinks": OpenSystem(np.zeros((3, 3)), ((sinks[0], 1.0), (sinks[1], 2.0))),
+        "two_sinks_rotated": OpenSystem(
+            u @ np.diag([0.0, 0.7, 0.0]) @ u.conj().T,
+            ((u @ sinks[0] @ u.conj().T, 1.0), (u @ sinks[1] @ u.conj().T, 2.0)),
+        ),
+        "h_only": _two_level(1.0, 0.3, 0.0),
+        "h_only_diagonal": _two_level(0.0, 2.0e9, 0.0),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_degenerate_systems()))
+def test_steady_state_requires_unique_null_space(name):
+    # Each system has more than one stationary state: without channels every
+    # state that commutes with H is stationary, the collective decay leaves
+    # a dark state, and the two sinks leave every state on span{|0>, |1>}
+    # stationary. A bordered solve without the unit-rate kernel count
+    # returns a state for the symmetric-H and rotated-sink systems.
     with pytest.raises(DegenerateSteadyState):
-        steady_state(OpenSystem(hamiltonian=h, collapse_channels=()))
-    del c
+        steady_state(_degenerate_systems()[name])
+
+
+def _shipped(kind, field, value):
+    config = load_config(SCENARIO_DIR / f"{kind}.json")
+    config["parameters"]["system"][field]["value"] = value
+    return config
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("decay", 1e12), ("detuning", 1e12), ("dephasing", 1e12), ("rabi", 1e12), ("decay", 1e-300)],
+)
+def test_stiff_steady_state_matches_the_closed_form(field, value):
+    # rho_ee = (s/2)/(1+s), s = rabi^2 G2/(decay (detuning^2 + G2^2)) and
+    # G2 = (decay + dephasing)/2, evaluated in rationals: the float form
+    # underflows at a decay of 1e-300 MHz.
+    (params,) = validate_config(_shipped("lindblad", field, value))
+    system = params["system"]
+    h = system.hamiltonian
+    rabi, detuning = Fraction(2.0 * h[0, 1].real), Fraction(h[1, 1].real)
+    decay, dephasing = (Fraction(rate) for _, rate in system.collapse_channels)
+    g2 = (decay + dephasing) / 2
+    exact = float(rabi**2 * g2 / (2 * (decay * (detuning**2 + g2**2) + rabi**2 * g2)))
+    rho = steady_state(system)
+    assert abs(rho[1, 1].real - exact) <= 1e-15 * exact
+    assert abs(np.trace(rho).real - 1.0) <= 1e-15
+
+
+def test_stiff_g2_tends_to_one(tmp_path):
+    out = run_scenario(_shipped("g2", "decay", 1e12), SCENARIO_DIR, output_dir=tmp_path / "out")
+    result = json.loads((out / "result.json").read_text())
+    assert abs(result["g2_final"] - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e200, 1e300])
@@ -212,17 +272,33 @@ def test_repeated_times_repeat_the_state(call, times):
 
 @pytest.mark.parametrize("kind", ["lindblad", "g2"])
 def test_shipped_run_builds_the_liouvillian_once(kind, monkeypatch, tmp_path):
+    # The run's own generator is built once; the steady state adds one
+    # Liouvillian of the unit-rate structure.
+    config = load_config(SCENARIO_DIR / f"{kind}.json")
+    (params,) = validate_config(config)
+    own = params["system"]
     calls = []
     original = dynamics.liouvillian
 
     def counted(system):
-        calls.append(system.dimension)
+        calls.append(system)
         return original(system)
 
     monkeypatch.setattr(dynamics, "liouvillian", counted)
-    config = load_config(SCENARIO_DIR / f"{kind}.json")
     run_scenario(config, SCENARIO_DIR, output_dir=tmp_path / "out")
-    assert calls == [2]
+
+    def is_own(system):
+        return np.array_equal(system.hamiltonian, own.hamiltonian) and [
+            rate for _, rate in system.collapse_channels
+        ] == [rate for _, rate in own.collapse_channels]
+
+    def is_unit_rate(system):
+        rates = {rate for _, rate in system.collapse_channels}
+        return np.abs(system.hamiltonian).max() == pytest.approx(1.0) and rates == {1.0}
+
+    assert len(calls) == 2
+    assert [is_own(s) for s in calls].count(True) == 1
+    assert [is_unit_rate(s) for s in calls].count(True) == 1
 
 
 def test_generator_is_the_read_only_liouvillian():
@@ -306,8 +382,8 @@ def test_chain_network_hand_solved():
     p = steady_populations(network)
     idx = {k: i for i, k in enumerate(network.state_labels)}
     # flux balance: p_g*pump = p_e*isc = p_tx*decay, empty y/z sublevels
-    assert p[idx[_TY]] == pytest.approx(0.0, abs=1e-15)
-    assert p[idx[_TZ]] == pytest.approx(0.0, abs=1e-15)
+    assert p[idx[_TY]] == 0.0
+    assert p[idx[_TZ]] == 0.0
     flux = p[idx[_GROUND]] * pump
     assert p[idx[_EXCITED]] * isc == pytest.approx(flux, rel=1e-10)
     assert p[idx[_TX]] * decay == pytest.approx(flux, rel=1e-10)
@@ -317,6 +393,16 @@ def test_disconnected_network_is_singular():
     network = RateNetwork(
         state_labels=(_GROUND, _EXCITED, _TX),
         rates={(_GROUND, _EXCITED): 1.0, (_EXCITED, _GROUND): 1.0},
+        emissive_flags={},
+    )
+    with pytest.raises(SingularNetwork):
+        steady_populations(network)
+
+
+def test_two_absorbing_states_fed_by_one_transient_state_are_singular():
+    network = RateNetwork(
+        state_labels=(_EXCITED, _TX, _TY),
+        rates={(_EXCITED, _TX): 1.0e7, (_EXCITED, _TY): 3.0e6},
         emissive_flags={},
     )
     with pytest.raises(SingularNetwork):
@@ -386,6 +472,24 @@ def test_odmr_contrast_matches_brute_force():
     expected = _brute_contrast(network, (_TX, _TZ), 1.0e7)
     assert got == pytest.approx(expected, rel=1e-10)
     assert got > 0.0
+
+
+@pytest.mark.parametrize(
+    "dotted",
+    [None, *(f"network.rates.{i}.rate" for i in range(8)), "mw_mixing_rate"],
+)
+def test_shipped_odmr_contrast_matches_the_exact_oracle(dotted):
+    # Each of the shipped network's rates, or the mixing rate, at 1e300
+    # rad/s. Two of these contrasts are about 1e-293 and read 0.
+    config = load_config(SCENARIO_DIR / "odmr.json")
+    if dotted is not None:
+        node = config["parameters"]
+        for key in dotted.split("."):
+            node = node[int(key)] if key.isdigit() else node[key]
+        node["value"] = 1e300
+    (drive,) = validate_config(config)
+    exact = float(exact_odmr_contrast(*drive))
+    assert abs(odmr_contrast(*drive) - exact) <= max(1e-12 * abs(exact), 1e-290)
 
 
 def test_odmr_contrast_sign_flips_with_pair_ordering_of_lifetimes():

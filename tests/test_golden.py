@@ -36,15 +36,15 @@ GOLDEN = {
         "spectrum.csv": "39892eee9cc069722329b01decee9ddf06e1125657f4a93f36eff2681f3a6b12",
     },
     "g2": {
-        "g2.csv": "52b2b1e36b4eaa9582a374768e5621e486c98b79062be468b534b6e1651bee66",
-        "result.json": "dbcbd229d9f7289ca1092f7d19f77f4b6f9ed5911d9135dad56d488beed590f0",
+        "g2.csv": "1935e3bc69ce172c509190c6384ebb9e14fdd1b838fd94b462673d6f4b25190c",
+        "result.json": "20b1145158125b0ee572a378683d1d83bcc49cdff1c916ba10e63007a0d56023",
     },
     "lindblad": {
-        "result.json": "653dcac02e581d186cee37d80f5ac3940b1ee5774eb56022eb0680651dcc4837",
+        "result.json": "286f50493aabbd12083afe40b1dedc3efa144f2a98e0bab2200d42a62967ce8a",
         "trajectory.csv": "d7822c24379a88aedabdff4dcf6074c0acfd3f09d208794eb4ef27a31a04d5ab",
     },
     "odmr": {
-        "result.json": "691759ab72f6ca4d300bffd1f121de818fbb447d8a9f021d139294df4a6b55ab",
+        "result.json": "5c3aa0949b9479fff69107686631eeb77e32719f7a21474affca3adfb1e377e7",
     },
     "optomech": {
         "result.json": "e9036fc21f554c1d2bd41b202684c5cb5842aca83062f6bc6b455550c76718a8",
@@ -112,13 +112,13 @@ SWEEPS = {
         "lindblad",
         "system.rabi.value",
         [1, 5.0, 20.5],
-        "484c101d16394c5f46ed60e7e8acd5e0cacc3c872eb4ca92652a05427bff4dcb",
+        "6dd97694072964e6b1514b54fbda5412bf662a051a1215e8a2aba8b5025095cb",
     ),
     "lindblad_initial_state": (
         "lindblad",
         "initial_state",
         ["ground", "excited"],
-        "66f3c61b54b0ef8b72059ed9d75c234f2b43b83cd176779f3ede5482f76dc3bf",
+        "f75c8699ae2d5a4b1a8496d9db77741066b431e468972e5fa9474abe23697cf4",
     ),
     "raman_memory_storage_hold": (
         "raman_memory",
