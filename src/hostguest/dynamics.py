@@ -310,14 +310,21 @@ def steady_populations(network: RateNetwork) -> np.ndarray:
     # Reduce every other state away, the last one first, so the root is left.
     order = np.r_[roots[0], np.delete(np.arange(n), roots[0])]
     q = rates[np.ix_(order, order)]
-    for k in range(n - 1, 0, -1):
-        q[:k, k] /= q[k, :k].sum()
-        q[:k, :k] += np.outer(q[:k, k], q[k, :k])
-    p = np.ones(n)
-    for j in range(1, n):
-        p[j] = p[:j] @ q[:j, j]
+    with np.errstate(all="ignore"):
+        for k in range(n - 1, 0, -1):
+            q[:k, k] /= q[k, :k].sum()
+            q[:k, :k] += np.outer(q[:k, k], q[k, :k])
+        p = np.ones(n)
+        for j in range(1, n):
+            p[j] = p[:j] @ q[:j, j]
+        total = p.sum()
+    # Every p[j] >= 0 and p[0] = 1, so a non-finite or overflowing one shows in the total.
+    if not np.isfinite(total):
+        raise DomainError(
+            f"population ratios of the rate network leave the float range (sum {total})"
+        )
     populations = np.empty(n)
-    populations[order] = p / p.sum()
+    populations[order] = p / total
     return populations
 
 

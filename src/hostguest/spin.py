@@ -223,11 +223,19 @@ def _electron_elements(states: np.ndarray, op: np.ndarray) -> np.ndarray:
 
 
 def _transition_lines(eig: SpinEigensystem):
-    """All upward eigenpair transitions with spin matrix-element weights."""
-    weights = sum(
-        np.abs(_electron_elements(eig.states, op)) ** 2
-        for op in angular_momentum_operators(Fraction(1))
-    )
+    """All upward eigenpair transitions with spin matrix-element weights.
+
+    The weight sum_a |<f|S_a|i>|^2 is |<f|Sz|i>|^2 + (|<f|S+|i>|^2 +
+    |<i|S+|f>|^2) / 2. With the eigenvectors' electron blocks v+, v0, v-
+    (m = +1, 0, -1, consecutive rows), <f|S+|i> / sqrt(2) is the product of
+    the row slices (v+; v0)^dag (v0; v-) and <f|Sz|i> is v+^dag v+ - v-^dag v-:
+    4/3 d^3 of complex work where one product per S_a takes 3 d^3.
+    """
+    v = eig.states
+    vh, n = v.conj().T, v.shape[0] // 3
+    raising = vh[:, : 2 * n] @ v[n:]
+    sz = vh[:, :n] @ v[:n] - vh[:, 2 * n :] @ v[2 * n :]
+    weights = np.abs(sz) ** 2 + np.abs(raising) ** 2 + np.abs(raising.T) ** 2
     lower, upper = np.triu_indices(len(eig.energies), k=1)
     return eig.energies[upper] - eig.energies[lower], weights[upper, lower]
 
@@ -359,6 +367,14 @@ def crot_gate(
 
     amplitude = 0.0 if rabi_frequency == 0.0 else rabi_frequency / elem
     omega_scale = max(float(np.max(np.abs(energies))), drive_frequency, rabi_frequency)
+    # The steps resolve omega_scale; a nearly forbidden addressed pair makes
+    # the drive term, at its largest absolute row sum, outrun it.
+    drive_norm = amplitude * float(np.abs(drive).sum(axis=1).max())
+    if drive_norm > omega_scale:
+        raise PreconditionViolated(
+            f"drive term {drive_norm:.3e} rad/s outruns the step scale {omega_scale:.3e} rad/s:"
+            f" the addressed pair ({lo}, {hi}) has drive element {elem:.3e}"
+        )
     # Steps per drive period; omega_scale >= drive_frequency makes this >= 158.
     steps = math.ceil(2.0 * math.pi / drive_frequency * _STEPS_PER_RADIAN * omega_scale)
     h0 = np.diag(energies)

@@ -278,10 +278,10 @@ def _direct_sum(out, freqs, centers, halves, weights):
         out += (w * (h / math.pi) / ((freqs - c) ** 2 + h**2)).sum(axis=0)
 
 
-def _multipole_sum(out, freqs, centers, halves, weights, start, half_box, boxes):
+def _multipole_sum(out, freqs, centers, halves, weights, box, start, half_box):
     """Add lines narrower than their box to out at the sorted freqs: the box
-    expansions at far targets, the box's lines directly at near ones."""
-    box = np.minimum(((centers - start) / (2.0 * half_box)).astype(int), boxes - 1)
+    expansions at far targets, the box's lines directly at near ones. Line j
+    lies in box box[j], of half-width half_box, box 0 starting at start."""
     by_box = np.argsort(box, kind="stable")
     box, centers, halves, weights = box[by_box], centers[by_box], halves[by_box], weights[by_box]
     firsts = np.flatnonzero(np.diff(box, prepend=-1))
@@ -317,6 +317,64 @@ def _multipole_sum(out, freqs, centers, halves, weights, start, half_box, boxes)
         _direct_sum(out[lo:hi], freqs[lo:hi], centers[a:b], halves[a:b], weights[a:b])
 
 
+def _boxes(freqs, centers, halves, start, span):
+    """(half_box, box) for the line sum: the half-width of the equal boxes
+    over the line span and each line's box, or (0, None) for the direct sum.
+
+    The candidates are the power-of-two box counts up to the line count whose
+    half-width span / 2^(level + 1) exceeds the narrowest half-width. A
+    candidate's work is its wide lines (h >= the box half-width) times the
+    targets, each occupied box's lines times its near targets, and P times
+    the targets times the occupied boxes plus the narrow lines, P the moment
+    count for poles within sqrt(2) half-widths; the direct sum's is the lines
+    times the targets. Each line is counted once, in its box at the finest
+    level where it is narrow, and each level's occupancy is the pairwise sum
+    of the next finer one's plus its own lines: O(lines + boxes) in all.
+    Every candidate's work is at least P times the targets, so at most P
+    lines are summed directly with no estimate made.
+    """
+    terms = _expansion_terms(math.sqrt(2.0))
+    finest = centers.size.bit_length() - 1
+    while finest >= 0 and span / 2.0 ** (finest + 1) <= halves.min():
+        finest -= 1
+    if finest < 0 or centers.size <= terms:
+        return 0.0, None
+    half_boxes = span / 2.0 ** np.arange(1, finest + 2)
+    finest_box = ((centers - start) / (2.0 * half_boxes[-1])).astype(int)
+    np.minimum(finest_box, (1 << finest) - 1, out=finest_box)
+    # Line j is narrow at the levels below narrow[j]; it is counted at the
+    # last. pyramid[2^level - 1 + b] holds the narrow lines of box b at level.
+    narrow = np.searchsorted(-half_boxes, -halves, side="left")
+    counted = narrow > 0
+    last = narrow[counted] - 1
+    pyramid = np.bincount(
+        (1 << last) - 1 + (finest_box[counted] >> (finest - last)), minlength=(2 << finest) - 1
+    )
+    for level in range(finest - 1, -1, -1):
+        pyramid[(1 << level) - 1 : (2 << level) - 1] += (
+            pyramid[(2 << level) - 1 : (4 << level) - 1].reshape(-1, 2).sum(axis=1)
+        )
+    best, least = -1, centers.size * freqs.size
+    for level, half_box in enumerate(half_boxes):
+        counts = pyramid[(1 << level) - 1 : (2 << level) - 1]
+        occupied = np.flatnonzero(counts)
+        mids = start + (2.0 * occupied + 1.0) * half_box
+        near = np.searchsorted(freqs, mids + _FAR * half_box, side="left") - np.searchsorted(
+            freqs, mids - _FAR * half_box, side="right"
+        )
+        lines = int(counts.sum())
+        work = (
+            (centers.size - lines) * freqs.size
+            + int(counts[occupied] @ near)
+            + terms * (freqs.size * occupied.size + lines)
+        )
+        if work < least:
+            best, least = level, work
+    if best < 0:
+        return 0.0, None
+    return half_boxes[best], finest_box >> (finest - best)
+
+
 def lorentzian_sum(freqs, centers, fwhms, weights) -> np.ndarray:
     """Sum over lines j of weights[j] times a Lorentzian of unit area centred
     at centers[j] with FWHM fwhms[j] > 0, sampled on the array ``freqs``.
@@ -328,15 +386,16 @@ def lorentzian_sum(freqs, centers, fwhms, weights) -> np.ndarray:
     poles about the box centre in units of s, so that they stay O(1) at
     optical offsets. A target at least 4 s from a box centre takes that box's
     expansion, a nearer target its lines directly, and a line at least as
-    wide as s is summed directly everywhere. The box count balances the
-    direct and the expansion work for the line count, the line span and the
-    target span; when every target would be near every box, as for a few
-    lines, all lines are summed directly. P keeps the truncation error below
-    1e-15 of the expanded lines' own contribution at each target, so for
-    non-negative weights the result is the ordered sum over lines up to
-    rounding. Lines x targets and targets x boxes are taken in blocks of at
-    most 2^14 elements. For lines spread over their span the work grows as
-    targets x sqrt(lines) + lines, not as targets x lines.
+    wide as s is summed directly everywhere. The box count is the power of
+    two, with no box narrower than the narrowest line, of least estimated
+    work for where the lines and their widths lie (_boxes), so clustered
+    lines get boxes sized to their clusters. Where the direct sum's work is
+    less, as for a few lines, every line is summed directly. P keeps the
+    truncation error below 1e-15 of the expanded lines' own contribution at
+    each target, so for non-negative weights the result is the ordered sum
+    over lines up to rounding. Lines x targets and targets x boxes are taken
+    in blocks of at most 2^14 elements. For lines spread over their span the
+    work grows as targets x sqrt(lines) + lines, not as targets x lines.
 
     Raises OverflowError when an offset or a half-width overflows its square.
     """
@@ -353,21 +412,15 @@ def lorentzian_sum(freqs, centers, fwhms, weights) -> np.ndarray:
         )
     order = np.argsort(f, axis=None, kind="stable")
     fs = f.ravel()[order]
-    start, span, target_span = float(c.min()), float(c.max() - c.min()), float(fs[-1] - fs[0])
-    # A box's near zone is _FAR box widths wide. Where it would hold every
-    # target, half_box stays 0 and every line is summed directly.
-    boxes, half_box = 1, 0.0
-    if span > 0.0 and target_span > 0.0:
-        balance = _FAR * c.size * span / (target_span * _expansion_terms(math.sqrt(2.0)))
-        boxes = int(min(c.size, max(1.0, round(math.sqrt(balance)))))
-        if boxes * target_span > _FAR * span:
-            half_box = 0.5 * span / boxes
+    start, span = float(c.min()), float(c.max() - c.min())
+    # With half_box 0 every line is wide and summed directly.
+    half_box, box = _boxes(fs, c, h, start, span) if span > 0.0 else (0.0, None)
     sums = np.zeros(fs.size)
     wide = h >= half_box
     _direct_sum(sums, fs, c[wide], h[wide], w[wide])
     if not wide.all():
         narrow = ~wide
-        _multipole_sum(sums, fs, c[narrow], h[narrow], w[narrow], start, half_box, boxes)
+        _multipole_sum(sums, fs, c[narrow], h[narrow], w[narrow], box[narrow], start, half_box)
     out = np.empty(fs.size)
     out[order] = sums
     return out.reshape(f.shape)

@@ -9,6 +9,7 @@ import pytest
 from scipy.linalg import expm
 
 from hostguest import dynamics
+from hostguest.cli import main
 from hostguest.dynamics import (
     OpenSystem,
     RateNetwork,
@@ -19,7 +20,7 @@ from hostguest.dynamics import (
     steady_populations,
     steady_state,
 )
-from hostguest.errors import DegenerateSteadyState, InvalidState, SingularNetwork
+from hostguest.errors import DegenerateSteadyState, DomainError, InvalidState, SingularNetwork
 from hostguest.levels import LevelKet, S0, S1, T1
 from hostguest.scenarios import load_config, run_scenario, validate_config
 from rate_network_oracle import exact_odmr_contrast
@@ -490,6 +491,24 @@ def test_shipped_odmr_contrast_matches_the_exact_oracle(dotted):
     (drive,) = validate_config(config)
     exact = float(exact_odmr_contrast(*drive))
     assert abs(odmr_contrast(*drive) - exact) <= max(1e-12 * abs(exact), 1e-290)
+
+
+def test_odmr_populations_past_the_float_range_exit_2_without_a_warning(tmp_path, capsys):
+    # T1,x -> S0 at 1e-300 and S1 -> T1,x at 1e300 rad/s: the S1 population,
+    # about 1e-601, has no float, and the reduction overflows.
+    config = load_config(SCENARIO_DIR / "odmr.json")
+    rates = config["parameters"]["network"]["rates"]
+    rates[5]["rate"]["value"], rates[2]["rate"]["value"] = 1e-300, 1e300
+    assert (rates[5]["source"], rates[2]["target"]) == ("T1,x;v=[];p=[];n=[]",) * 2
+    path = tmp_path / "odmr.json"
+    path.write_text(json.dumps(config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="leave the float range"):
+            steady_populations(validate_config(config)[0][0])
+        assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+    assert "leave the float range" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_odmr_contrast_sign_flips_with_pair_ordering_of_lifetimes():

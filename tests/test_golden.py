@@ -62,7 +62,7 @@ GOLDEN = {
     "spin_spectrum": {
         "levels.csv": "05154ae09dba743a8644eb1e3485631f3067a18e2efab77b55ccc226cc5c80f5",
         "result.json": "08141a6c1b25bb1e033124324341ab1fbf3081a827b715d370e92abc274714dd",
-        "spectrum.csv": "a5ed17f910c4114cf79e5eb023e0585a7b1ea0985175d2948ccb003eef30b92c",
+        "spectrum.csv": "e750bf444cbd68f1689397be552bd2a24fa9edac263b0f00e26a17484e4a0975",
     },
 }
 

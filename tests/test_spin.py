@@ -380,6 +380,30 @@ def test_transition_weights_match_the_dense_electron_operators(spins):
     assert np.max(np.abs(weights - _dense_weights(eig)[upper, lower])) <= 1e-14
 
 
+def _three_operator_weights(eig):
+    """sum_a |<f|S_a|i>|^2 by one electron-block product per S_a: the formula
+    that _transition_lines replaced, kept as its oracle."""
+    v = eig.states
+    blocks = v.reshape(3, -1, v.shape[1])
+    return sum(
+        np.abs(v.conj().T @ np.tensordot(op, blocks, axes=1).reshape(v.shape)) ** 2
+        for op in angular_momentum_operators(1)
+    )
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize(
+    "spins", [(), ("1/2",), (1,), ("3/2",), (1, "3/2"), ("1/2", 1, "3/2"), ("3/2", "3/2", 1)]
+)
+def test_transition_weights_match_the_three_operator_products(spins, seed):
+    # Nuclear dimensions 1 to 48, several not a power of two.
+    eig = diagonalize(build_spin_hamiltonian(_random_spec(np.random.default_rng(seed), spins)))
+    _, weights = spin._transition_lines(eig)
+    lower, upper = np.triu_indices(len(eig.energies), k=1)
+    expected = _three_operator_weights(eig)[upper, lower]
+    assert np.max(np.abs(weights - expected)) <= 1e-14 * np.max(expected)
+
+
 def _assert_odmr_matches_ordered_line_sum(spec, grid, linewidth):
     eig = diagonalize(build_spin_hamiltonian(spec))
     with warnings.catch_warnings():
@@ -407,6 +431,33 @@ def test_odmr_spectrum_of_random_nuclei_matches_the_ordered_line_sum(spins):
     spec = _random_spec(rng, spins)
     grid = FrequencyGrid(start=TWO_PI * 0.1e9, stop=1.5 * spec.zfs_d, points=601)
     _assert_odmr_matches_ordered_line_sum(spec, grid, TWO_PI * rng.uniform(1e6, 5e6))
+
+
+def _clustered_spec(rng, count):
+    """Axial hyperfine nuclei of 2-10 MHz in a field of a few mT, so the
+    lines crowd into narrow clusters around the electron transitions."""
+
+    def tensor():
+        perp, par = rng.uniform(0.2, 2.0), rng.uniform(2.0, 10.0)
+        a = np.diag([perp, perp * rng.uniform(0.8, 1.2), par])
+        off = np.triu(rng.uniform(-0.3, 0.3, (3, 3)), k=1)
+        return (a + off + off.T) * TWO_PI * 1e6
+
+    return SpinSystemSpec(
+        zfs_d=TWO_PI * 1.4e9 * rng.uniform(0.9, 1.1),
+        zfs_e=TWO_PI * 0.2e9 * rng.uniform(0.5, 1.0),
+        magnetic_field=(rng.uniform(-1e-3, 1e-3), rng.uniform(-1e-3, 1e-3), rng.uniform(1e-3, 3e-3)),
+        nuclei=tuple(NucleusSpec(spin="1/2", hyperfine_tensor=tensor()) for _ in range(count)),
+    )
+
+
+@pytest.mark.parametrize("count, seed", [(4, 0), (5, 1), (6, 2), (6, 3)])
+def test_clustered_odmr_lines_take_the_box_expansions(count, seed, multipole_lines):
+    # Dimension 48 to 192 on the shipped grid with a 5 MHz linewidth.
+    spec = _clustered_spec(np.random.default_rng(seed), count)
+    grid = FrequencyGrid(start=TWO_PI * 0.2e9, stop=TWO_PI * 2.0e9, points=1801)
+    _assert_odmr_matches_ordered_line_sum(spec, grid, TWO_PI * 5e6)
+    assert multipole_lines
 
 
 def test_bench_odmr_variants_match_the_ordered_line_sum(monkeypatch):
@@ -575,6 +626,30 @@ def test_crot_rejects_an_infinite_drive_axis():
         warnings.simplefilter("error")
         with pytest.raises(PreconditionViolated, match="drive axis must be finite and nonzero"):
             crot_gate(_crot_spec(), TWO_PI * 66e6, TWO_PI * 0.3e6, 1e-6, (math.inf, 0.0, 0.0))
+
+
+def test_crot_refuses_a_drive_term_that_outruns_its_step_scale(monkeypatch):
+    # Zero field and a 10 kHz hyperfine tensor: the in-plane drive reaches
+    # the Tx <-> Ty pair at 2E only through hyperfine mixing, an element of
+    # 4e-6, so the 0.3 MHz rabi frequency takes a drive term over 100 times
+    # the energies the steps resolve. Propagating it stalled the halving
+    # check at 1.3e-6.
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(3, 3))
+    spec = SpinSystemSpec(
+        zfs_d=TWO_PI * 1.4e9,
+        zfs_e=TWO_PI * 0.2e9,
+        nuclei=(NucleusSpec(spin="1/2", hyperfine_tensor=(a + a.T) * TWO_PI * 1e4),),
+    )
+    axis = (*rng.normal(size=2), 0.0)
+
+    def propagate(*args):
+        raise AssertionError("propagated a drive the steps cannot resolve")
+
+    monkeypatch.setattr(spin, "_magnus_propagate", propagate)
+    rabi = TWO_PI * 0.3e6
+    with pytest.raises(PreconditionViolated, match=r"addressed pair \(3, 4\) has drive element 4\.1"):
+        crot_gate(spec, TWO_PI * 0.4e9, rabi, math.pi / rabi, axis)
 
 
 def _serial_cf4(h0, drive_op, amplitude, omega_d, duration, steps_per_period):

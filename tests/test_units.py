@@ -8,7 +8,6 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hostguest import units
 from hostguest.errors import DomainError, IncompatibleUnits
 from hostguest.units import (
     BOLTZMANN,
@@ -209,20 +208,6 @@ def test_lorentzian_sum_adds_lines_in_order_with_their_own_widths():
     assert_matches_ordered_sum(freqs, centers, fwhms, weights)
 
 
-@pytest.fixture
-def multipole_lines(monkeypatch):
-    """Line counts handed to the box expansions, to show a case takes them."""
-    counts = []
-    inner = units._multipole_sum
-
-    def counted(out, freqs, centers, *rest):
-        counts.append(centers.size)
-        return inner(out, freqs, centers, *rest)
-
-    monkeypatch.setattr(units, "_multipole_sum", counted)
-    return counts
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_lorentzian_sum_of_clustered_lines_matches_the_ordered_sum(seed, multipole_lines):
     # Clusters of 10 Hz to 10 MHz spread, FWHMs log-uniform in 1e-3 Hz to 5 MHz:
@@ -257,15 +242,28 @@ def test_lorentzian_sum_of_emission_lines_at_optical_offsets_matches_the_ordered
 
 
 def test_lorentzian_sum_keeps_the_shape_and_order_of_the_targets(multipole_lines):
-    # Unsorted 2-d targets; the last 20 lines are wider than their box.
+    # Unsorted 2-d targets; the last 40 lines are wider than their box.
     rng = np.random.default_rng(5)
-    centers, weights = rng.uniform(0, 100, 500), rng.uniform(0, 1, 500)
-    fwhms = np.concatenate([rng.uniform(0.5, 2, 480), rng.uniform(30, 60, 20)])
-    freqs = rng.permutation(np.linspace(0.0, 100.0, 600)).reshape(20, 30)
+    centers, weights = rng.uniform(0, 100, 1000), rng.uniform(0, 1, 1000)
+    fwhms = np.concatenate([rng.uniform(0.5, 2, 960), rng.uniform(30, 60, 40)])
+    freqs = rng.permutation(np.linspace(0.0, 100.0, 1200)).reshape(30, 40)
     flat = lorentzian_sum(freqs.ravel(), centers, fwhms, weights)
-    assert np.array_equal(lorentzian_sum(freqs, centers, fwhms, weights), flat.reshape(20, 30))
+    assert np.array_equal(lorentzian_sum(freqs, centers, fwhms, weights), flat.reshape(30, 40))
     assert_matches_ordered_sum(freqs.ravel(), centers, fwhms, weights, response=flat)
-    assert multipole_lines == [480, 480]
+    assert multipole_lines == [960, 960]
+
+
+def test_lorentzian_sum_expands_lines_as_wide_as_the_balanced_box(multipole_lines):
+    # 20,000 lines spread over [0, 1000] and 2,001 targets: balancing direct
+    # against expansion work for evenly spread lines gave 45 boxes of
+    # half-width 1000 / 90, and lines that wide were all summed directly.
+    # Boxes no narrower than the lines expand every one of them.
+    rng = np.random.default_rng(11)
+    centers, weights = rng.uniform(0.0, 1000.0, 20_000), rng.uniform(0.0, 1.0, 20_000)
+    fwhms = np.full(20_000, 2.0 * 1000.0 / 90.0)
+    freqs = np.linspace(0.0, 1000.0, 2001)
+    assert_matches_ordered_sum(freqs, centers, fwhms, weights)
+    assert multipole_lines == [20_000]
 
 
 def test_lorentzian_sum_of_a_few_lines_is_the_ordered_sum(multipole_lines):
