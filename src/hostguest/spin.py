@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionOverflow, NotHermitian, PreconditionViolated
+from .errors import DimensionOverflow, DomainError, NotHermitian, PreconditionViolated
 from .units import BOHR_MAGNETON, GAMMA_PROTON, HBAR, cf4_propagator, lorentzian_sum
 
 # Spec'd default g-factor for the triplet electron spin.
@@ -103,35 +103,12 @@ class SpinSystemSpec:
                 f"|E| <= |D|/3 required, got D={self.zfs_d}, E={self.zfs_e}"
             )
 
-    @property
-    def dimension(self) -> int:
-        d = 3
-        for nuc in self.nuclei:
-            d *= nuc.dimension
-        return d
-
 
 def zfs_tensor(zfs_d: float, zfs_e: float) -> np.ndarray:
     """Traceless principal-axis tensor with S.T.S = D(Sz^2 - S^2/3) + E(Sx^2 - Sy^2)."""
     return np.diag(
         [-zfs_d / 3.0 + zfs_e, -zfs_d / 3.0 - zfs_e, 2.0 * zfs_d / 3.0]
     )
-
-
-def _nuclear_operators(nuclei: tuple[NucleusSpec, ...]):
-    """Per-nucleus vector operators embedded in the nuclear product space."""
-    dims = [n.dimension for n in nuclei]
-    embedded = []
-    for k, nuc in enumerate(nuclei):
-        before = np.eye(math.prod(dims[:k]), dtype=complex)
-        after = np.eye(math.prod(dims[k + 1 :]), dtype=complex)
-        embedded.append(
-            tuple(
-                np.kron(np.kron(before, op), after)
-                for op in angular_momentum_operators(nuc.spin)
-            )
-        )
-    return embedded
 
 
 def assemble_spin_hamiltonian(
@@ -148,9 +125,9 @@ def assemble_spin_hamiltonian(
     (D, E) parametrization. H = h_e (x) 1 + sum_a S_a (x) T_a - 1 (x) Z is
     built from its electron blocks: the 3x3 electron part h_e = S.D.S +
     (g mu_B / hbar) B.S, the hyperfine fields T_a = sum_k sum_c A^k_ac I^k_c
-    and the nuclear Zeeman term Z = sum_k gamma_k B.I^k. T_a and Z are summed
-    in the nuclear space, so H takes five full-dimension Kronecker products
-    whatever the number of nuclei.
+    and the nuclear Zeeman term Z = sum_k gamma_k B.I^k. T_a and Z are grown
+    one nucleus at a time, X <- X (x) 1_k + 1 (x) X_k, so H takes five
+    full-dimension Kronecker products whatever the number of nuclei.
     """
     nuclear_dimension = math.prod(n.dimension for n in nuclei)
     if 3 * nuclear_dimension > DIMENSION_CAP:
@@ -167,11 +144,15 @@ def assemble_spin_hamiltonian(
     larmor = g_electron * BOHR_MAGNETON / HBAR
     h_e = sum(zfs[a, c] * (svec[a] @ svec[c]) for a in range(3) for c in range(3))
     h_e = h_e + larmor * np.tensordot(b, svec, axes=1)
-    field_ops = np.zeros((3, nuclear_dimension, nuclear_dimension), dtype=complex)
-    nuclear_zeeman = np.zeros((nuclear_dimension, nuclear_dimension), dtype=complex)
-    for nuc, ivec in zip(nuclei, map(np.array, _nuclear_operators(nuclei))):
-        field_ops += np.tensordot(nuc.tensor, ivec, axes=1)
-        nuclear_zeeman += nuc.gyromagnetic_ratio * np.tensordot(b, ivec, axes=1)
+    field_ops = np.zeros((3, 1, 1), dtype=complex)
+    nuclear_zeeman = np.zeros((1, 1), dtype=complex)
+    for nuc in nuclei:
+        ivec = np.array(angular_momentum_operators(nuc.spin))
+        before, own = np.eye(len(nuclear_zeeman)), np.eye(nuc.dimension)
+        fields = np.tensordot(nuc.tensor, ivec, axes=1)
+        zeeman = nuc.gyromagnetic_ratio * np.tensordot(b, ivec, axes=1)
+        field_ops = np.kron(field_ops, own) + np.kron(before, fields)
+        nuclear_zeeman = np.kron(nuclear_zeeman, own) + np.kron(before, zeeman)
     h = np.kron(h_e, np.eye(nuclear_dimension))
     for s_a, t_a in zip(svec, field_ops):
         h += np.kron(s_a, t_a)
@@ -202,39 +183,42 @@ def diagonalize(hamiltonian: np.ndarray) -> SpinEigensystem:
     h = np.asarray(hamiltonian, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"hamiltonian must be square, got shape {h.shape}")
-    scale = max(float(np.linalg.norm(h)), 1e-300)
-    if float(np.linalg.norm(h - h.conj().T)) > 1e-10 * scale:
+    # Both checks run on h over its largest entry, so no norm can overflow.
+    top = float(np.abs(h).max(initial=0.0)) or 1.0
+    if not math.isfinite(top):
+        raise DomainError("hamiltonian has non-finite entries")
+    unit = h / top
+    scale = float(np.linalg.norm(unit))
+    if float(np.linalg.norm(unit - unit.conj().T)) > 1e-10 * scale:
         raise NotHermitian("hamiltonian deviates from Hermiticity beyond 1e-10 (relative)")
     energies, states = np.linalg.eigh(h)
-    residual = float(np.linalg.norm((states * energies) @ states.conj().T - h))
+    residual = float(np.linalg.norm((states * (energies / top)) @ states.conj().T - unit))
     if residual > 1e-9 * scale:
         raise NotHermitian(f"eigendecomposition residual {residual:.3e} too large")
     return SpinEigensystem(energies=energies, states=states)
 
 
-def _electron_elements(states: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """<f|(op (x) 1)|i> between eigenvector columns for a 3x3 electron operator.
+def _spin_elements(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """<f|S+|i> / sqrt(2) and <f|Sz|i> between eigenvector columns.
 
-    (op (x) 1) v acts on the eigenvectors' electron index only, so op is
-    applied to v viewed as (electron, nucleus, eigenvector) blocks.
+    With the eigenvectors' electron blocks v+, v0, v- (m = +1, 0, -1,
+    consecutive rows), <f|S+|i> / sqrt(2) is the product of the row slices
+    (v+; v0)^dag (v0; v-) and <f|Sz|i> is v+^dag v+ - v-^dag v-: 4/3 d^3 of
+    complex work, against 3 d^3 for one block contraction per S_a. Every
+    S_a follows, since Sx = (S+ + S-) / 2 and Sy = (S+ - S-) / 2i.
     """
-    blocks = states.reshape(3, -1, states.shape[1])
-    return states.conj().T @ np.tensordot(op, blocks, axes=1).reshape(states.shape)
+    vh, n = states.conj().T, states.shape[0] // 3
+    raising = vh[:, : 2 * n] @ states[n:]
+    return raising, vh[:, :n] @ states[:n] - vh[:, 2 * n :] @ states[2 * n :]
 
 
 def _transition_lines(eig: SpinEigensystem):
     """All upward eigenpair transitions with spin matrix-element weights.
 
     The weight sum_a |<f|S_a|i>|^2 is |<f|Sz|i>|^2 + (|<f|S+|i>|^2 +
-    |<i|S+|f>|^2) / 2. With the eigenvectors' electron blocks v+, v0, v-
-    (m = +1, 0, -1, consecutive rows), <f|S+|i> / sqrt(2) is the product of
-    the row slices (v+; v0)^dag (v0; v-) and <f|Sz|i> is v+^dag v+ - v-^dag v-:
-    4/3 d^3 of complex work where one product per S_a takes 3 d^3.
+    |<i|S+|f>|^2) / 2, from the elements of :func:`_spin_elements`.
     """
-    v = eig.states
-    vh, n = v.conj().T, v.shape[0] // 3
-    raising = vh[:, : 2 * n] @ v[n:]
-    sz = vh[:, :n] @ v[:n] - vh[:, 2 * n :] @ v[2 * n :]
+    raising, sz = _spin_elements(eig.states)
     weights = np.abs(sz) ** 2 + np.abs(raising) ** 2 + np.abs(raising.T) ** 2
     lower, upper = np.triu_indices(len(eig.energies), k=1)
     return eig.energies[upper] - eig.energies[lower], weights[upper, lower]
@@ -345,9 +329,13 @@ def crot_gate(
 
     eig = diagonalize(build_spin_hamiltonian(spec))
     energies = eig.energies
-    # Propagate in the H0 eigenbasis: H0 is diag(E) and the drive is u . S there.
-    svec = angular_momentum_operators(Fraction(1))
-    drive = _electron_elements(eig.states, np.tensordot(axis, svec, axes=1))
+    # Propagate in the H0 eigenbasis: H0 is diag(E) and the drive is u . S
+    # there, Sx = (raising + lowering) / sqrt(2), Sy = -i (raising - lowering) / sqrt(2).
+    raising, sz = _spin_elements(eig.states)
+    lowering = raising.conj().T
+    drive = math.sqrt(0.5) * (
+        axis[0] * (raising + lowering) - 1j * axis[1] * (raising - lowering)
+    ) + axis[2] * sz
     dim = len(energies)
 
     # Addressed pair: the drive-coupled transition nearest the drive tone,

@@ -1,9 +1,11 @@
 """Physical constants, unit-tagged quantities, and shared numeric scaffolding.
 
 Internal convention: every energy-like number handed between modules is an
-angular frequency in rad/s. Public entry points accept tagged quantities and
-convert on the way in, so the factor-of-2*pi bookkeeping lives in exactly one
-place (this module). Energies map to angular frequency through E = hbar*omega.
+angular frequency in rad/s, and library functions take plain rad/s floats.
+Tagged quantities enter only through the scenario field table, which
+converts each value/unit pair with :func:`convert`, so the factor-of-2*pi
+bookkeeping lives in exactly one place (this module). Energies map to
+angular frequency through E = hbar*omega.
 
 Constants are pinned to CODATA-2018.
 """

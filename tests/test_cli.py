@@ -595,10 +595,11 @@ def test_strong_progression_within_the_quanta_cap_runs(tmp_path, huang_rhys):
     assert result["debye_waller"] < math.exp(-huang_rhys)
 
 
-def _run_with_warnings_as_errors(path, out, command="run"):
+def _run_with_warnings_as_errors(path, out, command="run", warnings_filter="error"):
     """``hostguest run`` (or ``validate``, which writes nothing to ``out``) in a
-    fresh interpreter with every warning an error."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONWARNINGS="error")
+    fresh interpreter with every warning an error, or under another
+    ``PYTHONWARNINGS`` filter."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONWARNINGS=warnings_filter)
     args = ["--output-dir", str(out)] if command == "run" else []
     return subprocess.run(
         [sys.executable, "-m", "hostguest.cli", command, str(path), *args],
@@ -657,6 +658,31 @@ def test_1e300_mhz_two_level_drive_validates_then_run_exits_2_with_one_line(
     assert proc.returncode == 2
     [line] = proc.stderr.splitlines()
     assert line.startswith(error)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("warnings_filter", ["default", "error"])
+@pytest.mark.parametrize(
+    "field, value, offset",
+    [
+        ("zfs_d", {"value": 1e160, "unit": "rad/s"}, "1.000e+160"),
+        ("magnetic_field_tesla", [0.0, 0.0, 1e150], "1.761e+161"),
+    ],
+)
+def test_a_spin_hamiltonian_past_1e154_rad_s_exits_2_with_one_stderr_line(
+    tmp_path, field, value, offset, warnings_filter
+):
+    # The squares in a plain norm of H overflow past about 1e154 rad/s;
+    # diagonalize checks H over its largest entry, so no warning reaches
+    # stderr and the run fails once, where the line sum cannot square a gap.
+    config = load_config(SCENARIO_DIR / "spin_spectrum.json")
+    config["parameters"]["spin_system"][field] = value
+    out = tmp_path / "out"
+    path = _write(tmp_path, config)
+    proc = _run_with_warnings_as_errors(path, out, warnings_filter=warnings_filter)
+    assert proc.returncode == 2
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(f"runtime error: OverflowError: Lorentzian offset {offset} ")
     assert not out.exists()
 
 

@@ -29,7 +29,7 @@ GOLDEN = {
     },
     "crot": {
         "result.json": "b8921a4a8268f446a8c3684ddba81a5f5b0bc1c7e02ee04c7f668d8dc1c44b09",
-        "unitary.csv": "2d09578eecac19c3e093733023c881e6ecb009a46bfa73e1b9853c33d884cdf3",
+        "unitary.csv": "96d6c11300aea54f8691edd2b6ec357e01bf3e98e523ca164537e7ea12e3fffa",
     },
     "emission_spectrum": {
         "result.json": "13cdab359a24da3f9e372e05699c6a4e65732c095115da71260ca81ab2c7f717",

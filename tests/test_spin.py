@@ -8,7 +8,7 @@ from scipy.linalg import expm
 from scipy.spatial.transform import Rotation
 
 from hostguest import spin, units
-from hostguest.errors import DimensionOverflow, NotHermitian, PreconditionViolated
+from hostguest.errors import DimensionOverflow, DomainError, NotHermitian, PreconditionViolated
 from hostguest.spin import (
     G_ELECTRON_DEFAULT,
     NucleusSpec,
@@ -165,6 +165,33 @@ def test_diagonalize_rejects_non_hermitian():
         diagonalize(m)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e200])
+def test_diagonalize_checks_relative_to_the_largest_entry(scale):
+    # Checked on h over its largest entry: a 1e-9 relative asymmetry is
+    # caught at any scale, and a Hermitian h of entries near 1e200 (whose
+    # plain norm overflows) passes without a warning.
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    h = (a + a.conj().T) * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        energies = diagonalize(h).energies
+        h[0, 1] += 1e-9 * np.abs(h).max()
+        with pytest.raises(NotHermitian):
+            diagonalize(h)
+    assert np.all(np.isfinite(energies))
+
+
+@pytest.mark.parametrize("entry", [math.inf, math.nan])
+def test_diagonalize_rejects_non_finite_entries_without_a_warning(entry):
+    h = np.eye(3, dtype=complex)
+    h[1, 1] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="non-finite"):
+            diagonalize(h)
+
+
 def test_rotation_invariance_with_co_rotated_tensors():
     # Rotating the molecular frame (ZFS tensor, hyperfine tensor, field
     # vector together) must leave the spectrum invariant.
@@ -260,9 +287,13 @@ def test_kronecker_assembly_matches_dense_embedding():
 
 def test_assembly_makes_five_full_dimension_kronecker_products(monkeypatch):
     # Electron part, three hyperfine field blocks and the nuclear Zeeman
-    # term: five products of the full dimension, whatever the nuclei.
+    # term: five products of the full dimension, whatever the nuclei. The
+    # fields and Z grow one nucleus at a time, X <- X (x) 1_k + 1 (x) X_k, so
+    # only the last nucleus's step makes products of the nuclear dimension:
+    # two for the stacked fields and two for Z.
     zfs, b, nuclei = _mixed_system(np.random.default_rng(11))
-    dim = 3 * math.prod(n.dimension for n in nuclei)
+    nuclear = math.prod(n.dimension for n in nuclei)
+    dim = 3 * nuclear
     kron = np.kron
     shapes = []
 
@@ -274,6 +305,7 @@ def test_assembly_makes_five_full_dimension_kronecker_products(monkeypatch):
     monkeypatch.setattr(spin.np, "kron", counting_kron)
     assemble_spin_hamiltonian(zfs, b, G_ELECTRON_DEFAULT, nuclei)
     assert shapes.count((dim, dim)) == 5
+    assert sum(shape[-2:] == (nuclear, nuclear) for shape in shapes) == 4
 
 
 # --- ODMR spectrum -------------------------------------------------------------
@@ -380,14 +412,19 @@ def test_transition_weights_match_the_dense_electron_operators(spins):
     assert np.max(np.abs(weights - _dense_weights(eig)[upper, lower])) <= 1e-14
 
 
+def _block_contraction(states, op):
+    """<f|(op (x) 1)|i> by applying the 3x3 electron operator to the
+    eigenvectors' electron blocks: the contraction that _spin_elements
+    replaced in crot_gate, kept as its oracle."""
+    blocks = states.reshape(3, -1, states.shape[1])
+    return states.conj().T @ np.tensordot(op, blocks, axes=1).reshape(states.shape)
+
+
 def _three_operator_weights(eig):
     """sum_a |<f|S_a|i>|^2 by one electron-block product per S_a: the formula
     that _transition_lines replaced, kept as its oracle."""
-    v = eig.states
-    blocks = v.reshape(3, -1, v.shape[1])
     return sum(
-        np.abs(v.conj().T @ np.tensordot(op, blocks, axes=1).reshape(v.shape)) ** 2
-        for op in angular_momentum_operators(1)
+        np.abs(_block_contraction(eig.states, op)) ** 2 for op in angular_momentum_operators(1)
     )
 
 
@@ -402,6 +439,59 @@ def test_transition_weights_match_the_three_operator_products(spins, seed):
     lower, upper = np.triu_indices(len(eig.energies), k=1)
     expected = _three_operator_weights(eig)[upper, lower]
     assert np.max(np.abs(weights - expected)) <= 1e-14 * np.max(expected)
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("spins", [(), ("1/2",), (1,), ("3/2",), (1, "3/2"), ("1/2", 1, "3/2")])
+def test_spin_elements_give_the_block_contraction_drive(spins, seed):
+    # Nuclear dimensions 1 to 24, several not a power of two; a random axis
+    # mixes all three drive components.
+    rng = np.random.default_rng(seed)
+    states = diagonalize(build_spin_hamiltonian(_random_spec(rng, spins))).states
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    expected = _block_contraction(
+        states, np.tensordot(axis, angular_momentum_operators(1), axes=1)
+    )
+    raising, sz = spin._spin_elements(states)
+    lowering = raising.conj().T
+    drive = math.sqrt(0.5) * (
+        axis[0] * (raising + lowering) - 1j * axis[1] * (raising - lowering)
+    ) + axis[2] * sz
+    assert np.max(np.abs(drive - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_crot_drives_with_the_spin_element_products(seed, monkeypatch):
+    # The drive that crot_gate propagates is u . S built from _spin_elements,
+    # the pair that also gives the ODMR weights.
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(3, 3))
+    spec = SpinSystemSpec(
+        zfs_d=TWO_PI * 1.4e9,
+        zfs_e=TWO_PI * 0.2e9,
+        magnetic_field=tuple(rng.uniform(-2e-3, 2e-3, 3)),
+        nuclei=(NucleusSpec(spin="1/2", hyperfine_tensor=(a + a.T) * TWO_PI * 5e6),),
+    )
+    axis = rng.normal(size=3)
+    captured = []
+    propagate = spin._magnus_propagate
+
+    def capture(h0, drive_op, *args):
+        captured.append(drive_op)
+        return propagate(h0, drive_op, *args)
+
+    monkeypatch.setattr(spin, "_magnus_propagate", capture)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        crot_gate(spec, TWO_PI * 1.2e9, TWO_PI * 1e3, 1e-8, axis)
+    states = diagonalize(build_spin_hamiltonian(spec)).states
+    expected = _block_contraction(
+        states, np.tensordot(axis / np.linalg.norm(axis), angular_momentum_operators(1), axes=1)
+    )
+    assert captured
+    for drive in captured:
+        assert np.max(np.abs(drive - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 def _assert_odmr_matches_ordered_line_sum(spec, grid, linewidth):
