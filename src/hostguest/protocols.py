@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .units import bose_occupation, cf4_propagator, solve_ivp_on_lookup
+from .units import CF4_STEP_BUDGET, bose_occupation, cf4_propagator, solve_ivp_on_lookup
 
 
 # bench/tracer.py looks up a module-level ``solve_ivp`` here and wraps it;
@@ -37,9 +37,8 @@ __getattr__ = solve_ivp_on_lookup(__name__)
 _PULSE_TAILS = 6.0  # integration window extends this many widths past centers
 
 # CF4 steps per pulse width at vanishing pulse area, detuning and decay (see
-# _segment_steps), and the most steps one write-stage segment may take.
+# _segment_steps).
 _STEPS_PER_WIDTH = 48.0
-_MAX_SEGMENT_STEPS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -167,7 +166,7 @@ def _segment_steps(spec: RamanMemorySpec, length: float, pulses) -> int:
     Decay enters only up to Omega^2 w: past it the excited state follows
     the pulses adiabatically, the CF4 error relative to storage settles at
     second order in the step, and storage itself falls as
-    (Omega^2 w / gamma0)^2. A count above _MAX_SEGMENT_STEPS is a
+    (Omega^2 w / gamma0)^2. A count above units.CF4_STEP_BUDGET is a
     DomainError.
     """
     width = min(p.width for p in pulses)
@@ -175,10 +174,10 @@ def _segment_steps(spec: RamanMemorySpec, length: float, pulses) -> int:
     decay = min(0.5 * spec.gamma0, peak * peak * width)
     rate = math.hypot(1.0 / width, spec.detuning, 0.25 * peak, decay)
     steps = length * _STEPS_PER_WIDTH * math.sqrt(rate / width)
-    if not steps <= _MAX_SEGMENT_STEPS:
+    if not steps <= CF4_STEP_BUDGET:
         raise DomainError(
             f"the Raman write stage needs {steps:.3g} CF4 steps in one segment, "
-            f"over the cap of {_MAX_SEGMENT_STEPS}"
+            f"over the cap of {CF4_STEP_BUDGET}"
         )
     return max(1, math.ceil(steps))
 

@@ -16,7 +16,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionOverflow, DomainError, NotHermitian, PreconditionViolated
-from .units import BOHR_MAGNETON, GAMMA_PROTON, HBAR, cf4_propagator, lorentzian_sum
+from .units import (
+    BOHR_MAGNETON, CF4_STEP_BUDGET, GAMMA_PROTON, HBAR, cf4_propagator, lorentzian_sum
+)
 
 # Spec'd default g-factor for the triplet electron spin.
 G_ELECTRON_DEFAULT = 2.0023
@@ -249,7 +251,8 @@ def odmr_spectrum(
 
 @dataclass(frozen=True)
 class CrotResult:
-    """Realized gate unitary (interaction picture, product basis) and fidelity."""
+    """Realized gate unitary (interaction picture, in the H0 eigenbasis with
+    energies ascending) and fidelity."""
 
     unitary: np.ndarray
     fidelity: float
@@ -329,6 +332,19 @@ def crot_gate(
 
     eig = diagonalize(build_spin_hamiltonian(spec))
     energies = eig.energies
+    omega_scale = max(float(np.max(np.abs(energies))), drive_frequency, rabi_frequency)
+    period = 2.0 * math.pi / drive_frequency
+    # Steps per drive period; omega_scale >= drive_frequency makes this >= 158.
+    steps = math.ceil(period * _STEPS_PER_RADIAN * omega_scale)
+    # Every step the coarse pass and its three halvings may evaluate, each over
+    # one drive period (if the gate spans one) and the remainder, as stepped below.
+    periods = int(duration // period)
+    tail = max(0.0, duration - periods * period) / period
+    count = sum((steps << k) * (periods > 0) + math.ceil((steps << k) * tail) for k in range(4))
+    if count > CF4_STEP_BUDGET:
+        raise DomainError(
+            f"the crot gate needs {count:.3g} CF4 steps, over the cap of {CF4_STEP_BUDGET}"
+        )
     # Propagate in the H0 eigenbasis: H0 is diag(E) and the drive is u . S
     # there, Sx = (raising + lowering) / sqrt(2), Sy = -i (raising - lowering) / sqrt(2).
     raising, sz = _spin_elements(eig.states)
@@ -354,7 +370,6 @@ def crot_gate(
         )
 
     amplitude = 0.0 if rabi_frequency == 0.0 else rabi_frequency / elem
-    omega_scale = max(float(np.max(np.abs(energies))), drive_frequency, rabi_frequency)
     # The steps resolve omega_scale; a nearly forbidden addressed pair makes
     # the drive term, at its largest absolute row sum, outrun it.
     drive_norm = amplitude * float(np.abs(drive).sum(axis=1).max())
@@ -363,8 +378,6 @@ def crot_gate(
             f"drive term {drive_norm:.3e} rad/s outruns the step scale {omega_scale:.3e} rad/s:"
             f" the addressed pair ({lo}, {hi}) has drive element {elem:.3e}"
         )
-    # Steps per drive period; omega_scale >= drive_frequency makes this >= 158.
-    steps = math.ceil(2.0 * math.pi / drive_frequency * _STEPS_PER_RADIAN * omega_scale)
     h0 = np.diag(energies)
     u_coarse, _ = _magnus_propagate(h0, drive, amplitude, drive_frequency, duration, steps)
     # Halve the step until two propagators agree, at most three times.

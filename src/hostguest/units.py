@@ -226,6 +226,13 @@ _CF4_NODES = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)
 _CF4_WEIGHTS = 0.25 + np.array([[1.0, -1.0], [-1.0, 1.0]]) * (math.sqrt(3.0) / 6.0)
 _CF4_BLOCK = 2048
 
+# The most CF4 steps one propagation may take, counted before any array is
+# built: one Raman write-stage segment, or a crot gate's coarse pass and its
+# three halvings together. It admits the shipped gate at 32x its step density
+# (77,217 steps); at the budget a gate takes 3.5 s and a segment 1.1 s on one
+# core of a 2-core x86-64 host.
+CF4_STEP_BUDGET = 1 << 17
+
 
 def cf4_propagator(constant, drives, start: float, stop: float, steps: int) -> np.ndarray:
     """Propagator of x' = A(t) x from start to stop in ``steps`` equal CF4

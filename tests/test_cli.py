@@ -2,11 +2,9 @@ import csv
 import io
 import json
 import math
-import os
-import subprocess
-import sys
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hostguest
 from hostguest import dynamics, scenarios
 from hostguest.cli import main
 from hostguest.errors import ConfigError, DomainError
@@ -24,6 +23,8 @@ from hostguest.scenarios import (
     run_scenario,
     validate_config,
 )
+
+from contract_cases import ROWS, Row, check_row, mutate
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = ROOT / "scenarios"
@@ -225,28 +226,6 @@ def test_unreadable_or_malformed_old_manifest_deletes_nothing(tmp_path, old):
     assert json.loads((out / "manifest.json").read_text())["scenario_kind"] == "lindblad"
 
 
-def test_bad_sweep_path_exits_1_before_any_compute(tmp_path, capsys):
-    config = _lindblad_config(tmp_path / "out")
-    config["sweep"] = {"parameter": "system.rabbi.value", "values": [1.0]}
-    path = _write(tmp_path, config)
-    assert main(["run", str(path)]) == 1
-    assert "config error" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-def test_runtime_failure_exits_2_and_leaves_no_partial_output(tmp_path, capsys):
-    # validates cleanly, then the degenerate two-level system (no channels,
-    # no drive) has no unique steady state at run time
-    config = _lindblad_config(tmp_path / "out", rabi_mhz=0.0)
-    config["parameters"]["system"]["decay"] = {"value": 0.0, "unit": "MHz"}
-    path = _write(tmp_path, config)
-    assert main(["validate", str(path)]) == 0
-    assert main(["run", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert "runtime error" in err
-    assert not (tmp_path / "out").exists()
-
-
 def test_output_dir_override(tmp_path):
     config = _lindblad_config(tmp_path / "default")
     path = _write(tmp_path, config)
@@ -328,13 +307,6 @@ _ODMR_WITHOUT_TZ = {
 }
 
 
-def _set(tree, dotted, value):
-    *head, leaf = dotted.split(".")
-    for tok in head:
-        tree = tree[int(tok)] if isinstance(tree, list) else tree[tok]
-    tree[int(leaf) if isinstance(tree, list) else leaf] = value
-
-
 @pytest.mark.parametrize(
     "kind, dotted, value, where",
     [
@@ -362,8 +334,9 @@ def _set(tree, dotted, value):
         ("lindblad", "parameters.system.dephasing.value", -5.0, None),
         (
             "g2",
-            "parameters.system.dephasing",
-            {"value": -5.0, "unit": "MHz"},
+            "parameters.system",  # the shipped system has no dephasing entry
+            {**load_config(SCENARIO_DIR / "g2.json")["parameters"]["system"],
+             "dephasing": {"value": -5.0, "unit": "MHz"}},
             "parameters.system.dephasing.value",
         ),
         ("relaxation_classify", "parameters.rate_model.temperature.value", -300.0, None),
@@ -445,7 +418,7 @@ def _set(tree, dotted, value):
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, kind, dotted, value, where):
     config = load_config(SCENARIO_DIR / f"{kind}.json")
     config["output_dir"] = str(tmp_path / "out")
-    _set(config, dotted, value)
+    mutate(config, dotted, value)
     path = _write(tmp_path, config)
     assert main(["validate", str(path)]) == 1
     assert f"at {where or dotted}:" in capsys.readouterr().err
@@ -474,24 +447,6 @@ def test_unknown_scenario_kind(tmp_path):
         validate_config(config)
     with pytest.raises(ConfigError):
         config_schema("mystery")
-
-
-@pytest.mark.parametrize("sweep", [None, {"parameter": "n_bar", "values": [1.0, 0]}])
-def test_non_finite_output_exits_2_and_writes_nothing(tmp_path, capsys, sweep):
-    # n_bar = 0 makes the optomech cooperativity infinite
-    config = load_config(SCENARIO_DIR / "optomech.json")
-    config["output_dir"] = str(tmp_path / "out")
-    if sweep is None:
-        config["parameters"]["n_bar"] = 0
-        where = "result.json key 'cooperativity'"
-    else:
-        config["sweep"] = sweep
-        where = "sweep.csv column 'cooperativity'"
-    path = _write(tmp_path, config)
-    assert main(["run", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err == f"runtime error: {where}: non-finite value inf\n"
-    assert not (tmp_path / "out").exists()
 
 
 def test_csv_renderer_rejects_non_finite_float_array_columns():
@@ -549,43 +504,11 @@ def test_csv_renderer_quotes_text_by_rfc_4180_and_reads_back(table):
         assert text == ",".join(map(scenarios._quote, header)) + "\n"
 
 
-@pytest.mark.parametrize("kind, dotted", [("spin_spectrum", "parameters.linewidth.value")])
-def test_unexpected_exception_exits_2_with_one_line(tmp_path, capsys, kind, dotted):
-    # 1e300 validates, then overflows a float power inside the physics layer
-    config = load_config(SCENARIO_DIR / f"{kind}.json")
-    config["output_dir"] = str(tmp_path / "out")
-    _set(config, dotted, 1e300)
-    path = _write(tmp_path, config)
-    assert main(["validate", str(path)]) == 0
-    capsys.readouterr()
-    assert main(["run", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("runtime error: OverflowError: ")
-    assert len(err.splitlines()) == 1
-    assert not (tmp_path / "out").exists()
-
-
 def _emission_config(tmp_path, huang_rhys):
     config = load_config(SCENARIO_DIR / "emission_spectrum.json")
     config["output_dir"] = str(tmp_path / "out")
     config["parameters"]["model"]["vibron_modes"][0]["huang_rhys"] = huang_rhys
     return _write(tmp_path, config)
-
-
-@pytest.mark.parametrize("huang_rhys", [150.0, 1000.0, 1e300])
-def test_progression_beyond_the_quanta_cap_exits_2_naming_the_factor(
-    tmp_path, capsys, huang_rhys
-):
-    # These validate; their Franck-Condon weight does not fit in 200 quanta
-    # (at 1000 and 1e300, exp(-S) underflows and no quantum is kept).
-    path = _emission_config(tmp_path, huang_rhys)
-    assert main(["validate", str(path)]) == 0
-    capsys.readouterr()
-    assert main(["run", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"runtime error: Huang-Rhys factor {huang_rhys!r} ")
-    assert len(err.splitlines()) == 1
-    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("huang_rhys", [36.0, 120.0])
@@ -595,107 +518,40 @@ def test_strong_progression_within_the_quanta_cap_runs(tmp_path, huang_rhys):
     assert result["debye_waller"] < math.exp(-huang_rhys)
 
 
-def _run_with_warnings_as_errors(path, out, command="run", warnings_filter="error"):
-    """``hostguest run`` (or ``validate``, which writes nothing to ``out``) in a
-    fresh interpreter with every warning an error, or under another
-    ``PYTHONWARNINGS`` filter."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONWARNINGS=warnings_filter)
-    args = ["--output-dir", str(out)] if command == "run" else []
-    return subprocess.run(
-        [sys.executable, "-m", "hostguest.cli", command, str(path), *args],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=10,
-    )
+@pytest.fixture
+def contract_env(monkeypatch):
+    # The driver's processes import the hostguest this process imported.
+    monkeypatch.setenv("PYTHONPATH", str(Path(hostguest.__file__).resolve().parents[1]))
 
 
-def test_signal_pulse_a_second_early_runs_in_a_subprocess(tmp_path):
-    # The pulse windows lie a second apart: each is solved on its own and the
-    # dark gap between them is propagated in closed form, so the run is quick.
-    config = load_config(SCENARIO_DIR / "raman_memory.json")
-    config["parameters"]["signal_pulse"]["center"]["value"] = -1.0
-    out = tmp_path / "out"
-    _run_with_warnings_as_errors(_write(tmp_path, config), out).check_returncode()
-    result = json.loads((out / "result.json").read_text())
-    assert 0.0 <= result["total_efficiency"] <= result["storage_efficiency"] <= 1e-12
+@pytest.mark.usefixtures("contract_env")
+@pytest.mark.parametrize("row", ROWS, ids=lambda row: row.name)
+def test_contract_row(tmp_path, row):
+    check_row(row, tmp_path)
 
 
-def test_signal_pulse_1e300_seconds_early_runs_without_a_warning(tmp_path):
-    # The control envelope is evaluated 1e300 s from its centre; arg * arg
-    # would overflow there, and exp has underflowed to 0 long before.
-    config = load_config(SCENARIO_DIR / "raman_memory.json")
-    config["parameters"]["signal_pulse"]["center"]["value"] = -1e300
-    out = tmp_path / "out"
-    proc = _run_with_warnings_as_errors(_write(tmp_path, config), out)
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads((out / "result.json").read_text())
-    assert result["storage_efficiency"] == result["total_efficiency"] == 0.0
+@pytest.mark.usefixtures("contract_env")
+def test_the_driver_fails_a_row_with_a_wrong_exit_code_or_stderr_prefix(tmp_path):
+    [row] = [row for row in ROWS if row.name == "crot_zero_drive_axis"]
+    (tmp_path / "code").mkdir()
+    with pytest.raises(AssertionError, match="run exits 2, not 1"):
+        check_row(replace(row, run=1), tmp_path / "code")
+    (tmp_path / "prefix").mkdir()
+    with pytest.raises(AssertionError, match="run stderr is not one line starting"):
+        check_row(replace(row, stderr="runtime error: drive axis is zero"), tmp_path / "prefix")
 
 
-@pytest.mark.parametrize(
-    "kind, field, error",
-    [
-        ("lindblad", "rabi", "runtime error: time step 2.000e-09 s is over 2^52 times "),
-        ("lindblad", "detuning", "runtime error: time step 2.000e-09 s is over 2^52 times "),
-        ("g2", "rabi", "runtime error: time step 1.250e-09 s is over 2^52 times "),
-        # rho_ee is about rabi^2/(4 detuning^2), about 1e-612: it underflows to 0.
-        ("g2", "detuning", "runtime error: steady state emits no photons"),
-    ],
-)
-def test_1e300_mhz_two_level_drive_validates_then_run_exits_2_with_one_line(
-    tmp_path, kind, field, error
-):
-    # Building the two-level system checks Hermiticity without overflow, so
-    # validate passes; the physics then fails with one line.
-    config = load_config(SCENARIO_DIR / f"{kind}.json")
-    config["parameters"]["system"][field]["value"] = 1e300
-    path = _write(tmp_path, config)
-    out = tmp_path / "out"
-    proc = _run_with_warnings_as_errors(path, out, command="validate")
-    assert (proc.returncode, proc.stderr) == (0, "")
-    proc = _run_with_warnings_as_errors(path, out)
-    assert proc.returncode == 2
-    [line] = proc.stderr.splitlines()
-    assert line.startswith(error)
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("warnings_filter", ["default", "error"])
-@pytest.mark.parametrize(
-    "field, value, offset",
-    [
-        ("zfs_d", {"value": 1e160, "unit": "rad/s"}, "1.000e+160"),
-        ("magnetic_field_tesla", [0.0, 0.0, 1e150], "1.761e+161"),
-    ],
-)
-def test_a_spin_hamiltonian_past_1e154_rad_s_exits_2_with_one_stderr_line(
-    tmp_path, field, value, offset, warnings_filter
-):
-    # The squares in a plain norm of H overflow past about 1e154 rad/s;
-    # diagonalize checks H over its largest entry, so no warning reaches
-    # stderr and the run fails once, where the line sum cannot square a gap.
-    config = load_config(SCENARIO_DIR / "spin_spectrum.json")
-    config["parameters"]["spin_system"][field] = value
-    out = tmp_path / "out"
-    path = _write(tmp_path, config)
-    proc = _run_with_warnings_as_errors(path, out, warnings_filter=warnings_filter)
-    assert proc.returncode == 2
-    [line] = proc.stderr.splitlines()
-    assert line.startswith(f"runtime error: OverflowError: Lorentzian offset {offset} ")
-    assert not out.exists()
-
-
-def test_zero_crot_drive_axis_exits_2_with_one_stderr_line(tmp_path):
+def test_a_row_names_its_stderr_and_mutates_only_paths_that_resolve():
+    with pytest.raises(ValueError, match="needs a stderr prefix"):
+        Row("crot_without_prefix", "crot", run=2)
     config = load_config(SCENARIO_DIR / "crot.json")
-    config["parameters"]["drive_axis"] = [0.0, 0.0, 0.0]
-    out = tmp_path / "out"
-    proc = _run_with_warnings_as_errors(_write(tmp_path, config), out)
-    assert proc.returncode == 2
-    assert proc.stderr.splitlines() == [
-        "runtime error: drive axis must be finite and nonzero, got [0.0, 0.0, 0.0]"
-    ]
-    assert not out.exists()
+    for dotted in ("parameters.drive_axes", "parameters.drive_axis.3", "sweeps.values",
+                   "parameters.spin_system.nuclei.0.spin.0"):
+        with pytest.raises(ValueError, match=f"path {dotted} does not resolve"):
+            mutate(config, dotted, 1.0)
+    assert config == load_config(SCENARIO_DIR / "crot.json")
+    mutate(config, "sweep", {"parameter": "rabi_frequency.value", "values": [0.3]})
+    assert config["sweep"]["values"] == [0.3]
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-300])
@@ -734,7 +590,7 @@ def test_stiff_two_level_runs_finish_in_a_second_with_the_trace_kept(tmp_path, k
     # solver of earlier versions past a 10 s timeout; each step is now one
     # exact exponential.
     config = load_config(SCENARIO_DIR / f"{kind}.json")
-    _set(config, dotted, value)
+    mutate(config, dotted, value)
     out = tmp_path / "out"
     code, seconds = _run_in_process(_write(tmp_path, config), out)
     assert code == 0
@@ -759,24 +615,10 @@ def test_a_step_beyond_double_precision_exits_2_before_any_exponential(
 
     monkeypatch.setattr(dynamics, "expm", no_exponential)
     config = load_config(SCENARIO_DIR / f"{kind}.json")
-    _set(config, dotted, 1e300)
+    mutate(config, dotted, 1e300)
     out = tmp_path / "out"
     assert _run_in_process(_write(tmp_path, config), out)[0] == 2
     err = capsys.readouterr().err
     assert err.startswith(f"runtime error: time step {step} s is over 2^52 times")
     assert err.count("\n") == 1
     assert not out.exists()
-
-
-def test_a_repeated_rate_pair_exits_1_naming_the_second_entry(tmp_path, capsys):
-    # Building the rate dict would otherwise keep only the last of the two.
-    config = load_config(SCENARIO_DIR / "odmr.json")
-    rates = config["parameters"]["network"]["rates"]
-    rates.insert(0, dict(rates[0], rate={"value": 1e12, "unit": "rad/s"}))
-    config["output_dir"] = str(tmp_path / "out")
-    assert main(["run", str(_write(tmp_path, config))]) == 1
-    assert capsys.readouterr().err == (
-        "config error: at parameters.network.rates.1: "
-        "a second rate from S0;v=[];p=[];n=[] to S1;v=[];p=[];n=[]\n"
-    )
-    assert not (tmp_path / "out").exists()
