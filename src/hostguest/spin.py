@@ -271,6 +271,16 @@ class CrotResult:
 _STEPS_PER_RADIAN = 25.0
 
 
+def _period_layout(period, duration, steps_per_period):
+    """Whole drive periods in ``duration``, the remainder after them and its
+    CF4 steps at the density of steps_per_period per period; a float
+    steps_per_period past the float range gives inf steps, not an error."""
+    periods = int(duration // period)
+    remainder = max(0.0, duration - periods * period)
+    tail = steps_per_period * remainder / period if remainder else 0
+    return periods, remainder, math.ceil(tail) if tail < math.inf else tail
+
+
 def _magnus_propagate(h0, drive_op, amplitude, omega_d, duration, steps_per_period):
     """U(duration, 0) for H(t) = H0 + amplitude cos(omega_d t) drive_op.
 
@@ -282,8 +292,7 @@ def _magnus_propagate(h0, drive_op, amplitude, omega_d, duration, steps_per_peri
     the propagator and the number of CF4 steps evaluated.
     """
     period = 2.0 * math.pi / omega_d
-    periods = int(duration // period)
-    remainder = max(0.0, duration - periods * period)
+    periods, remainder, tail_steps = _period_layout(period, duration, steps_per_period)
     generator = -1j * h0
     drives = [(lambda t: amplitude * np.cos(omega_d * t), -1j * drive_op)]
     u = np.eye(h0.shape[0], dtype=complex)
@@ -292,7 +301,6 @@ def _magnus_propagate(h0, drive_op, amplitude, omega_d, duration, steps_per_peri
         one_period = cf4_propagator(generator, drives, 0.0, period, steps_per_period)
         u = np.linalg.matrix_power(one_period, periods)
         evaluated += steps_per_period
-    tail_steps = math.ceil(steps_per_period * remainder / period)
     if tail_steps:
         u = cf4_propagator(generator, drives, 0.0, remainder, tail_steps) @ u
         evaluated += tail_steps
@@ -335,13 +343,16 @@ def crot_gate(
     omega_scale = max(float(np.max(np.abs(energies))), drive_frequency, rabi_frequency)
     period = 2.0 * math.pi / drive_frequency
     # Steps per drive period; omega_scale >= drive_frequency makes this >= 158.
-    steps = math.ceil(period * _STEPS_PER_RADIAN * omega_scale)
+    steps = period * _STEPS_PER_RADIAN * omega_scale
+    steps = math.ceil(steps) if steps < math.inf else steps
     # Every step the coarse pass and its three halvings may evaluate, each over
-    # one drive period (if the gate spans one) and the remainder, as stepped below.
-    periods = int(duration // period)
-    tail = max(0.0, duration - periods * period) / period
-    count = sum((steps << k) * (periods > 0) + math.ceil((steps << k) * tail) for k in range(4))
-    if count > CF4_STEP_BUDGET:
+    # one drive period (if the gate spans one) and the remainder, counted in
+    # floats: a count past their range is inf and refused as well.
+    count = 0.0
+    for k in range(4):
+        periods, _, tail_steps = _period_layout(period, duration, float(steps) * 2**k)
+        count += (float(steps) * 2**k if periods else 0.0) + tail_steps
+    if not count <= CF4_STEP_BUDGET:
         raise DomainError(
             f"the crot gate needs {count:.3g} CF4 steps, over the cap of {CF4_STEP_BUDGET}"
         )

@@ -228,10 +228,11 @@ _CF4_BLOCK = 2048
 
 # The most CF4 steps one propagation may take, counted before any array is
 # built: one Raman write-stage segment, or a crot gate's coarse pass and its
-# three halvings together. It admits the shipped gate at 32x its step density
-# (77,217 steps); at the budget a gate takes 3.5 s and a segment 1.1 s on one
-# core of a 2-core x86-64 host.
-CF4_STEP_BUDGET = 1 << 17
+# three halvings together. It admits every shipped config and every gate of
+# the tier-1 tests at their own step density (at most 9,177 steps); at the
+# budget a gate takes 0.6 s and a segment 0.3 s on one core of a 2-core
+# x86-64 host.
+CF4_STEP_BUDGET = 1 << 15
 
 
 def cf4_propagator(constant, drives, start: float, stop: float, steps: int) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Runtime contract cases of the ``hostguest`` command line as table rows,
 and the driver that runs a row: each command in a fresh process with every
-warning an error, no output directory after a failed run, and for a row
-that exits 0 two runs with two string-hash seeds writing the same bytes
-(criterion 12 across processes). Tier-1 runs each row as a test;
-``python tests/contract_cases.py`` runs all rows on the ``hostguest`` that
-the interpreter imports. Standard library only: no test extra needed."""
+warning an error, one whole stderr line and no output directory after a
+failed run, and for a row that exits 0 two runs with two string-hash seeds
+writing the same bytes (criterion 12 across processes). Tier-1 runs each
+row as a test; ``python tests/contract_cases.py`` runs all rows on the
+``hostguest`` that the interpreter imports. Standard library only: no test
+extra needed."""
 
 from __future__ import annotations
 
@@ -37,13 +38,13 @@ class Row:
     mutations: dict = field(default_factory=dict)  # dotted path -> value, in order
     validate: int = 0
     run: int = 0
-    stderr: str = ""  # prefix of the one stderr line of each nonzero exit
+    stderr: str = ""  # the one stderr line of each nonzero exit, whole
     check: Callable[[Path], bool] | None = None  # on the output of an exit-0 run
     files: dict = field(default_factory=dict)  # file name -> text, beside the config
 
     def __post_init__(self):
         if (self.validate or self.run) and not self.stderr:
-            raise ValueError(f"row {self.name}: a nonzero exit needs a stderr prefix")
+            raise ValueError(f"row {self.name}: a nonzero exit needs its stderr line")
 
 
 def mutate(config: dict, dotted: str, value) -> None:
@@ -97,9 +98,8 @@ def _expect(row: Row, command: str, code: int | None, stderr: str, expected: int
         _fail(row, f"{command} ran past {TIMEOUT:g} s")
     if code != expected:
         _fail(row, f"{command} exits {code}, not {expected}: {stderr!r}")
-    lines = stderr.splitlines()
-    if expected and not (len(lines) == 1 and lines[0].startswith(row.stderr)):
-        _fail(row, f"{command} stderr is not one line starting {row.stderr!r}: {stderr!r}")
+    if expected and stderr.splitlines() != [row.stderr]:
+        _fail(row, f"{command} stderr is not the one line {row.stderr!r}: {stderr!r}")
     if not expected and stderr:
         _fail(row, f"{command} exits 0 but writes to stderr: {stderr!r}")
 
@@ -198,9 +198,10 @@ _SPIN = "parameters.spin_system"
 _FIELD = f"{_SPIN}.magnetic_field_tesla"
 _SYSTEM = "parameters.system"
 _ODMR_RATES = json.loads((SCENARIOS / "odmr.json").read_text())["parameters"]["network"]["rates"]
-_OVER_2_52 = "time step {} s is over 2^52 times "
-_CROT_STEPS = "the crot gate needs {} CF4 steps, over the cap of 131072"
-_SQUARE = "OverflowError: Lorentzian offset {} "
+_OVER_2_52 = ("time step {} s is over 2^52 times the generator's fastest time scale"
+              " 1/||L||_1 = 1.592e-307 s; use more time points")
+_CROT_STEPS = "the crot gate needs {} CF4 steps, over the cap of 32768"
+_SQUARE = "OverflowError: Lorentzian offset {} or half-width {} overflows its square"
 _EXACT = 0.10607352973339457
 
 # fmt: off
@@ -248,19 +249,23 @@ ROWS = [
                    _OVER_2_52.format("1.250e-09")),
     # rho_ee is about rabi^2 / (4 detuning^2), about 1e-612: it underflows to 0.
     _runtime_error("g2_1e300_detuning", "g2", {f"{_SYSTEM}.detuning.value": 1e300},
-                   "steady state emits no photons"),
+                   "steady state emits no photons; g2 undefined"),
     # H past 1e154 rad/s is diagonalized without a norm overflow; the line sum
     # then cannot square its offset.
     _runtime_error("spin_spectrum_1e160_zfs", "spin_spectrum",
-                   {f"{_SPIN}.zfs_d": {"value": 1e160, "unit": "rad/s"}}, _SQUARE.format("1.000e+160")),
+                   {f"{_SPIN}.zfs_d": {"value": 1e160, "unit": "rad/s"}},
+                   _SQUARE.format("1.000e+160", "1.571e+07")),
     _runtime_error("spin_spectrum_1e150_field", "spin_spectrum", {_FIELD: [0.0, 0.0, 1e150]},
-                   _SQUARE.format("1.761e+161")),
+                   _SQUARE.format("1.761e+161", "1.571e+07")),
     _runtime_error("crot_zero_drive_axis", "crot", {"parameters.drive_axis": [0.0, 0.0, 0.0]},
                    "drive axis must be finite and nonzero, got [0.0, 0.0, 0.0]"),
+    # 101 time points here and in lindblad_sweep_of_a_misspelt_path, as test_cli's lindblad config.
     _runtime_error("lindblad_no_unique_steady_state", "lindblad",
-                   {f"{_SYSTEM}.rabi.value": 0.0, f"{_SYSTEM}.decay.value": 0.0}, "steady state is not unique"),
+                   {"parameters.times.points": 101,
+                    f"{_SYSTEM}.rabi.value": 0.0, f"{_SYSTEM}.decay.value": 0.0},
+                   "steady state is not unique (4-dimensional kernel at unit rates)"),
     _runtime_error("spin_spectrum_1e300_linewidth", "spin_spectrum", {"parameters.linewidth.value": 1e300},
-                   "OverflowError: Lorentzian offset 2.262e+10 or half-width 3.142e+306 overflows"),
+                   _SQUARE.format("2.262e+10", "3.142e+306")),
     # n_bar = 0 makes the optomech cooperativity infinite.
     _runtime_error("optomech_zero_n_bar", "optomech", {"parameters.n_bar": 0},
                    "result.json key 'cooperativity': non-finite value inf"),
@@ -270,8 +275,10 @@ ROWS = [
     # Franck-Condon weights that do not fit in 200 quanta (at 1000 and 1e300
     # exp(-S) underflows and no quantum is kept).
     *(_runtime_error(f"emission_{s!r}_huang_rhys", "emission_spectrum",
-                     {"parameters.model.vibron_modes.0.huang_rhys": s}, f"Huang-Rhys factor {s!r} ")
-      for s in (150.0, 1000.0, 1e300)),
+                     {"parameters.model.vibron_modes.0.huang_rhys": s},
+                     f"Huang-Rhys factor {s!r} needs more than 200 vibron quanta:"
+                     f" the kept Franck-Condon weights miss {miss}")
+      for s, miss in ((150.0, "4.21e-05"), (1000.0, "1.00e+00"), (1e300, "1.00e+00"))),
     # Over the CF4 step budget: refused before any propagation array is built.
     _runtime_error("crot_1e12_mhz_zfs", "crot", {f"{_SPIN}.zfs_d.value": 1e12},
                    _CROT_STEPS.format("2.44e+13")),
@@ -279,8 +286,12 @@ ROWS = [
                    _CROT_STEPS.format("1.03e+18")),
     _runtime_error("crot_1e300_mhz_hyperfine", "crot", {f"{_SPIN}.nuclei.0.hyperfine_tensor.2.2": 1e300},
                    _CROT_STEPS.format("1.83e+301")),
+    _runtime_error("crot_steps_past_the_float_range", "crot",
+                   {"parameters.drive_frequency.value": 1e-300, f"{_SPIN}.zfs_d.value": 1e12},
+                   _CROT_STEPS.format("inf")),
     _config_error("odmr_truncated_ket", "odmr", {"parameters.network.states.1": "S1;v=[];p=[]"},
-                  "at parameters.network.states.1: 'S1;v=[];p=[]' is not a canonical ket"),
+                  "at parameters.network.states.1: 'S1;v=[];p=[]' is not a canonical ket literal"
+                  " such as 'T1,x;v=[0,1];p=[];n=[(1/2,+1/2)]'"),
     _config_error("odmr_unknown_emissive", "odmr", {"parameters.network.emissive": ["S2;v=[];p=[];n=[]"]},
                   "at parameters.network: emissive flag references unknown state"),
     # Building the rate dict would otherwise keep only the last of the two.
@@ -289,14 +300,16 @@ ROWS = [
                                                 *_ODMR_RATES]},
                   "at parameters.network.rates.1: a second rate from S0;v=[];p=[];n=[] to S1;v=[];p=[];n=[]"),
     _config_error("crot_asymmetric_hyperfine", "crot", {f"{_SPIN}.nuclei.0.hyperfine_tensor.0.1": 3.0},
-                  f"at {_SPIN}.nuclei.0: hyperfine tensor must be symmetric"),
+                  f"at {_SPIN}.nuclei.0: hyperfine tensor must be symmetric to 1e-12 (relative)"),
     _config_error("cavity_kappa_in_over_kappa", "cavity_interface", {"parameters.kappa_in.value": 2.0},
                   "at parameters: port couplings cannot exceed the total linewidth"),
     _config_error("spin_spectrum_reversed_grid", "spin_spectrum",
                   {"parameters.grid.start.value": 2.0, "parameters.grid.stop.value": 0.2},
-                  "at parameters.grid: grid must be strictly increasing"),
+                  "at parameters.grid: grid must be strictly increasing,"
+                  " got [12566370614.359173, 1256637061.4359174]"),
     _config_error("lindblad_sweep_of_a_misspelt_path", "lindblad",
-                  {"sweep": {"parameter": "system.rabbi.value", "values": [1.0]}},
+                  {"parameters.times.points": 101,
+                   "sweep": {"parameter": "system.rabbi.value", "values": [1.0]}},
                   "sweep parameter path 'system.rabbi.value' does not resolve"),
 ]
 # fmt: on

@@ -341,7 +341,6 @@ _ODMR_WITHOUT_TZ = {
         ),
         ("relaxation_classify", "parameters.rate_model.temperature.value", -300.0, None),
         ("relaxation_classify", "parameters.rate_model.density.peak_frequency.value", -1.0, None),
-        ("odmr", "parameters.network.states.1", "S1;v=[];p=[]", None),
         ("odmr", "parameters.network.states.1", "S1;v=[0];p=[];n=[]", None),
         ("odmr", "parameters.network.rates.0.target", "S1;v=[];p=[];n=[]\n", None),
         ("odmr", "parameters.network.emissive.0", "S1;v=[];p=[];n=[(1/2,1/2)]", None),
@@ -360,14 +359,7 @@ _ODMR_WITHOUT_TZ = {
         ("crot", "parameters.spin_system.nuclei.0.spin", "0.5", None),
         ("crot", "parameters.spin_system.nuclei.0.spin", "2/4", None),
         # rules across fields, held by the domain constructors
-        (
-            "crot",
-            "parameters.spin_system.nuclei.0.hyperfine_tensor.0.1",
-            3,
-            "parameters.spin_system.nuclei.0",
-        ),
         ("spin_spectrum", "parameters.spin_system.zfs_e.value", 3, "parameters.spin_system"),
-        ("cavity_interface", "parameters.kappa_in.value", 1e12, "parameters"),
         (
             "emission_spectrum",
             "parameters.model.phonon_density.cutoff_frequency.value",
@@ -393,7 +385,6 @@ _ODMR_WITHOUT_TZ = {
             {"parameter": "grid.stop.value", "values": [1.0, -1e3]},
             "parameters.grid",
         ),
-        ("odmr", "parameters.network.emissive.0", "S2;v=[];p=[];n=[]", "parameters.network"),
         (
             "odmr",
             "parameters.network.emissive.0",
@@ -405,12 +396,6 @@ _ODMR_WITHOUT_TZ = {
             "parameters.network.rates.0.source",
             "T12,z;v=[];p=[];n=[(1/2,-1/2)]",
             "parameters.network",
-        ),
-        (
-            "odmr",
-            "parameters.network.rates.1",
-            dict(_ODMR_NETWORK["rates"][0], rate={"value": 1.0, "unit": "rad/s"}),
-            "parameters.network.rates.1",
         ),
         ("odmr", "parameters.network", _ODMR_WITHOUT_TZ, "parameters"),
     ],
@@ -531,19 +516,20 @@ def test_contract_row(tmp_path, row):
 
 
 @pytest.mark.usefixtures("contract_env")
-def test_the_driver_fails_a_row_with_a_wrong_exit_code_or_stderr_prefix(tmp_path):
+def test_the_driver_fails_a_row_with_a_wrong_exit_code_or_stderr_line(tmp_path):
     [row] = [row for row in ROWS if row.name == "crot_zero_drive_axis"]
     (tmp_path / "code").mkdir()
     with pytest.raises(AssertionError, match="run exits 2, not 1"):
         check_row(replace(row, run=1), tmp_path / "code")
+    # The start of the real line is not enough: the whole line must match.
     (tmp_path / "prefix").mkdir()
-    with pytest.raises(AssertionError, match="run stderr is not one line starting"):
-        check_row(replace(row, stderr="runtime error: drive axis is zero"), tmp_path / "prefix")
+    with pytest.raises(AssertionError, match="run stderr is not the one line"):
+        check_row(replace(row, stderr=row.stderr.split(",")[0]), tmp_path / "prefix")
 
 
 def test_a_row_names_its_stderr_and_mutates_only_paths_that_resolve():
-    with pytest.raises(ValueError, match="needs a stderr prefix"):
-        Row("crot_without_prefix", "crot", run=2)
+    with pytest.raises(ValueError, match="needs its stderr line"):
+        Row("crot_without_stderr", "crot", run=2)
     config = load_config(SCENARIO_DIR / "crot.json")
     for dotted in ("parameters.drive_axes", "parameters.drive_axis.3", "sweeps.values",
                    "parameters.spin_system.nuclei.0.spin.0"):

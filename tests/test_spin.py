@@ -808,6 +808,7 @@ def test_crot_diagonalizes_once_and_propagates_without_eigh(monkeypatch):
 def test_shipped_crot_matches_a_32x_finer_propagation(monkeypatch):
     result = _shipped_crot()
     monkeypatch.setattr(spin, "_STEPS_PER_RADIAN", 32 * spin._STEPS_PER_RADIAN)
+    monkeypatch.setattr(spin, "CF4_STEP_BUDGET", 32 * spin.CF4_STEP_BUDGET)
     fine = _shipped_crot()
     assert fine.step_count > 31 * result.step_count
     assert np.max(np.abs(result.unitary - fine.unitary)) <= 1e-9
