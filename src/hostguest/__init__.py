@@ -6,14 +6,7 @@ scenario-driven CLI. All internal energies are angular frequencies (rad/s);
 see :mod:`hostguest.units`.
 """
 
-from .units import (
-    FrequencyGrid,
-    Quantity,
-    Unit,
-    bose_occupation,
-    convert,
-    thermal_frequency,
-)
+from .units import ANGULAR_UNITS, FrequencyGrid, bose_occupation
 from .levels import (
     LevelKet,
     Manifold,
@@ -23,19 +16,15 @@ from .levels import (
     TransitionClass,
     classify_transition,
     format_ket,
-    kasha_emitting_state,
     parse_ket,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "ANGULAR_UNITS",
     "FrequencyGrid",
-    "Quantity",
-    "Unit",
     "bose_occupation",
-    "convert",
-    "thermal_frequency",
     "LevelKet",
     "Manifold",
     "S0",
@@ -44,7 +33,6 @@ __all__ = [
     "TransitionClass",
     "classify_transition",
     "format_ket",
-    "kasha_emitting_state",
     "parse_ket",
     "__version__",
 ]

@@ -12,16 +12,12 @@ class HostGuestError(Exception):
     """Base class for all package-specific errors."""
 
 
-class IncompatibleUnits(HostGuestError):
-    """Conversion requested between quantities of different dimension."""
-
-
 class DomainError(HostGuestError):
     """An input lies outside the mathematical domain of the operation."""
 
 
 class IntegrationFailure(HostGuestError):
-    """A quadrature or ODE solve did not converge to the requested tolerance."""
+    """A quadrature did not converge to the requested tolerance."""
 
 
 class GridTooNarrow(HostGuestError):
@@ -52,10 +48,6 @@ class DegenerateSteadyState(HostGuestError):
 
 class SingularNetwork(HostGuestError):
     """A classical rate network has no unique normalizable steady state."""
-
-
-class EmptyPopulation(HostGuestError):
-    """No excited-state population to emit from."""
 
 
 class ParseError(HostGuestError):

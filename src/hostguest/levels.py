@@ -3,19 +3,17 @@
 Kets address a manifold (S0, S1, T1, higher Sj/Tj), a triplet sublevel where
 applicable, sparse vibron and phonon occupation maps, and a list of nuclear
 spin projections. This module knows nothing about energies; it only encodes
-which transitions are optical, microwave, or forbidden, and where emission
-starts from.
+which transitions are optical, microwave, or forbidden, and the canonical
+ket literal that configs name states by.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
-
-from .errors import EmptyPopulation
 
 SUBLEVELS = ("x", "y", "z")
 
@@ -38,16 +36,6 @@ class Manifold:
     @property
     def is_triplet(self) -> bool:
         return self.kind == "T"
-
-    @property
-    def is_ground(self) -> bool:
-        return self.kind == "S" and self.index == 0
-
-    @property
-    def excitation_order(self) -> tuple[int, int]:
-        # Tj sits below Sj of the same index (exchange splitting); used only
-        # to pick the lowest excited manifold, never to assign energies.
-        return (self.index, 0 if self.is_triplet else 1)
 
     def __str__(self) -> str:
         return f"{self.kind}{self.index}"
@@ -134,10 +122,6 @@ class LevelKet:
     def vibrationless(self) -> bool:
         return not self.vibrons and not self.phonons
 
-    def zero_occupation(self) -> "LevelKet":
-        """The same electronic and nuclear state with all quanta removed."""
-        return replace(self, vibrons=(), phonons=())
-
     def __str__(self) -> str:
         return format_ket(self)
 
@@ -220,28 +204,6 @@ def classify_transition(
     ):
         return TransitionClass.VIBRATIONAL_RELAXATION
     return TransitionClass.FORBIDDEN
-
-
-def kasha_emitting_state(populations: Mapping[LevelKet, float]) -> LevelKet:
-    """The ket emission proceeds from, given excited-state populations.
-
-    Relaxation funnels population to the vibrationless ket of the lowest
-    excited manifold that holds any population; for triplets the most
-    populated sublevel wins (ties break deterministically on the literal).
-    The populations must be normalized to 1 within 1e-9.
-    """
-    total = sum(populations.values())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"populations must sum to 1 within 1e-9, got {total!r}")
-    excited = {
-        ket: p for ket, p in populations.items() if not ket.manifold.is_ground and p > 0.0
-    }
-    if not excited:
-        raise EmptyPopulation("no excited-state population to emit from")
-    lowest = min((k.manifold for k in excited), key=lambda m: m.excitation_order)
-    candidates = [(p, format_ket(k), k) for k, p in excited.items() if k.manifold == lowest]
-    candidates.sort(key=lambda t: (-t[0], t[1]))
-    return candidates[0][2].zero_occupation()
 
 
 # --- ket literal syntax ----------------------------------------------------

@@ -33,11 +33,10 @@ import numpy as np
 from . import screening, spin
 from .errors import ConfigError, DomainError
 from .levels import KET_EXAMPLE, KET_PATTERN, SPIN_PATTERN, parse_ket
-from .units import GAMMA_PROTON, TWO_PI, FrequencyGrid, Quantity, Unit, convert
+from .units import ANGULAR_UNITS, GAMMA_PROTON, TWO_PI, FrequencyGrid
 
 SCHEMA_VERSION = 1
 
-_ANGULAR_UNITS = ["eV", "THz", "GHz", "MHz", "kHz", "rad/s"]
 _REQUIRED = object()
 
 
@@ -132,39 +131,34 @@ def _bounded(json_type: str, coerce, default, bounds: dict) -> Field:
     return Field({"type": json_type, **bounds}, check, default)
 
 
-def _quantity(target: Unit, units: list[str], default, bounds: dict) -> Field:
+def _quantity(units, default, bounds: dict, build=lambda value, unit: value) -> Field:
     # Every unit converts by a positive factor, so a sign bound on the value
     # holds in any unit.
-    build = _converter(target)
     return record(value=number(**bounds), unit=enum(*units), default=default, build=build)
 
 
-def _converter(target: Unit):
-    """A build of the value of ``value`` ``unit`` in ``target``."""
-
-    def build(value, unit):
-        try:
-            return convert(Quantity(value, Unit(unit)), target).value
-        except DomainError:
-            raise ValueError(f"{value!r} {unit} is not finite in {target.value}") from None
-
-    return build
+def _rad_per_s(value, unit):
+    """``value`` ``unit`` in rad/s."""
+    converted = value * ANGULAR_UNITS[unit]
+    if not math.isfinite(converted):
+        raise ValueError(f"{value!r} {unit} is not finite in rad/s")
+    return converted
 
 
 def angular(default=_REQUIRED, **bounds) -> Field:
     """A frequency, rate or energy; coerces to rad/s. ``bounds`` apply to
     its value, as for ``number``."""
-    return _quantity(Unit.RAD_PER_S, _ANGULAR_UNITS, default, bounds)
+    return _quantity(ANGULAR_UNITS, default, bounds, _rad_per_s)
 
 
 def seconds(default=_REQUIRED, **bounds) -> Field:
     """A time; coerces to s."""
-    return _quantity(Unit.SECOND, [Unit.SECOND.value], default, bounds)
+    return _quantity(["s"], default, bounds)
 
 
 def kelvin(default=_REQUIRED, **bounds) -> Field:
     """A temperature; coerces to K."""
-    return _quantity(Unit.KELVIN, [Unit.KELVIN.value], default, bounds)
+    return _quantity(["K"], default, bounds)
 
 
 def number(default=_REQUIRED, **bounds) -> Field:
@@ -303,8 +297,7 @@ def _physics(module: str, name: str, *kept: str):
 
 def _nucleus(hyperfine_tensor, hyperfine_unit, **nucleus) -> spin.NucleusSpec:
     """A NucleusSpec, its hyperfine tensor converted from ``hyperfine_unit``."""
-    to_rad = _converter(Unit.RAD_PER_S)
-    tensor = [[to_rad(x, hyperfine_unit) for x in row] for row in hyperfine_tensor]
+    tensor = [[_rad_per_s(x, hyperfine_unit) for x in row] for row in hyperfine_tensor]
     return spin.NucleusSpec(hyperfine_tensor=tensor, **nucleus)
 
 
@@ -364,7 +357,7 @@ _SPIN_SYSTEM = record(
         record(
             spin=literal(SPIN_PATTERN, Fraction, "a positive half-integer such as '3/2'"),
             hyperfine_tensor=array(array(number(), 3), 3),
-            hyperfine_unit=enum(*_ANGULAR_UNITS),
+            hyperfine_unit=enum(*ANGULAR_UNITS),
             gyromagnetic_ratio=number(default=GAMMA_PROTON),
             build=_nucleus,
         ),

@@ -100,6 +100,9 @@ class SpinSystemSpec:
             raise ValueError("magnetic_field must have three cartesian components")
         object.__setattr__(self, "magnetic_field", b)
         object.__setattr__(self, "nuclei", tuple(self.nuclei))
+        # zfs_tensor's 2D/3 overflows for |D| above about 9e307 rad/s.
+        if not math.isfinite(2.0 * self.zfs_d / 3.0):
+            raise ValueError(f"2D/3 is not finite for D={self.zfs_d}")
         if abs(self.zfs_e) > abs(self.zfs_d) / 3.0 + 1e-12 * abs(self.zfs_d):
             raise ValueError(
                 f"|E| <= |D|/3 required, got D={self.zfs_d}, E={self.zfs_e}"

@@ -1,9 +1,10 @@
-"""Physical constants, unit-tagged quantities, and shared numeric scaffolding.
+"""Physical constants, the config units' factors to rad/s, and shared numeric
+scaffolding.
 
 Internal convention: every energy-like number handed between modules is an
 angular frequency in rad/s, and library functions take plain rad/s floats.
-Tagged quantities enter only through the scenario field table, which
-converts each value/unit pair with :func:`convert`, so the factor-of-2*pi
+A config gives a value/unit pair, which the scenario field table multiplies
+by the unit's factor in :data:`ANGULAR_UNITS`, so the factor-of-2*pi
 bookkeeping lives in exactly one place (this module). Energies map to
 angular frequency through E = hbar*omega.
 
@@ -12,14 +13,13 @@ Constants are pinned to CODATA-2018.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IncompatibleUnits
+from .errors import DomainError
 
 # CODATA-2018 values, SI.
 HBAR = 1.054571817e-34          # J s
@@ -33,84 +33,17 @@ GAMMA_PROTON = 2.6752218744e8        # rad / (s T), free proton
 TWO_PI = 2.0 * math.pi
 
 
-class Unit(enum.Enum):
-    """Unit tags understood by :func:`convert`."""
-
-    EV = "eV"
-    THZ = "THz"
-    GHZ = "GHz"
-    MHZ = "MHz"
-    KHZ = "kHz"
-    RAD_PER_S = "rad/s"
-    KELVIN = "K"
-    TESLA = "T"
-    SECOND = "s"
-    DIMENSIONLESS = "1"
-
-
-# Multiplicative factor taking one unit of each energy-like tag to rad/s.
-# eV converts through E = hbar*omega; ordinary frequencies pick up 2*pi.
-_TO_RAD_PER_S = {
-    Unit.EV: ELEMENTARY_CHARGE / HBAR,
-    Unit.THZ: TWO_PI * 1e12,
-    Unit.GHZ: TWO_PI * 1e9,
-    Unit.MHZ: TWO_PI * 1e6,
-    Unit.KHZ: TWO_PI * 1e3,
-    Unit.RAD_PER_S: 1.0,
+# The config unit of each energy-like quantity and its factor to rad/s, in the
+# order the schema lists them. eV converts through E = hbar*omega; ordinary
+# frequencies pick up 2*pi.
+ANGULAR_UNITS = {
+    "eV": ELEMENTARY_CHARGE / HBAR,
+    "THz": TWO_PI * 1e12,
+    "GHz": TWO_PI * 1e9,
+    "MHz": TWO_PI * 1e6,
+    "kHz": TWO_PI * 1e3,
+    "rad/s": 1.0,
 }
-
-
-@dataclass(frozen=True)
-class Quantity:
-    """A scalar tagged with one of the supported units."""
-
-    value: float
-    unit: Unit
-
-    def __post_init__(self):
-        if not isinstance(self.unit, Unit):
-            raise IncompatibleUnits(f"unknown unit tag {self.unit!r}")
-        if not math.isfinite(self.value):
-            raise DomainError(f"quantity value must be finite, got {self.value!r}")
-
-    def to(self, target: Unit) -> "Quantity":
-        return convert(self, target)
-
-    @property
-    def rad_per_s(self) -> float:
-        """The value as angular frequency; raises for non-energy-like tags."""
-        return convert(self, Unit.RAD_PER_S).value
-
-
-def convert(quantity: Quantity, target: Unit) -> Quantity:
-    """Convert a tagged quantity to another unit of the same dimension.
-
-    Energy-like tags (eV, THz, GHz, MHz, kHz, rad/s) interconvert through
-    E = hbar*omega. Kelvin, tesla, seconds, and dimensionless convert only
-    to themselves; temperature never silently becomes an energy (use
-    :func:`thermal_frequency` for that, explicitly).
-    """
-    if not isinstance(target, Unit):
-        raise IncompatibleUnits(f"unknown unit tag {target!r}")
-    if quantity.unit is target:
-        return Quantity(quantity.value, target)
-    if quantity.unit in _TO_RAD_PER_S and target in _TO_RAD_PER_S:
-        rad = quantity.value * _TO_RAD_PER_S[quantity.unit]
-        return Quantity(rad / _TO_RAD_PER_S[target], target)
-    raise IncompatibleUnits(
-        f"cannot convert {quantity.unit.value} to {target.value}"
-    )
-
-
-def thermal_frequency(temperature: float) -> float:
-    """k_B*T expressed as an angular frequency in rad/s.
-
-    The explicit temperature-to-energy operation; nothing else in the
-    package performs this conversion implicitly.
-    """
-    if temperature < 0.0:
-        raise DomainError(f"temperature must be non-negative, got {temperature}")
-    return BOLTZMANN * temperature / HBAR
 
 
 def bose_occupation(omega, temperature: float):
@@ -407,7 +340,7 @@ def lorentzian_sum(freqs, centers, fwhms, weights) -> np.ndarray:
     in blocks of at most 2^14 elements. For lines spread over their span the
     work grows as targets x sqrt(lines) + lines, not as targets x lines.
 
-    Raises OverflowError when an offset or a half-width overflows its square.
+    Raises DomainError when an offset or a half-width overflows its square.
     """
     f = np.asarray(freqs, dtype=float)
     c = np.asarray(centers, dtype=float)
@@ -417,7 +350,7 @@ def lorentzian_sum(freqs, centers, fwhms, weights) -> np.ndarray:
         return np.zeros(f.shape)
     reach, widest = float(np.abs(f).max()) + float(np.abs(c).max()), float(h.max())
     if max(reach, widest) >= math.sqrt(np.finfo(float).max):
-        raise OverflowError(
+        raise DomainError(
             f"Lorentzian offset {reach:.3e} or half-width {widest:.3e} overflows its square"
         )
     order = np.argsort(f, axis=None, kind="stable")

@@ -1,5 +1,5 @@
-"""Vibronic coupling: Franck-Condon progressions, Debye-Waller factor,
-normalized emission spectra, and the energy-gap law for intersystem crossing.
+"""Vibronic coupling: Franck-Condon progressions, Debye-Waller factor and
+normalized emission spectra.
 
 Vibron modes are discrete intramolecular oscillators with Huang-Rhys factors;
 the host phonon continuum enters through a superohmic spectral density
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, GridTooNarrow, IntegrationFailure
-from .units import FrequencyGrid, bose_occupation, lorentzian_sum, quad, thermal_frequency
+from .units import FrequencyGrid, bose_occupation, lorentzian_sum, quad
 
 _WEIGHT_FLOOR = 1e-12  # vibronic lines below this total weight are dropped
 _MAX_QUANTA = 200  # longest progression kept per vibron mode
@@ -99,28 +99,12 @@ class PhononSpectralDensity:
 
 
 @dataclass(frozen=True)
-class ActivatedDephasing:
-    """Optional thermally activated pure-dephasing linewidth b*exp(-Ea/kB T);
-    amplitude and activation energy are both angular frequencies (rad/s)."""
-
-    amplitude: float
-    activation_energy: float
-
-    def rate(self, temperature: float) -> float:
-        if temperature <= 0.0:
-            return 0.0
-        return self.amplitude * math.exp(
-            -self.activation_energy / thermal_frequency(temperature)
-        )
-
-
-@dataclass(frozen=True)
 class VibronicModel:
     """Emitter model: ZPL position, radiative rate, vibron modes, phonons.
 
     zpl_frequency and radiative_rate (the ZPL FWHM floor) are in rad/s;
     temperature in kelvin. extra_linewidth adds a static pure-dephasing
-    contribution to the ZPL width, and activated_dephasing an Arrhenius one.
+    contribution to the ZPL width.
     """
 
     zpl_frequency: float
@@ -129,7 +113,6 @@ class VibronicModel:
     phonon_density: PhononSpectralDensity | None = None
     temperature: float = 0.0
     extra_linewidth: float = 0.0
-    activated_dephasing: ActivatedDephasing | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "vibron_modes", tuple(self.vibron_modes))
@@ -144,11 +127,8 @@ class VibronicModel:
 
     @property
     def zpl_linewidth(self) -> float:
-        """ZPL FWHM: radiative floor plus any pure-dephasing contributions."""
-        width = self.radiative_rate + self.extra_linewidth
-        if self.activated_dephasing is not None:
-            width += self.activated_dephasing.rate(self.temperature)
-        return width
+        """ZPL FWHM: radiative floor plus the static pure dephasing."""
+        return self.radiative_rate + self.extra_linewidth
 
 
 def _phonon_exponent(density: PhononSpectralDensity | None, temperature: float) -> float:
@@ -308,18 +288,3 @@ def emission_spectrum(model: VibronicModel, grid: FrequencyGrid) -> Spectrum:
         raise GridTooNarrow("grid captures no spectral weight")
     return Spectrum(grid=grid, intensity=intensity / area, zpl_weight=alpha)
 
-
-def energy_gap_isc_rate(prefactor: float, gap_slope: float, energy_gap: float) -> float:
-    """Energy-gap law for intersystem crossing: rate = A * exp(-gamma * dE).
-
-    prefactor is a rate (1/s), gap_slope the inverse-width of the law in
-    s/rad, and energy_gap the singlet-triplet separation in rad/s. The rate
-    decreases exponentially as the gap opens.
-    """
-    if prefactor <= 0.0:
-        raise DomainError(f"prefactor must be positive, got {prefactor}")
-    if gap_slope <= 0.0:
-        raise DomainError(f"gap_slope must be positive, got {gap_slope}")
-    if energy_gap < 0.0:
-        raise DomainError(f"energy gap must be non-negative, got {energy_gap}")
-    return prefactor * math.exp(-gap_slope * energy_gap)

@@ -201,7 +201,7 @@ _ODMR_RATES = json.loads((SCENARIOS / "odmr.json").read_text())["parameters"]["n
 _OVER_2_52 = ("time step {} s is over 2^52 times the generator's fastest time scale"
               " 1/||L||_1 = 1.592e-307 s; use more time points")
 _CROT_STEPS = "the crot gate needs {} CF4 steps, over the cap of 32768"
-_SQUARE = "OverflowError: Lorentzian offset {} or half-width {} overflows its square"
+_SQUARE = "Lorentzian offset {} or half-width {} overflows its square"
 _EXACT = 0.10607352973339457
 
 # fmt: off
@@ -289,6 +289,23 @@ ROWS = [
     _runtime_error("crot_steps_past_the_float_range", "crot",
                    {"parameters.drive_frequency.value": 1e-300, f"{_SPIN}.zfs_d.value": 1e12},
                    _CROT_STEPS.format("inf")),
+    # A D whose 2D/3 is finite is refused at run time with one line.
+    _runtime_error("spin_spectrum_8.9e307_zfs", "spin_spectrum",
+                   {f"{_SPIN}.zfs_d": {"value": 8.9e307, "unit": "rad/s"}},
+                   _SQUARE.format("8.900e+307", "1.571e+07")),
+    _runtime_error("crot_8.9e307_zfs", "crot", {f"{_SPIN}.zfs_d": {"value": 8.9e307, "unit": "rad/s"}},
+                   _CROT_STEPS.format("3.45e+302")),
+    # A value and unit pair that overflows rad/s.
+    _config_error("spin_spectrum_1e300_thz_zfs", "spin_spectrum",
+                  {f"{_SPIN}.zfs_d": {"value": 1e300, "unit": "THz"}},
+                  f"at {_SPIN}.zfs_d: 1e+300 THz is not finite in rad/s"),
+    _config_error("crot_1e300_ev_hyperfine", "crot",
+                  {f"{_SPIN}.nuclei.0.hyperfine_unit": "eV", f"{_SPIN}.nuclei.0.hyperfine_tensor.2.2": 1e300},
+                  f"at {_SPIN}.nuclei.0: 1e+300 eV is not finite in rad/s"),
+    # zfs_tensor's 2D/3 overflows although D is finite.
+    *(_config_error(f"{kind}_1e308_zfs", kind, {f"{_SPIN}.zfs_d": {"value": 1e308, "unit": "rad/s"}},
+                    f"at {_SPIN}: 2D/3 is not finite for D=1e+308")
+      for kind in ("spin_spectrum", "crot")),
     _config_error("odmr_truncated_ket", "odmr", {"parameters.network.states.1": "S1;v=[];p=[]"},
                   "at parameters.network.states.1: 'S1;v=[];p=[]' is not a canonical ket literal"
                   " such as 'T1,x;v=[0,1];p=[];n=[(1/2,+1/2)]'"),

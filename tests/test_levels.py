@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hostguest.errors import EmptyPopulation
 from hostguest.levels import (
     KET_PATTERN,
     RADIATIVE_CLASSES,
@@ -19,7 +18,6 @@ from hostguest.levels import (
     TransitionClass,
     classify_transition,
     format_ket,
-    kasha_emitting_state,
     parse_ket,
 )
 
@@ -31,10 +29,7 @@ def ket(manifold, sublevel=None, v=(), p=(), n=()):
 # --- manifolds ---------------------------------------------------------------
 
 
-def test_manifold_ordering_triplet_below_singlet_at_same_index():
-    assert T1.excitation_order < S1.excitation_order
-    assert S1.excitation_order < Manifold("T", 2).excitation_order
-    assert S0.is_ground and not S1.is_ground
+def test_manifold_kind_marks_triplets():
     assert T1.is_triplet and not S1.is_triplet
 
 
@@ -276,53 +271,3 @@ def test_classification_is_total():
     # the sampler is rich enough to touch most of the taxonomy
     assert TransitionClass.FORBIDDEN in seen
     assert TransitionClass.ISC in seen
-
-
-# --- Kasha rule --------------------------------------------------------------
-
-
-def test_kasha_relaxes_vibrational_excitation():
-    src = ket(S1, v=[0, 1])
-    assert kasha_emitting_state({src: 1.0}) == ket(S1)
-
-
-def test_kasha_already_relaxed():
-    assert kasha_emitting_state({ket(S1): 1.0}) == ket(S1)
-
-
-def test_kasha_triplet_keeps_sublevel():
-    src = ket(T1, "z", v={0: 1})
-    assert kasha_emitting_state({src: 1.0}) == ket(T1, "z")
-
-
-def test_kasha_picks_lowest_excited_manifold():
-    pops = {ket(Manifold("S", 2)): 0.5, ket(S1, v={0: 3}): 0.5}
-    assert kasha_emitting_state(pops) == ket(S1)
-    # triplet sits below the singlet of the same index
-    pops = {ket(S1): 0.5, ket(T1, "y"): 0.5}
-    assert kasha_emitting_state(pops) == ket(T1, "y")
-
-
-def test_kasha_most_populated_sublevel_wins():
-    pops = {ket(T1, "x"): 0.2, ket(T1, "z"): 0.8}
-    assert kasha_emitting_state(pops) == ket(T1, "z")
-
-
-def test_kasha_ignores_ground_population():
-    pops = {ket(S0): 0.7, ket(S1, v={1: 2}): 0.3}
-    assert kasha_emitting_state(pops) == ket(S1)
-
-
-def test_kasha_empty_population():
-    with pytest.raises(EmptyPopulation):
-        kasha_emitting_state({ket(S0): 1.0})
-    with pytest.raises(EmptyPopulation):
-        kasha_emitting_state({ket(S0): 0.4, ket(S0, v={0: 1}): 0.6})
-    # an empty mapping fails normalization before the excited-state check
-    with pytest.raises(ValueError):
-        kasha_emitting_state({})
-
-
-def test_kasha_population_must_normalize():
-    with pytest.raises(ValueError):
-        kasha_emitting_state({ket(S1): 0.5})

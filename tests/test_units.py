@@ -5,102 +5,49 @@ import numpy as np
 import pytest
 import scipy.constants as sc
 import scipy.linalg
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from hostguest.errors import DomainError, IncompatibleUnits
+from hostguest.errors import DomainError
 from hostguest.units import (
+    ANGULAR_UNITS,
     BOLTZMANN,
     HBAR,
     FrequencyGrid,
     TWO_PI,
-    Quantity,
-    Unit,
     bose_occupation,
-    convert,
     expm,
     lorentzian_sum,
-    thermal_frequency,
 )
 
 from line_sum_oracle import assert_matches_ordered_sum, ordered_line_sum
-
-FREQ_UNITS = [Unit.EV, Unit.THZ, Unit.GHZ, Unit.MHZ, Unit.KHZ, Unit.RAD_PER_S]
 
 
 def test_ev_to_thz_anchor():
     # E/h for 1 eV, checked against scipy's CODATA table. The hbar route
     # differs from the h route only through rounding of hbar itself.
-    got = convert(Quantity(1.0, Unit.EV), Unit.THZ).value
+    got = ANGULAR_UNITS["eV"] / ANGULAR_UNITS["THz"]
     assert got == pytest.approx(sc.e / sc.h / 1e12, rel=1e-8)
     assert got == pytest.approx(241.7990, abs=5e-4)
 
 
 def test_thz_to_ev_anchor():
-    got = convert(Quantity(1.0, Unit.THZ), Unit.EV).value
+    got = ANGULAR_UNITS["THz"] / ANGULAR_UNITS["eV"]
     assert got == pytest.approx(sc.h * 1e12 / sc.e, rel=1e-8)
 
 
 def test_rad_per_s_is_identity_scale():
-    q = Quantity(7.25e9, Unit.RAD_PER_S)
-    assert convert(q, Unit.RAD_PER_S).value == 7.25e9
-    assert q.rad_per_s == 7.25e9
+    assert ANGULAR_UNITS["rad/s"] == 1.0
 
 
 def test_ghz_factor_is_2pi():
-    assert convert(Quantity(1.0, Unit.GHZ), Unit.RAD_PER_S).value == pytest.approx(
-        2.0 * math.pi * 1e9, rel=1e-15
-    )
+    assert ANGULAR_UNITS["GHz"] == pytest.approx(2.0 * math.pi * 1e9, rel=1e-15)
 
 
-def test_round_trip_all_frequency_pairs():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        a, b = rng.choice(len(FREQ_UNITS), size=2)
-        value = float(rng.uniform(1e-3, 1e3))
-        q = Quantity(value, FREQ_UNITS[a])
-        back = convert(convert(q, FREQ_UNITS[b]), FREQ_UNITS[a]).value
-        assert abs(back - value) <= 1e-12 * abs(value)
+def test_star_import_resolves_every_exported_name():
+    import hostguest
 
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(
-    value=st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False),
-    src=st.sampled_from(FREQ_UNITS),
-    dst=st.sampled_from(FREQ_UNITS),
-)
-def test_round_trip_property(value, src, dst):
-    back = convert(convert(Quantity(value, src), dst), src).value
-    assert abs(back - value) <= 1e-12 * abs(value)
-
-
-@pytest.mark.parametrize("unit", [Unit.KELVIN, Unit.TESLA, Unit.SECOND, Unit.DIMENSIONLESS])
-def test_non_frequency_units_identity_only(unit):
-    q = Quantity(3.5, unit)
-    assert convert(q, unit).value == 3.5
-    with pytest.raises(IncompatibleUnits):
-        convert(q, Unit.GHZ)
-    with pytest.raises(IncompatibleUnits):
-        convert(Quantity(1.0, Unit.EV), unit)
-
-
-def test_kelvin_to_tesla_rejected():
-    with pytest.raises(IncompatibleUnits):
-        convert(Quantity(300.0, Unit.KELVIN), Unit.TESLA)
-
-
-def test_quantity_rejects_nonfinite():
-    with pytest.raises(DomainError):
-        Quantity(math.nan, Unit.GHZ)
-    with pytest.raises(DomainError):
-        Quantity(math.inf, Unit.EV)
-
-
-def test_thermal_frequency_300k():
-    assert thermal_frequency(300.0) == pytest.approx(sc.k * 300.0 / sc.hbar, rel=1e-8)
-    assert thermal_frequency(0.0) == 0.0
-    with pytest.raises(DomainError):
-        thermal_frequency(-1.0)
+    namespace: dict = {}
+    exec("from hostguest import *", namespace)
+    assert set(hostguest.__all__) <= namespace.keys()
 
 
 def test_bose_occupation_reference_points():
@@ -277,8 +224,8 @@ def test_lorentzian_sum_of_a_few_lines_is_the_ordered_sum(multipole_lines):
 
 
 @pytest.mark.parametrize("fwhm, center", [(1e300, 1.0), (1.0, 1e300), (3e154, 0.0)])
-def test_lorentzian_sum_raises_overflow_error_for_unsquarable_lines(fwhm, center):
-    with pytest.raises(OverflowError, match="overflows its square"):
+def test_lorentzian_sum_raises_domain_error_for_unsquarable_lines(fwhm, center):
+    with pytest.raises(DomainError, match="overflows its square"):
         lorentzian_sum(np.linspace(0.0, 1.0, 5), [center], [fwhm], [1.0])
 
 

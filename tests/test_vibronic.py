@@ -9,16 +9,14 @@ from scipy.integrate import quad
 
 from hostguest import vibronic
 from hostguest.errors import DomainError, GridTooNarrow
-from hostguest.units import BOLTZMANN, HBAR, FrequencyGrid, bose_occupation, thermal_frequency
+from hostguest.units import BOLTZMANN, HBAR, FrequencyGrid, bose_occupation
 from hostguest.vibronic import (
-    ActivatedDephasing,
     PhononSpectralDensity,
     Spectrum,
     VibronicModel,
     VibronMode,
     debye_waller,
     emission_spectrum,
-    energy_gap_isc_rate,
     franck_condon_progression,
     zpl_branching_ratio,
 )
@@ -371,51 +369,3 @@ def test_spectrum_constructor_guards():
     with pytest.raises(ValueError):
         Spectrum(grid, np.array([5.0, 5.0, 5.0]))  # integrates to 5
     Spectrum(grid, np.array([1.0, 1.0, 1.0]))
-
-
-# --- dephasing and ISC -----------------------------------------------------------
-
-
-def test_activated_dephasing_widens_zpl():
-    deph = ActivatedDephasing(amplitude=TWO_PI * 1e9, activation_energy=TWO_PI * 1e12)
-    cold = VibronicModel(
-        zpl_frequency=TWO_PI * 466e12,
-        radiative_rate=TWO_PI * 30e6,
-        activated_dephasing=deph,
-        temperature=2.0,
-    )
-    warm = VibronicModel(
-        zpl_frequency=TWO_PI * 466e12,
-        radiative_rate=TWO_PI * 30e6,
-        activated_dephasing=deph,
-        temperature=200.0,
-    )
-    assert warm.zpl_linewidth > cold.zpl_linewidth
-    expected = TWO_PI * 30e6 + deph.amplitude * math.exp(
-        -deph.activation_energy / thermal_frequency(200.0)
-    )
-    assert warm.zpl_linewidth == pytest.approx(expected, rel=1e-12)
-
-
-def test_activated_dephasing_frozen_out_at_zero_temperature():
-    deph = ActivatedDephasing(amplitude=TWO_PI * 1e9, activation_energy=TWO_PI * 1e12)
-    model = VibronicModel(
-        zpl_frequency=TWO_PI * 466e12,
-        radiative_rate=TWO_PI * 30e6,
-        activated_dephasing=deph,
-        temperature=0.0,
-    )
-    assert model.zpl_linewidth == TWO_PI * 30e6
-
-
-def test_energy_gap_law():
-    assert energy_gap_isc_rate(1e9, 2e-12, 0.0) == 1e9
-    r1 = energy_gap_isc_rate(1e9, 2e-12, TWO_PI * 1e12)
-    r2 = energy_gap_isc_rate(1e9, 2e-12, TWO_PI * 2e12)
-    assert r2 / r1 == pytest.approx(math.exp(-2e-12 * TWO_PI * 1e12), rel=1e-12)
-    with pytest.raises(DomainError):
-        energy_gap_isc_rate(-1.0, 1e-12, 1.0)
-    with pytest.raises(DomainError):
-        energy_gap_isc_rate(1e9, 0.0, 1.0)
-    with pytest.raises(DomainError):
-        energy_gap_isc_rate(1e9, 1e-12, -1.0)
