@@ -3,7 +3,8 @@
 The schema that ``hostguest schema`` prints is pinned by SHA-256 per kind.
 The field-table check is compared with jsonschema, used here as an oracle
 only: each shipped config and a fixed list of single-field mutations must
-be accepted or rejected by both alike. The cold path is guarded: importing
+be accepted or rejected by both alike. Every angular field and hyperfine
+entry converts to rad/s by its unit's factor. The cold path is guarded: importing
 the CLI or validating a config loads neither scipy nor jsonschema, running
 any kind does not load scipy, and printing a schema or validating a config
 loads only the physics modules of its kind.
@@ -12,6 +13,7 @@ loads only the physics modules of its kind.
 import copy
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -301,6 +303,61 @@ def test_field_table_agrees_with_jsonschema(kind, dotted, value, where):
     assert accepted == (where is None)
     if where is not None:
         assert message.startswith(f"at {where}"), message
+
+
+# --- units --------------------------------------------------------------------
+
+# One of each config unit in rad/s: eV through E/h = 241.7990 THz, the rest
+# through 2*pi.
+RAD_PER_S = {
+    "eV": 2 * math.pi * 241.7990e12,
+    "THz": 2 * math.pi * 1e12,
+    "GHz": 2 * math.pi * 1e9,
+    "MHz": 2 * math.pi * 1e6,
+    "kHz": 2 * math.pi * 1e3,
+    "rad/s": 1.0,
+}
+
+
+def _unit_enums(node, where=""):
+    """(path, enum) of every ``unit`` and ``hyperfine_unit`` property in a schema."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            if key in ("unit", "hyperfine_unit") and isinstance(child, dict) and "enum" in child:
+                yield f"{where}.{key}", child["enum"]
+            else:
+                yield from _unit_enums(child, f"{where}.{key}")
+    elif isinstance(node, list):
+        for child in node:
+            yield from _unit_enums(child, where)
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEMA_SHA256))
+def test_every_unit_enum_is_the_angular_list_or_a_single_unit(kind):
+    enums = list(_unit_enums(config_schema(kind)))
+    # screening reads its energies as plain eV numbers from its input CSV
+    assert bool(enums) == (kind != "screening")
+    for where, enum in enums:
+        assert enum in (list(RAD_PER_S), ["s"], ["K"]), where
+
+
+@pytest.mark.parametrize("unit", list(RAD_PER_S))
+def test_angular_field_converts_by_its_unit_factor(unit):
+    config = _mutated("spin_spectrum", "parameters.linewidth", {"value": 1.5, "unit": unit})
+    (params,) = validate_config(config)
+    assert params["linewidth"] == pytest.approx(1.5 * RAD_PER_S[unit], rel=1e-6)
+
+
+@pytest.mark.parametrize("unit", list(RAD_PER_S))
+def test_hyperfine_entries_convert_by_their_unit_factor(unit):
+    config = _mutated("crot", "parameters.spin_system.nuclei.0.hyperfine_unit", unit)
+    tensor = config["parameters"]["spin_system"]["nuclei"][0]["hyperfine_tensor"]
+    (params,) = validate_config(config)
+    (nucleus,) = params["spin_system"].nuclei
+    expected = [[x * RAD_PER_S[unit] for x in row] for row in tensor]
+    assert [list(row) for row in nucleus.hyperfine_tensor] == [
+        pytest.approx(row, rel=1e-6) for row in expected
+    ]
 
 
 # --- the cold path ------------------------------------------------------------
