@@ -16,6 +16,7 @@ none of the shipped kinds use any; the seed is recorded for provenance.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import hashlib
 import importlib
 import json
@@ -209,6 +210,30 @@ def _const(value) -> Field:
     return Field({"const": value}, check)
 
 
+# The checks of record and array nodes already made in the current
+# validate_config call, by (id(node), where) -> (node, value). Holding the node
+# keeps its id from being reused while the entry lives; the memo is dropped
+# when the call returns, so a node mutated in place between calls is checked
+# again.
+_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar("memo", default=None)
+
+
+def _memoized(check):
+    """``check`` with its value reused for a node seen before at the same path
+    in the current validate_config call; outside such a call, ``check``."""
+
+    def memoized(node, where):
+        memo = _MEMO.get()
+        if memo is None:
+            return check(node, where)
+        key = (id(node), where)
+        if key not in memo:
+            memo[key] = (node, check(node, where))
+        return memo[key][1]
+
+    return memoized
+
+
 def array(
     item: Field, length: int | None = None, default=_REQUIRED, min_items: int = 0, unique=False
 ) -> Field:
@@ -236,7 +261,7 @@ def array(
             raise _fail(where, f"{node!r} has non-unique elements")
         return items
 
-    return Field(schema, check, default)
+    return Field(schema, _memoized(check), default)
 
 
 def record(default=_REQUIRED, build=None, **fields: Field) -> Field:
@@ -271,7 +296,7 @@ def record(default=_REQUIRED, build=None, **fields: Field) -> Field:
         except ValueError as exc:
             raise _fail(where, str(exc)) from None
 
-    return Field(schema, check, default)
+    return Field(schema, _memoized(check), default)
 
 
 def nullable(field: Field) -> Field:
@@ -516,7 +541,10 @@ def validate_config(config) -> list:
     built: one entry for a plain run, or one per sweep value, in order.
     Each sweep value is put in place and checked with the rest of the
     parameters, so a bad value is named by the path of the swept leaf.
-    Raises ConfigError naming the path of the first violation.
+    A point shares every subtree off the swept path with the config, and
+    such a subtree is checked once per call: the points share its coerced
+    value or built object. Raises ConfigError naming the path of the first
+    violation.
     """
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
@@ -525,15 +553,16 @@ def validate_config(config) -> list:
         raise ConfigError(
             f"scenario_kind must be one of {', '.join(SCENARIO_KINDS)}, got {kind!r}"
         )
-    checked = _ENVELOPES[kind].check(config, "")
-    sweep = checked["sweep"]
-    if sweep is None:
-        return [checked["parameters"]]
-    points = []
-    for value in sweep["values"]:
-        params = _with_value(config["parameters"], sweep["parameter"], value)
-        points.append(PARAMETERS[kind].check(params, "parameters"))
-    return points
+    token = _MEMO.set({})
+    try:
+        checked = _ENVELOPES[kind].check(config, "")
+        sweep = checked["sweep"]
+        if sweep is None:
+            return [checked["parameters"]]
+        points = (_with_value(config["parameters"], sweep["parameter"], v) for v in sweep["values"])
+        return [PARAMETERS[kind].check(params, "parameters") for params in points]
+    finally:
+        _MEMO.reset(token)
 
 
 # --- CSV / JSON byte renderers ----------------------------------------------
@@ -575,9 +604,11 @@ def _quote(text: str) -> str:
 
 
 def _cells(column, where: str):
-    """The text of one column: a float ndarray is checked in one vectorized
-    call and formatted with ``repr``; anything else goes through ``_fmt``
-    and ``_quote``."""
+    """The text of one column: a float ndarray, or a list of floats alone
+    (no bool or int), is checked in one vectorized call and formatted with
+    ``repr``; anything else goes through ``_fmt`` and ``_quote``."""
+    if isinstance(column, list) and all(isinstance(x, (float, np.floating)) for x in column):
+        column = np.array(column, dtype=float)
     if isinstance(column, np.ndarray) and column.dtype.kind == "f":
         finite = np.isfinite(column)
         if not finite.all():
@@ -602,9 +633,13 @@ def _json_bytes(payload) -> bytes:
 #
 # Each runner maps the built parameters of one point to (scalars, tables);
 # scalars are flat key -> scalar (these populate result.json and sweep
-# columns), tables are file name -> (header, columns), where a column is a
-# float ndarray or a list of scalars. Runners do not render: run_scenario
-# renders the tables of a plain run and drops those of each sweep point.
+# columns), tables is a function of no arguments that returns file name ->
+# (header, columns), where a column is a float ndarray or a list of scalars.
+# Runners do not render: run_scenario calls and renders the tables of a plain
+# run only. A check that decides a run's exit code stays outside tables, so a
+# sweep point fails as its plain run does.
+
+_NO_TABLES = dict  # the tables of a runner that writes only result.json
 
 
 def _run_spin_spectrum(params, _ctx):
@@ -617,20 +652,19 @@ def _run_spin_spectrum(params, _ctx):
         "smallest_gap_hz": float(gaps.min() / TWO_PI) if len(gaps) else 0.0,
         "largest_gap_hz": float((eig.energies[-1] - eig.energies[0]) / TWO_PI),
     }
-    tables = {
+    return scalars, lambda: {
         "spectrum.csv": (("frequency_hz", "response"), (freqs / TWO_PI, response)),
         "levels.csv": (
             ("index", "energy_hz"),
             (range(len(eig.energies)), eig.energies / TWO_PI),
         ),
     }
-    return scalars, tables
 
 
 def _run_odmr(drive, _ctx):
     from . import dynamics
 
-    return {"contrast": dynamics.odmr_contrast(*drive)}, {}
+    return {"contrast": dynamics.odmr_contrast(*drive)}, _NO_TABLES
 
 
 def _run_crot(params, _ctx):
@@ -656,13 +690,15 @@ def _run_crot(params, _ctx):
         "addressed_upper": result.addressed[1],
         "step_count": result.step_count,
     }
-    return scalars, {"unitary.csv": (header, list(flat))}
+    return scalars, lambda: {"unitary.csv": (header, list(flat))}
 
 
 def _run_emission_spectrum(params, _ctx):
     from . import vibronic
 
     model = params["model"]
+    # Computed for a sweep point too: its checks (grid too narrow, no
+    # spectral weight, normalisation) decide the exit code.
     spectrum = vibronic.emission_spectrum(model, params["grid"])
     # The ZPL branching ratio equals the Debye-Waller factor by construction.
     scalars = {
@@ -670,11 +706,12 @@ def _run_emission_spectrum(params, _ctx):
         "zpl_branching_ratio": spectrum.zpl_weight,
         "zpl_linewidth_hz": model.zpl_linewidth / TWO_PI,
     }
-    table = (
-        ("frequency_hz", "normalized_intensity"),
-        (spectrum.frequencies / TWO_PI, spectrum.intensity),
-    )
-    return scalars, {"spectrum.csv": table}
+    return scalars, lambda: {
+        "spectrum.csv": (
+            ("frequency_hz", "normalized_intensity"),
+            (spectrum.frequencies / TWO_PI, spectrum.intensity),
+        )
+    }
 
 
 def _run_relaxation_classify(params, _ctx):
@@ -685,7 +722,7 @@ def _run_relaxation_classify(params, _ctx):
     scalars = {"channel": channel.value, "two_phonon_rate": 0.0}
     if rm is not None and channel is relaxation.RelaxationChannel.TWO_PHONON:
         scalars["two_phonon_rate"] = relaxation.two_phonon_rate(data.vibron_frequency, **rm)
-    return scalars, {}
+    return scalars, _NO_TABLES
 
 
 def _run_lindblad(params, _ctx):
@@ -713,8 +750,8 @@ def _run_lindblad(params, _ctx):
             states[:, 0, 1].real,
             states[:, 0, 1].imag,
         ),
-    )
-    return scalars, {"trajectory.csv": table}
+    )  # views of states: nothing is computed until it is rendered
+    return scalars, lambda: {"trajectory.csv": table}
 
 
 def _run_g2(params, _ctx):
@@ -726,7 +763,7 @@ def _run_g2(params, _ctx):
     lower, _ = system.collapse_channels[0]  # the decay channel
     values = dynamics.g2_correlation(system, lower, taus)
     scalars = {"g2_zero": float(values[0]), "g2_final": float(values[-1])}
-    return scalars, {"g2.csv": (("tau_s", "g2"), (taus, values))}
+    return scalars, lambda: {"g2.csv": (("tau_s", "g2"), (taus, values))}
 
 
 def _run_raman_memory(spec, ctx):
@@ -738,31 +775,35 @@ def _run_raman_memory(spec, ctx):
     write_stage = replace(spec, storage_hold=0.0)
     storage, total = protocols.raman_memory_efficiency(spec, stored.get(write_stage))
     stored[write_stage] = storage
-    return {"storage_efficiency": storage, "total_efficiency": total}, {}
+    return {"storage_efficiency": storage, "total_efficiency": total}, _NO_TABLES
 
 
 def _run_cavity_interface(params, _ctx):
     from . import protocols
 
     spec, grid = params
-    detunings = grid.frequencies
-    # Detuning 0 rides along as one extra point at the end of the grid.
-    reflection, transmission = protocols.cavity_response(spec, np.append(detunings, 0.0))
-    r0, t0 = reflection[-1:], transmission[-1:]
-    reflectance = np.abs(reflection[:-1]) ** 2
-    transmittance = np.abs(transmission[:-1]) ** 2
-    loss = 1.0 - reflectance - transmittance
+    r0, t0 = protocols.cavity_response(spec, 0.0)
     scalars = {
         "cooperativity": spec.cooperativity,
         "on_resonance_reflectance": float(abs(r0[0]) ** 2),
         "on_resonance_transmittance": float(abs(t0[0]) ** 2),
         "spin_photon_fidelity": protocols.spin_photon_fidelity(spec, (r0, t0)),
     }
-    table = (
-        ("detuning_hz", "reflectance", "transmittance", "loss"),
-        (detunings / TWO_PI, reflectance, transmittance, loss),
-    )
-    return scalars, {"response.csv": table}
+
+    def tables():
+        detunings = grid.frequencies
+        reflection, transmission = protocols.cavity_response(spec, detunings)
+        reflectance = np.abs(reflection) ** 2
+        transmittance = np.abs(transmission) ** 2
+        loss = 1.0 - reflectance - transmittance
+        return {
+            "response.csv": (
+                ("detuning_hz", "reflectance", "transmittance", "loss"),
+                (detunings / TWO_PI, reflectance, transmittance, loss),
+            )
+        }
+
+    return scalars, tables
 
 
 def _run_optomech(params, _ctx):
@@ -774,7 +815,7 @@ def _run_optomech(params, _ctx):
         "thermal_occupation": result.thermal_occupation,
         "ultrastrong": result.ultrastrong,
     }
-    return scalars, {}
+    return scalars, _NO_TABLES
 
 
 def _run_screening(params, ctx):
@@ -791,14 +832,10 @@ def _run_screening(params, ctx):
         "intercept": fit.intercept,
         "r_squared": fit.r_squared,
     }
-    columns = [
-        [r.name for r in chosen],
-        [r.carbon_count for r in chosen],
-        [r.e_s1_ev for r in chosen],
-        [r.e_t1_ev for r in chosen],
-        [r.centrosymmetric for r in chosen],
-    ]
-    return scalars, {"candidates.csv": (screening.CSV_COLUMNS, columns)}
+    header = screening.CSV_COLUMNS  # the MoleculeRecord field names, in order
+    return scalars, lambda: {
+        "candidates.csv": (header, [[getattr(r, key) for r in chosen] for key in header])
+    }
 
 
 _RUNNERS = {
@@ -876,8 +913,10 @@ def load_config(path) -> dict:
 def run_scenario(config: dict, config_dir, output_dir=None) -> Path:
     """Validate and execute one scenario; returns the output directory.
 
-    A plain run renders the runner's tables and result.json; a sweep keeps
-    only each point's scalars and renders sweep.csv. All files are staged in
+    A plain run builds and renders the runner's tables and result.json. A
+    sweep's points share the checked config (see validate_config); each
+    point computes only its scalars, its tables are never built, and the
+    run renders sweep.csv alone. All files are staged in
     memory, so a run that fails before the write phase writes nothing. Each
     file is then renamed from ``<name>.tmp`` one at a time, the manifest
     last: a kill between renames leaves new artifacts beside the old
@@ -897,14 +936,16 @@ def run_scenario(config: dict, config_dir, output_dir=None) -> Path:
     files: dict[str, bytes] = {}
     sweep = config.get("sweep")
     if sweep:
-        # Pop each point as it runs: its built objects (a grid caches its array) go with it.
-        results = [runner(points.pop(0), ctx)[0] for _ in range(len(points))]
+        # Pop each point as it runs, from the end of the reversed list: the
+        # built objects of its swept path go with it.
+        points.reverse()
+        results = [runner(points.pop(), ctx)[0] for _ in range(len(points))]
         keys = sorted(results[0])
         columns = [sweep["values"], *([point[k] for point in results] for k in keys)]
         files["sweep.csv"] = _csv_bytes("sweep.csv", [sweep["parameter"], *keys], columns)
     else:
         scalars, tables = runner(points[0], ctx)
-        for name, (header, columns) in tables.items():
+        for name, (header, columns) in tables().items():
             files[name] = _csv_bytes(name, header, columns)
         files["result.json"] = _json_bytes(
             {k: _json_scalar(v, f"result.json key {k!r}") for k, v in scalars.items()}

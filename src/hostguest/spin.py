@@ -103,6 +103,22 @@ class SpinSystemSpec:
         # zfs_tensor's 2D/3 overflows for |D| above about 9e307 rad/s.
         if not math.isfinite(2.0 * self.zfs_d / 3.0):
             raise ValueError(f"2D/3 is not finite for D={self.zfs_d}")
+        # A bound on H's entries: the ZFS, electron Zeeman, nuclear Zeeman and
+        # hyperfine terms, each its couplings times its spin. Past the float
+        # range assemble_spin_hamiltonian overflows. Summed in Python floats,
+        # which overflow to inf without a numpy warning.
+        field_sum = sum(map(abs, b))
+        larmor = abs(float(self.g_electron)) * BOHR_MAGNETON / HBAR
+        bound = abs(float(self.zfs_d)) + abs(float(self.zfs_e)) + larmor * field_sum
+        for nuc in self.nuclei:
+            hyperfine = sum(abs(float(x)) for row in nuc.hyperfine_tensor for x in row)
+            nuclear_zeeman = abs(float(nuc.gyromagnetic_ratio)) * field_sum
+            bound += float(nuc.spin) * (nuclear_zeeman + hyperfine)
+        if not math.isfinite(bound):
+            raise ValueError(
+                "the Hamiltonian entries overflow: the sum of the ZFS, Zeeman and"
+                " hyperfine terms is not finite"
+            )
         if abs(self.zfs_e) > abs(self.zfs_d) / 3.0 + 1e-12 * abs(self.zfs_d):
             raise ValueError(
                 f"|E| <= |D|/3 required, got D={self.zfs_d}, E={self.zfs_e}"

@@ -306,6 +306,11 @@ ROWS = [
     *(_config_error(f"{kind}_1e308_zfs", kind, {f"{_SPIN}.zfs_d": {"value": 1e308, "unit": "rad/s"}},
                     f"at {_SPIN}: 2D/3 is not finite for D=1e+308")
       for kind in ("spin_spectrum", "crot")),
+    # A field component at 1e300 T: H's entry bound overflows, refused before assembly.
+    *(_config_error(f"{kind}_1e300_tesla_field_{axis}", kind, {f"{_FIELD}.{i}": 1e300},
+                    f"at {_SPIN}: the Hamiltonian entries overflow: the sum of the ZFS,"
+                    " Zeeman and hyperfine terms is not finite")
+      for kind in ("spin_spectrum", "crot") for i, axis in enumerate("xyz")),
     _config_error("odmr_truncated_ket", "odmr", {"parameters.network.states.1": "S1;v=[];p=[]"},
                   "at parameters.network.states.1: 'S1;v=[];p=[]' is not a canonical ket literal"
                   " such as 'T1,x;v=[0,1];p=[];n=[(1/2,+1/2)]'"),
@@ -324,6 +329,10 @@ ROWS = [
                   {"parameters.grid.start.value": 2.0, "parameters.grid.stop.value": 0.2},
                   "at parameters.grid: grid must be strictly increasing,"
                   " got [12566370614.359173, 1256637061.4359174]"),
+    # Points share the checked config; a bad swept value still fails at its leaf.
+    _config_error("cavity_sweep_negative_g", "cavity_interface",
+                  {"sweep": {"parameter": "g.value", "values": [0.1, -1.0, 0.3]}},
+                  "at parameters.g.value: -1.0 is less than the minimum of 0"),
     _config_error("lindblad_sweep_of_a_misspelt_path", "lindblad",
                   {"parameters.times.points": 101,
                    "sweep": {"parameter": "system.rabbi.value", "values": [1.0]}},

@@ -25,6 +25,7 @@ import pytest
 from hostguest.cli import main
 from hostguest.errors import ConfigError
 from hostguest.scenarios import SCENARIO_KINDS, config_schema, load_config, validate_config
+from hostguest.units import FrequencyGrid
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = ROOT / "scenarios"
@@ -303,6 +304,42 @@ def test_field_table_agrees_with_jsonschema(kind, dotted, value, where):
     assert accepted == (where is None)
     if where is not None:
         assert message.startswith(f"at {where}"), message
+
+
+# --- sweeps share the checked config -------------------------------------------
+
+
+def _cavity_sweep(values) -> dict:
+    config = load_config(SCENARIO_DIR / "cavity_interface.json")
+    config["sweep"] = {"parameter": "g.value", "values": values}
+    return config
+
+
+def test_a_cavity_sweep_builds_one_grid_for_all_its_points(monkeypatch):
+    built = []
+    original = FrequencyGrid.__post_init__
+
+    def counted(grid):
+        built.append(grid)
+        original(grid)
+
+    monkeypatch.setattr(FrequencyGrid, "__post_init__", counted)
+    points = validate_config(_cavity_sweep([0.01 * i for i in range(200)]))
+    assert len(points) == 200
+    assert len(built) == 1
+    assert all(grid is built[0] for _, grid in points)
+    assert len({spec.g for spec, _ in points}) == 200  # the swept record is built per point
+
+
+def test_a_config_mutated_in_place_is_checked_again():
+    config = _cavity_sweep([0.1, 0.2])
+    [(_, grid), _] = validate_config(config)
+    config["parameters"]["grid"]["points"] = 11  # off the swept path
+    [(_, regrid), _] = validate_config(config)
+    assert (grid.points, regrid.points) == (1201, 11)
+    config["parameters"]["grid"]["points"] = 1
+    with pytest.raises(ConfigError, match=r"^at parameters\.grid\.points: 1 is less than"):
+        validate_config(config)
 
 
 # --- units --------------------------------------------------------------------

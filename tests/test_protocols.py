@@ -471,19 +471,34 @@ def test_spin_photon_fidelity_reuses_given_on_resonance_response(coupled):
     assert given == pytest.approx(0.9783790170132324, rel=1e-12)
 
 
-def test_cavity_interface_run_evaluates_the_response_twice(monkeypatch, tmp_path):
+def _count_cavity_responses(monkeypatch) -> list:
+    """(emitter_coupled, number of detunings) of each cavity_response call."""
     calls = []
     original = protocols.cavity_response
 
     def counted(spec, detunings):
-        calls.append(spec.emitter_coupled)
+        calls.append((spec.emitter_coupled, np.size(detunings)))
         return original(spec, detunings)
 
     monkeypatch.setattr(protocols, "cavity_response", counted)
+    return calls
+
+
+def test_cavity_interface_run_evaluates_both_branches_at_zero_then_the_grid(monkeypatch, tmp_path):
+    calls = _count_cavity_responses(monkeypatch)
     config = load_config(SCENARIO_DIR / "cavity_interface.json")
     run_scenario(config, SCENARIO_DIR, output_dir=tmp_path / "out")
-    # the grid with detuning 0 appended, then the shelved branch at 0
-    assert calls == [True, False]
+    # the scalars: the coupled and the shelved branch at detuning 0; then
+    # response.csv: the 1201-point grid once
+    assert calls == [(True, 1), (False, 1), (True, 1201)]
+
+
+def test_cavity_interface_sweep_points_evaluate_no_grid(monkeypatch, tmp_path):
+    calls = _count_cavity_responses(monkeypatch)
+    config = load_config(SCENARIO_DIR / "cavity_interface.json")
+    config["sweep"] = {"parameter": "g.value", "values": [0.1, 0.2, 0.3]}
+    run_scenario(config, SCENARIO_DIR, output_dir=tmp_path / "out")
+    assert calls == [(True, 1), (False, 1)] * 3
 
 
 def test_spin_photon_fidelity_monotone_in_cooperativity():

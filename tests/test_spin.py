@@ -82,6 +82,31 @@ def test_zfs_tensor_is_traceless():
     assert np.allclose(t, t.T)
 
 
+@pytest.mark.parametrize(
+    "system",
+    [
+        *({"magnetic_field": np.eye(3)[axis] * 1e300} for axis in range(3)),
+        {"g_electron": 1e300},  # inf times a zero field
+        {"magnetic_field": (0.0, 0.0, 10.0), "nuclei": (NucleusSpec("1/2", np.eye(3), 1e308),)},
+        {"nuclei": (NucleusSpec("1/2", np.eye(3) * 1e308),)},  # three entries of 1e308
+    ],
+)
+def test_a_spec_whose_hamiltonian_overflows_is_refused(system):
+    # Refused without a numpy warning, before any array is built.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="the Hamiltonian entries overflow"):
+            SpinSystemSpec(zfs_d=TWO_PI * 1e9, **system)
+
+
+def test_a_spec_with_huge_finite_terms_is_assembled_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        proton = NucleusSpec(spin="1/2", hyperfine_tensor=np.diag([1e6, 1e6, 3e6]))
+        spec = SpinSystemSpec(zfs_d=1e307, magnetic_field=(0.0, 0.0, 1e150), nuclei=(proton,))
+        assert np.isfinite(build_spin_hamiltonian(spec)).all()
+
+
 def test_e_bounded_by_d_over_3():
     with pytest.raises(ValueError):
         SpinSystemSpec(zfs_d=TWO_PI * 1e9, zfs_e=TWO_PI * 0.4e9)
