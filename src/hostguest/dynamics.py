@@ -30,6 +30,11 @@ __getattr__ = solve_ivp_on_lookup(__name__)
 # times, and 2^50 times a one-ulp error of a slow mode is 0.1.
 _MAX_STEP_NORM = 2.0**52
 
+# The most complex entries the stacked states of one batch of points may hold
+# (2^14, 256 KB), as units._CF4_BLOCK bounds a block of CF4 steps: a longer
+# sweep is stepped in several batches.
+BATCH_ENTRIES = 1 << 14
+
 
 @dataclass(frozen=True)
 class OpenSystem:
@@ -122,11 +127,34 @@ def _check_times(times, name: str) -> np.ndarray:
     return times
 
 
-def _propagate_matrix(gen: np.ndarray, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Propagate a (not necessarily trace-one) matrix from t = 0 under the
-    generator to times that passed _check_times: one exact step propagator
-    per bit-distinct step between the distinct times, all exponentiated in
-    one stacked call. A repeated time is reached once and its state repeated.
+def _step_layout(times: np.ndarray):
+    """(index, steps, which) for times that passed _check_times: the distinct
+    times are reached in turn by the bit-distinct steps steps[which], and time
+    i is distinct time index[i]. steps[-1] is the longest step."""
+    distinct, index = np.unique(times, return_inverse=True)
+    steps, which = np.unique(np.diff(distinct, prepend=0.0), return_inverse=True)
+    return index, steps, which
+
+
+def _check_step(gen: np.ndarray, longest: float) -> np.ndarray:
+    norm = float(np.abs(gen).sum(axis=0).max())
+    if norm * longest > _MAX_STEP_NORM:
+        raise DomainError(
+            f"time step {longest:.3e} s is over 2^52 times the generator's fastest "
+            f"time scale 1/||L||_1 = {1.0 / norm:.3e} s; use more time points"
+        )
+    return gen
+
+
+def _propagate_matrix(gens: np.ndarray, x0s: np.ndarray, layout) -> np.ndarray:
+    """Propagate a batch of m (not necessarily trace-one) matrices x0s
+    (m, d, d) from t = 0, each under its generator in gens (m, d^2, d^2), to
+    the times of ``layout`` (see _step_layout), whose longest step passed
+    _check_step for every generator; returns (m, len(times), d, d). One
+    exact step propagator per bit-distinct step and point, all exponentiated
+    in one stacked call; each step advances the whole batch with one stacked
+    matvec (a batch of one, with one .dot). A repeated time is reached once
+    and its state repeated. Raises nothing.
 
     The state is stepped in the coordinates z = S y of its row-major vector
     y: z_0 = tr, z_k = y_k otherwise, so S and S^-1 are 0/+-1 matrices. The
@@ -134,42 +162,56 @@ def _propagate_matrix(gen: np.ndarray, x0: np.ndarray, times: np.ndarray) -> np.
     rounding; it is set to zero, which expm keeps exact, so every step
     propagator's row 0 is e_0^T and the trace is carried exactly however
     stiff the generator."""
-    d = x0.shape[0]
-    distinct, index = np.unique(times, return_inverse=True)
-    steps, which = np.unique(np.diff(distinct, prepend=0.0), return_inverse=True)
-    norm = float(np.abs(gen).sum(axis=0).max())
-    if norm * float(steps[-1]) > _MAX_STEP_NORM:
-        raise DomainError(
-            f"time step {steps[-1]:.3e} s is over 2^52 times the generator's fastest "
-            f"time scale 1/||L||_1 = {1.0 / norm:.3e} s; use more time points"
-        )
+    index, steps, which = layout
+    m, d = x0s.shape[0], x0s.shape[-1]
     s, s_inv = np.eye(d * d), np.eye(d * d)
     s[0, d + 1 :: d + 1], s_inv[0, d + 1 :: d + 1] = 1.0, -1.0
-    gen_z = s @ gen @ s_inv
-    gen_z[0] = 0.0
-    propagators = list(expm(steps[:, None, None] * gen_z))
-    z = s @ x0.reshape(-1)
-    states = []
-    for j in which.tolist():
-        z = propagators[j].dot(z)
-        states.append(z)
-    out = (np.array(states) @ s_inv.T)[index].reshape(len(times), d, d)
+    gen_z = s @ gens @ s_inv
+    gen_z[:, 0] = 0.0
+    propagators = expm(steps[:, None, None, None] * gen_z)  # (step, point, d^2, d^2)
+    z = np.matvec(s, x0s.reshape(m, d * d))
+    if m == 1:  # .dot of the 2-D slices writes the same bits in half the time of a matvec of one
+        propagators, z, step = propagators[:, 0], z[0], np.ndarray.dot
+    else:
+        step = np.matvec
+    propagators = list(propagators)  # a list indexes faster than an array
+    stepped = np.empty((len(which), *z.shape), dtype=complex)
+    for k, j in enumerate(which.tolist()):
+        z = step(propagators[j], z, out=stepped[k])
+    stepped = stepped.reshape(len(which), m, d * d)
+    out = (stepped.swapaxes(0, 1) @ s_inv.T)[:, index].reshape(m, len(index), d, d)
     # The generator preserves Hermiticity exactly; scrub roundoff.
-    return 0.5 * (out + np.conj(np.transpose(out, (0, 2, 1))))
+    return 0.5 * (out + np.conj(out.swapaxes(-1, -2)))
 
 
-def evolve(system: OpenSystem, rho0: np.ndarray, times) -> np.ndarray:
+def evolve(system, rho0, times) -> np.ndarray:
     """Density matrices at the requested times (sorted, starting at t >= 0).
 
     Exact propagation: one matrix exponential of the Liouvillian per
     distinct time step (units.expm), applied step by step. Outputs keep the
     initial trace and Hermiticity to roundoff, however stiff the system.
-    Raises DomainError for a step over 2^52 times the generator's fastest
-    time scale.
+    Raises InvalidState for a bad initial state and DomainError for a step
+    over 2^52 times the generator's fastest time scale.
+
+    Batch form: ``system`` an iterable of m systems of one dimension and
+    ``rho0`` an iterable of their initial states give the (m, len(times), d,
+    d) stack, each point's rows the bytes of its plain call. The two are
+    drawn together, and each point is checked as it is drawn, state then
+    step, before the next is drawn; only then is the batch stepped together,
+    which raises nothing. Keep a batch's states within BATCH_ENTRIES complex
+    entries: m * len(times) * d^2 <= 2^14 (256 KB).
     """
     times = _check_times(times, "times")
-    rho0 = _check_state(rho0, system.dimension)
-    return _propagate_matrix(system.generator, rho0, times)
+    plain = isinstance(system, OpenSystem)
+    if plain:
+        system, rho0 = (system,), (rho0,)
+    _, steps, _ = layout = _step_layout(times)
+    gens, x0s = [], []
+    for one, state in zip(system, rho0):
+        x0s.append(_check_state(state, one.dimension))
+        gens.append(_check_step(one.generator, steps[-1]))
+    states = _propagate_matrix(np.array(gens), np.array(x0s), layout)
+    return states[0] if plain else states
 
 
 def _at_unit_scale(a: np.ndarray) -> np.ndarray:
@@ -211,23 +253,44 @@ def steady_state(system: OpenSystem) -> np.ndarray:
     return rho
 
 
-def g2_correlation(system: OpenSystem, emission_operator, taus) -> np.ndarray:
+def g2_correlation(system, emission_operator, taus) -> np.ndarray:
     """Normalized second-order correlation via the quantum regression theorem.
 
     g2(tau) = Tr[a^dag a exp(L tau)(a rho_ss a^dag)] / Tr[a^dag a rho_ss]^2,
-    evaluated at the requested non-negative delays.
+    evaluated at the requested non-negative delays. Raises
+    DegenerateSteadyState for a steady state that is not unique or emits no
+    photons, and DomainError for a step over 2^52 times the generator's
+    fastest time scale.
+
+    Batch form: ``system`` an iterable of m systems of one dimension and
+    ``emission_operator`` an iterable of their operators give the
+    (m, len(taus)) values, each row the bytes of its plain call. Each point
+    is checked in turn (steady state, photon flux, step) before the batch is
+    stepped together, as in evolve, whose BATCH_ENTRIES bound applies.
     """
     taus = _check_times(taus, "taus")
-    a = np.asarray(emission_operator, dtype=complex)
-    rho_ss = steady_state(system)
-    number_op = a.conj().T @ a
-    flux = float(np.trace(number_op @ rho_ss).real)
-    if flux <= 0.0:
-        raise DegenerateSteadyState("steady state emits no photons; g2 undefined")
-    seed = a @ rho_ss @ a.conj().T
-    propagated = _propagate_matrix(system.generator, seed, taus)
-    values = np.einsum("ij,tji->t", number_op, propagated).real
-    return values / flux**2
+    plain = isinstance(system, OpenSystem)
+    if plain:
+        system, emission_operator = (system,), (emission_operator,)
+    _, steps, _ = layout = _step_layout(taus)
+    gens, seeds, numbers, fluxes = [], [], [], []
+    for one, a in zip(system, emission_operator):
+        a = np.asarray(a, dtype=complex)
+        rho_ss = steady_state(one)
+        number_op = a.conj().T @ a
+        flux = float(np.trace(number_op @ rho_ss).real)
+        if flux <= 0.0:
+            raise DegenerateSteadyState("steady state emits no photons; g2 undefined")
+        gens.append(_check_step(one.generator, steps[-1]))
+        seeds.append(a @ rho_ss @ a.conj().T)
+        numbers.append(number_op)
+        fluxes.append(flux)
+    propagated = _propagate_matrix(np.array(gens), np.array(seeds), layout)
+    values = np.array([
+        np.einsum("ij,tji->t", number_op, states).real / flux**2
+        for number_op, states, flux in zip(numbers, propagated, fluxes)
+    ])
+    return values[0] if plain else values
 
 
 @dataclass(frozen=True)

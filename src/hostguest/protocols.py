@@ -247,7 +247,10 @@ def cavity_response(spec: CavityInterfaceSpec, detunings):
     cavity_pole = 1j * detunings + 0.5 * spec.kappa
     if g_eff > 0.0:
         emitter_pole = 1j * detunings + 0.5 * spec.gamma
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # A pole at or near zero (gamma 1e-300 MHz on resonance) makes the
+        # emitter term inf, by division or by overflow: the emitter then
+        # blocks the cavity, r = -1 and t = 0, as set below.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             lamb = np.where(
                 np.abs(emitter_pole) > 0.0, g_eff**2 / emitter_pole, np.inf
             )

@@ -631,13 +631,21 @@ def _json_bytes(payload) -> bytes:
 
 # --- scenario runners --------------------------------------------------------
 #
-# Each runner maps the built parameters of one point to (scalars, tables);
+# A runner maps the built points of a run, an iterable drawn in order (one
+# point for a plain run, one per sweep value), to their results, one
+# (scalars, tables) per point in the same order, yielded as it goes: a
+# sweep's points, and the states of a batch, go once its results are drawn.
 # scalars are flat key -> scalar (these populate result.json and sweep
 # columns), tables is a function of no arguments that returns file name ->
 # (header, columns), where a column is a float ndarray or a list of scalars.
-# Runners do not render: run_scenario calls and renders the tables of a plain
-# run only. A check that decides a run's exit code stays outside tables, so a
-# sweep point fails as its plain run does.
+# Runners do not render: run_scenario calls and renders the tables of a
+# plain run only. A check that decides a run's exit code stays outside
+# tables, and each point runs its checks in the order of its plain run
+# before any later point's, so a sweep fails on its first failing point as
+# that point's plain run fails.
+#
+# Most kinds run one point at a time behind _each. lindblad and g2 step a
+# batch of consecutive points on one time grid together (_grid_batches).
 
 _NO_TABLES = dict  # the tables of a runner that writes only result.json
 
@@ -725,16 +733,48 @@ def _run_relaxation_classify(params, _ctx):
     return scalars, _NO_TABLES
 
 
-def _run_lindblad(params, _ctx):
+def _grid_batches(points, grid: str):
+    """Runs of consecutive points with equal ``params[grid]`` (a stop and a
+    point count), each (times, batch), drawn from the iterable ``points``. A
+    batch keeps its stacked states within dynamics.BATCH_ENTRIES complex
+    entries."""
     from . import dynamics
 
-    system = params["system"]
-    stop, points = params["times"]["stop"], params["times"]["points"]
-    times = np.linspace(0.0, stop, points)
-    ground = params["initial_state"] == "ground"
-    rho0 = np.diag([1.0, 0.0] if ground else [0.0, 1.0]).astype(complex)
-    states = dynamics.evolve(system, rho0, times)
-    rho_ss = dynamics.steady_state(system)
+    batch = []
+    for params in points:
+        if batch and (params[grid] != batch[0][grid] or len(batch) == size):
+            yield times, batch
+            batch = []
+        if not batch:
+            spec = params[grid]
+            times = np.linspace(0.0, spec["stop"], spec["points"])
+            size = max(1, dynamics.BATCH_ENTRIES // (len(times) * params["system"].dimension ** 2))
+        batch.append(params)
+    if batch:
+        yield times, batch
+
+
+def _run_lindblad(points, _ctx):
+    from . import dynamics
+
+    for times, batch in _grid_batches(points, "times"):
+        ground = [params["initial_state"] == "ground" for params in batch]
+        rho0s = [np.diag([1.0, 0.0] if g else [0.0, 1.0]).astype(complex) for g in ground]
+        steady = []
+
+        def systems():
+            # evolve checks a point's state and step when it draws it, so its
+            # steady state is solved next, before the next point is drawn.
+            for params in batch:
+                yield params["system"]
+                steady.append(dynamics.steady_state(params["system"]))
+
+        stacked = dynamics.evolve(systems(), rho0s, times)
+        for states, rho_ss in zip(stacked, steady):
+            yield _lindblad_result(times, states, rho_ss)
+
+
+def _lindblad_result(times, states, rho_ss):
     traces = np.trace(states, axis1=1, axis2=2).real
     scalars = {
         "final_excited_population": states[-1][1, 1].real,
@@ -754,14 +794,17 @@ def _run_lindblad(params, _ctx):
     return scalars, lambda: {"trajectory.csv": table}
 
 
-def _run_g2(params, _ctx):
+def _run_g2(points, _ctx):
     from . import dynamics
 
-    system = params["system"]
-    stop, points = params["taus"]["stop"], params["taus"]["points"]
-    taus = np.linspace(0.0, stop, points)
-    lower, _ = system.collapse_channels[0]  # the decay channel
-    values = dynamics.g2_correlation(system, lower, taus)
+    for taus, batch in _grid_batches(points, "taus"):
+        systems = [params["system"] for params in batch]
+        lowers = [system.collapse_channels[0][0] for system in systems]  # the decay channels
+        for values in dynamics.g2_correlation(systems, lowers, taus):
+            yield _g2_result(taus, values)
+
+
+def _g2_result(taus, values):
     scalars = {"g2_zero": float(values[0]), "g2_final": float(values[-1])}
     return scalars, lambda: {"g2.csv": (("tau_s", "g2"), (taus, values))}
 
@@ -838,18 +881,23 @@ def _run_screening(params, ctx):
     }
 
 
+def _each(run_point):
+    """The runner that runs ``run_point`` on each point in turn."""
+    return lambda points, ctx: (run_point(params, ctx) for params in points)
+
+
 _RUNNERS = {
-    "spin_spectrum": _run_spin_spectrum,
-    "odmr": _run_odmr,
-    "crot": _run_crot,
-    "emission_spectrum": _run_emission_spectrum,
-    "relaxation_classify": _run_relaxation_classify,
+    "spin_spectrum": _each(_run_spin_spectrum),
+    "odmr": _each(_run_odmr),
+    "crot": _each(_run_crot),
+    "emission_spectrum": _each(_run_emission_spectrum),
+    "relaxation_classify": _each(_run_relaxation_classify),
     "lindblad": _run_lindblad,
     "g2": _run_g2,
-    "raman_memory": _run_raman_memory,
-    "cavity_interface": _run_cavity_interface,
-    "optomech": _run_optomech,
-    "screening": _run_screening,
+    "raman_memory": _each(_run_raman_memory),
+    "cavity_interface": _each(_run_cavity_interface),
+    "optomech": _each(_run_optomech),
+    "screening": _each(_run_screening),
 }
 
 
@@ -914,9 +962,12 @@ def run_scenario(config: dict, config_dir, output_dir=None) -> Path:
     """Validate and execute one scenario; returns the output directory.
 
     A plain run builds and renders the runner's tables and result.json. A
-    sweep's points share the checked config (see validate_config); each
-    point computes only its scalars, its tables are never built, and the
-    run renders sweep.csv alone. All files are staged in
+    sweep's points share the checked config (see validate_config); the
+    runner takes them in order, lindblad and g2 points in batches on one
+    time grid, each point's checks before a later point's, so the sweep
+    fails on its first failing point. Each point computes only its
+    scalars, its tables are never built, and the run renders sweep.csv
+    alone. All files are staged in
     memory, so a run that fails before the write phase writes nothing. Each
     file is then renamed from ``<name>.tmp`` one at a time, the manifest
     last: a kill between renames leaves new artifacts beside the old
@@ -936,15 +987,16 @@ def run_scenario(config: dict, config_dir, output_dir=None) -> Path:
     files: dict[str, bytes] = {}
     sweep = config.get("sweep")
     if sweep:
-        # Pop each point as it runs, from the end of the reversed list: the
-        # built objects of its swept path go with it.
+        # Pop each point as the runner draws it, from the end of the reversed
+        # list: the built objects of its swept path go with its batch.
         points.reverse()
-        results = [runner(points.pop(), ctx)[0] for _ in range(len(points))]
+        drawn = (points.pop() for _ in range(len(points)))
+        results = [scalars for scalars, _ in runner(drawn, ctx)]
         keys = sorted(results[0])
         columns = [sweep["values"], *([point[k] for point in results] for k in keys)]
         files["sweep.csv"] = _csv_bytes("sweep.csv", [sweep["parameter"], *keys], columns)
     else:
-        scalars, tables = runner(points[0], ctx)
+        ((scalars, tables),) = runner(points, ctx)
         for name, (header, columns) in tables().items():
             files[name] = _csv_bytes(name, header, columns)
         files["result.json"] = _json_bytes(

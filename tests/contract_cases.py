@@ -194,15 +194,20 @@ def _config_error(name: str, base: str, mutations: dict, line: str) -> Row:
     return Row(name, base, mutations, validate=1, run=1, stderr="config error: " + line)
 
 
+def _decay_sweep(values: list) -> dict:
+    return {"sweep": {"parameter": "system.decay.value", "values": values}}
+
+
 _SPIN = "parameters.spin_system"
 _FIELD = f"{_SPIN}.magnetic_field_tesla"
 _SYSTEM = "parameters.system"
 _ODMR_RATES = json.loads((SCENARIOS / "odmr.json").read_text())["parameters"]["network"]["rates"]
 _OVER_2_52 = ("time step {} s is over 2^52 times the generator's fastest time scale"
-              " 1/||L||_1 = 1.592e-307 s; use more time points")
+              " 1/||L||_1 = {} s; use more time points")
 _CROT_STEPS = "the crot gate needs {} CF4 steps, over the cap of 32768"
 _SQUARE = "Lorentzian offset {} or half-width {} overflows its square"
 _EXACT = 0.10607352973339457
+_NOT_UNIQUE = "steady state is not unique (2-dimensional kernel at unit rates)"
 
 # fmt: off
 ROWS = [
@@ -235,18 +240,37 @@ ROWS = [
     Row("lindblad_stiff_detuning", "lindblad", {f"{_SYSTEM}.detuning.value": 1e12}),
     Row("lindblad_tiny_decay", "lindblad", {f"{_SYSTEM}.decay.value": 1e-300}),
     Row("g2_stiff_rabi", "g2", {f"{_SYSTEM}.rabi.value": 1e12}),
+    # A sweep fails on its first failing point, and a point on its first
+    # failing check in the order of its plain run: lindblad checks the step
+    # before the steady state, g2 the steady state before the step. Decay 0
+    # leaves a 2-dimensional kernel; decay 1e22 MHz outruns the time step.
+    *(_runtime_error(f"{kind}_decay_sweep_{name}", kind, _decay_sweep(values), line)
+      for kind, step in (("lindblad", "2.000e-09"), ("g2", "1.250e-09"))
+      for name, values, line in (("0_then_1e22", [0.0, 1e22], _NOT_UNIQUE),
+                                 ("1e22_then_0", [1e22, 0.0], _OVER_2_52.format(step, "7.958e-30")))),
+    _runtime_error("lindblad_point_failing_step_and_steady_state", "lindblad",
+                   {f"{_SYSTEM}.rabi.value": 1e22, **_decay_sweep([0.0])}, _OVER_2_52.format("2.000e-09", "1.592e-29")),
+    _runtime_error("g2_point_failing_step_and_steady_state", "g2",
+                   {f"{_SYSTEM}.rabi.value": 1e22, **_decay_sweep([0.0])}, _NOT_UNIQUE),
     # The exact rational contrast with the mixing rate at 1e300 rad/s.
     Row("odmr_fast_mixing", "odmr", {"parameters.mw_mixing_rate.value": 1e300},
         check=lambda out: abs(_result(out)["contrast"] - _EXACT) <= 1e-12 * _EXACT),
+    # An emitter linewidth of 1e-300 MHz overflows the emitter term on
+    # resonance: the emitter blocks the cavity, r = -1 and t = 0.
+    Row("cavity_tiny_gamma", "cavity_interface", {"parameters.gamma.value": 1e-300},
+        check=lambda out: (_result(out)["on_resonance_reflectance"],
+                           _result(out)["on_resonance_transmittance"]) == (1.0, 0.0)),
+    Row("cavity_tiny_gamma_sweep", "cavity_interface",
+        {"sweep": {"parameter": "gamma.value", "values": [1.0, 1e-300]}}),
     Row("screening_quoted_names", "screening", {"parameters.input_csv": "quoted_names.csv"},
         files={"quoted_names.csv": _QUOTED_CSV}, check=_names_read_back),
     # A 1e300 MHz two-level drive builds its system in validate without overflow.
     _runtime_error("lindblad_1e300_rabi", "lindblad", {f"{_SYSTEM}.rabi.value": 1e300},
-                   _OVER_2_52.format("2.000e-09")),
+                   _OVER_2_52.format("2.000e-09", "1.592e-307")),
     _runtime_error("lindblad_1e300_detuning", "lindblad", {f"{_SYSTEM}.detuning.value": 1e300},
-                   _OVER_2_52.format("2.000e-09")),
+                   _OVER_2_52.format("2.000e-09", "1.592e-307")),
     _runtime_error("g2_1e300_rabi", "g2", {f"{_SYSTEM}.rabi.value": 1e300},
-                   _OVER_2_52.format("1.250e-09")),
+                   _OVER_2_52.format("1.250e-09", "1.592e-307")),
     # rho_ee is about rabi^2 / (4 detuning^2), about 1e-612: it underflows to 0.
     _runtime_error("g2_1e300_detuning", "g2", {f"{_SYSTEM}.detuning.value": 1e300},
                    "steady state emits no photons; g2 undefined"),

@@ -302,6 +302,111 @@ def test_shipped_run_builds_the_liouvillian_once(kind, monkeypatch, tmp_path):
     assert [is_unit_rate(s) for s in calls].count(True) == 1
 
 
+def test_batch_rows_are_the_bytes_of_plain_calls():
+    rng = np.random.default_rng(11)
+    times = np.r_[0.0, 0.0, np.linspace(0.1, 2.0, 40), 2.0]
+    for dim in (2, 3):
+        systems = [_random_system(rng, dim) for _ in range(4)]
+        states = [_random_state(rng, dim) for _ in range(4)]
+        stacked = evolve(systems, states, times)
+        assert stacked.shape == (4, len(times), dim, dim)
+        for system, rho0, rows in zip(systems, states, stacked):
+            assert rows.tobytes() == evolve(system, rho0, times).tobytes()
+    systems = [_two_level(rabi, 0.5, 1.0) for rabi in (0.5, 3.0, 7.0)]
+    values = g2_correlation(systems, [_LOWER] * 3, times)
+    for system, row in zip(systems, values):
+        assert row.tobytes() == g2_correlation(system, _LOWER, times).tobytes()
+
+
+def test_batch_checks_each_point_as_it_draws_it():
+    # Points are drawn one at a time: a check that fails stops the draw, and
+    # the caller's work between two draws runs after the earlier point's checks.
+    good, drawn = np.diag([1.0, 0.0]), []
+
+    def systems(rabis):
+        for rabi in rabis:
+            drawn.append(rabi)
+            yield _two_level(rabi, 0.0, 1.0)
+
+    with pytest.raises(InvalidState):
+        evolve(systems([1.0, 2.0, 3.0]), [good, np.diag([0.7, 0.7]), good], [0.0, 1.0])
+    assert drawn == [1.0, 2.0]
+    drawn.clear()
+    with pytest.raises(DomainError, match="over 2"):
+        evolve(systems([1.0, 1e300, 3.0]), [good] * 3, [0.0, 1.0])
+    assert drawn == [1.0, 1e300]
+    drawn.clear()
+    with pytest.raises(DegenerateSteadyState, match="emits no photons"):
+        g2_correlation(systems([1.0, 0.0, 1e300]), [_LOWER] * 3, [0.0, 1.0])
+    assert drawn == [1.0, 0.0]
+
+
+def _sweep_rows_and_plain_results(kind, parameter, values, tmp_path):
+    config = load_config(SCENARIO_DIR / f"{kind}.json")
+    config["sweep"] = {"parameter": parameter, "values": values}
+    out = run_scenario(config, SCENARIO_DIR, output_dir=tmp_path / "sweep")
+    header, *rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()]
+    plain = []
+    for i, value in enumerate(values):
+        config = load_config(SCENARIO_DIR / f"{kind}.json")
+        *path, leaf = parameter.split(".")
+        node = config["parameters"]
+        for key in path:
+            node = node[key]
+        node[leaf] = value
+        out = run_scenario(config, SCENARIO_DIR, output_dir=tmp_path / f"plain{i}")
+        plain.append(json.loads((out / "result.json").read_text()))
+    return header, rows, plain
+
+
+@pytest.mark.parametrize(
+    "kind, parameter, values",
+    [
+        ("lindblad", "initial_state", ["ground", "excited", "excited", "ground"]),
+        ("lindblad", "times.points", [101, 501, 501, 2001, 101]),
+        ("lindblad", "system.rabi.value", [1.0 + 1.5 * i for i in range(10)]),
+        ("g2", "taus.points", [101, 401, 401, 1601]),
+        ("g2", "system.decay.value", [2.0 + 0.7 * i for i in range(12)]),
+    ],
+)
+def test_sweep_rows_are_the_plain_run_scalars(kind, parameter, values, tmp_path):
+    # Points on one time grid are stepped together, in batches capped by
+    # BATCH_ENTRIES (8 lindblad or 10 g2 points here); each row holds the
+    # repr of its plain run's scalars, bit for bit.
+    header, rows, plain = _sweep_rows_and_plain_results(kind, parameter, values, tmp_path)
+    assert header == [parameter, *sorted(plain[0])]
+    assert len(rows) == len(values)
+    for row, result in zip(rows, plain):
+        assert row[1:] == [repr(result[key]) for key in header[1:]]
+
+
+@pytest.mark.parametrize(
+    "kind, parameter, values, sizes",
+    [
+        ("lindblad", "system.rabi.value", [1.0 + i for i in range(10)], [8, 2]),
+        ("lindblad", "times.points", [101, 501, 501, 101], [1, 2, 1]),
+        ("g2", "system.decay.value", [2.0 + i for i in range(12)], [10, 2]),
+        ("g2", "taus.points", [4097], [1]),
+    ],
+)
+def test_sweep_batches_share_one_grid_and_keep_within_the_cap(
+    kind, parameter, values, sizes, monkeypatch, tmp_path
+):
+    name = "evolve" if kind == "lindblad" else "g2_correlation"
+    original, batches = getattr(dynamics, name), []
+
+    def counted(systems, *rest):
+        systems = list(systems)
+        batches.append(len(systems))
+        return original(systems, *rest)
+
+    monkeypatch.setattr(dynamics, name, counted)
+    config = load_config(SCENARIO_DIR / f"{kind}.json")
+    config["sweep"] = {"parameter": parameter, "values": values}
+    run_scenario(config, SCENARIO_DIR, output_dir=tmp_path / "out")
+    assert batches == sizes
+
+
 def test_generator_is_the_read_only_liouvillian():
     system = _two_level(3.0, 0.5, 1.0, dephasing=0.2)
     assert system.generator is system.generator

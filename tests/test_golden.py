@@ -120,6 +120,18 @@ SWEEPS = {
         ["ground", "excited"],
         "f75c8699ae2d5a4b1a8496d9db77741066b431e468972e5fa9474abe23697cf4",
     ),
+    "lindblad_times_points": (
+        "lindblad",
+        "times.points",
+        [101, 501],
+        "77a3aa6be7b11ea25dbcf25ae00794238c4209ac2d9e90130d1fde659e9d9b89",
+    ),
+    "g2_decay": (
+        "g2",
+        "system.decay.value",
+        [2.0, 5.0, 9.5],
+        "339d42a24dfd2725acdeb20072f8543bbc8e1277b3d2cc603cc593882be28dd1",
+    ),
     "raman_memory_storage_hold": (
         "raman_memory",
         "storage_hold.value",
