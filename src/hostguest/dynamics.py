@@ -138,6 +138,8 @@ def _step_layout(times: np.ndarray):
 
 def _check_step(gen: np.ndarray, longest: float) -> np.ndarray:
     norm = float(np.abs(gen).sum(axis=0).max())
+    # A Python float, not an np.float64: its product goes to inf without a warning.
+    longest = float(longest)
     if norm * longest > _MAX_STEP_NORM:
         raise DomainError(
             f"time step {longest:.3e} s is over 2^52 times the generator's fastest "
@@ -153,8 +155,8 @@ def _propagate_matrix(gens: np.ndarray, x0s: np.ndarray, layout) -> np.ndarray:
     _check_step for every generator; returns (m, len(times), d, d). One
     exact step propagator per bit-distinct step and point, all exponentiated
     in one stacked call; each step advances the whole batch with one stacked
-    matvec (a batch of one, with one .dot). A repeated time is reached once
-    and its state repeated. Raises nothing.
+    matvec. A repeated time is reached once and its state repeated. Raises
+    nothing.
 
     The state is stepped in the coordinates z = S y of its row-major vector
     y: z_0 = tr, z_k = y_k otherwise, so S and S^-1 are 0/+-1 matrices. The
@@ -170,15 +172,10 @@ def _propagate_matrix(gens: np.ndarray, x0s: np.ndarray, layout) -> np.ndarray:
     gen_z[:, 0] = 0.0
     propagators = expm(steps[:, None, None, None] * gen_z)  # (step, point, d^2, d^2)
     z = np.matvec(s, x0s.reshape(m, d * d))
-    if m == 1:  # .dot of the 2-D slices writes the same bits in half the time of a matvec of one
-        propagators, z, step = propagators[:, 0], z[0], np.ndarray.dot
-    else:
-        step = np.matvec
     propagators = list(propagators)  # a list indexes faster than an array
-    stepped = np.empty((len(which), *z.shape), dtype=complex)
+    stepped = np.empty((len(which), m, d * d), dtype=complex)
     for k, j in enumerate(which.tolist()):
-        z = step(propagators[j], z, out=stepped[k])
-    stepped = stepped.reshape(len(which), m, d * d)
+        z = np.matvec(propagators[j], z, out=stepped[k])
     out = (stepped.swapaxes(0, 1) @ s_inv.T)[:, index].reshape(m, len(index), d, d)
     # The generator preserves Hermiticity exactly; scrub roundoff.
     return 0.5 * (out + np.conj(out.swapaxes(-1, -2)))

@@ -271,6 +271,12 @@ ROWS = [
                    _OVER_2_52.format("2.000e-09", "1.592e-307")),
     _runtime_error("g2_1e300_rabi", "g2", {f"{_SYSTEM}.rabi.value": 1e300},
                    _OVER_2_52.format("1.250e-09", "1.592e-307")),
+    # Grids out to 1e308 s: a step of about 1e305 s times ||L||_1 overflows
+    # to inf in the step check, which still gives its own line.
+    _runtime_error("lindblad_1e308_times_stop", "lindblad", {"parameters.times.stop.value": 1e308},
+                   _OVER_2_52.format("2.000e+305", "1.061e-08")),
+    _runtime_error("g2_1e308_taus_stop", "g2", {"parameters.taus.stop.value": 1e308},
+                   _OVER_2_52.format("2.500e+305", "1.061e-08")),
     # rho_ee is about rabi^2 / (4 detuning^2), about 1e-612: it underflows to 0.
     _runtime_error("g2_1e300_detuning", "g2", {f"{_SYSTEM}.detuning.value": 1e300},
                    "steady state emits no photons; g2 undefined"),
