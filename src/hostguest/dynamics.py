@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateSteadyState, DomainError, InvalidState, SingularNetwork
 from .levels import RADIATIVE_CLASSES, LevelKet, S0, S1, T1, classify_transition
-from .units import expm, solve_ivp_on_lookup
+from .units import expm, solve_ivp_on_lookup, unit_scaled
 
 
 # bench/tracer.py looks up a module-level ``solve_ivp`` here and wraps it;
@@ -41,7 +41,8 @@ class OpenSystem:
     """A Hamiltonian (rad/s) plus collapse channels [(operator, rate)].
 
     Rates are in 1/s and non-negative; operators are square matrices of the
-    system dimension.
+    system dimension. H is Hermitian to 1e-10 relative to its largest entry
+    (units.unit_scaled); a non-finite entry of H raises DomainError.
     """
 
     hamiltonian: np.ndarray
@@ -51,11 +52,8 @@ class OpenSystem:
         h = np.asarray(self.hamiltonian, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValueError(f"hamiltonian must be square, got {h.shape}")
-        # Checked on h over its largest entry, so neither norm can overflow.
-        top = float(np.abs(h).max(initial=0.0))
-        unit = h / top if top > 1.0 else h
-        scale = max(float(np.linalg.norm(unit)), 1.0)
-        if float(np.linalg.norm(unit - unit.conj().T)) > 1e-10 * scale:
+        unit, _ = unit_scaled(h, "hamiltonian")
+        if float(np.linalg.norm(unit - unit.conj().T)) > 1e-10 * float(np.linalg.norm(unit)):
             raise ValueError("hamiltonian must be Hermitian")
         channels = []
         for op, rate in self.collapse_channels:
@@ -75,7 +73,7 @@ class OpenSystem:
     @cached_property
     def generator(self) -> np.ndarray:
         """The Liouvillian, built once per system and read-only."""
-        gen = liouvillian(self)
+        gen = liouvillian(self.hamiltonian, self.collapse_channels)
         gen.flags.writeable = False
         return gen
 
@@ -86,13 +84,12 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(d * d, d * d)
 
 
-def liouvillian(system: OpenSystem) -> np.ndarray:
-    """Matrix of the generator acting on row-major vectorized density matrices."""
-    d = system.dimension
-    ident = np.eye(d, dtype=complex)
-    h = system.hamiltonian
-    gen = -1j * (_kron(h, ident) - _kron(ident, h.T))
-    for op, rate in system.collapse_channels:
+def liouvillian(hamiltonian: np.ndarray, channels) -> np.ndarray:
+    """Matrix of the generator of a complex Hamiltonian and its collapse channels
+    [(complex operator, rate)] on row-major vectorized density matrices."""
+    ident = np.eye(len(hamiltonian), dtype=complex)
+    gen = -1j * (_kron(hamiltonian, ident) - _kron(ident, hamiltonian.T))
+    for op, rate in channels:
         if rate == 0.0:
             continue
         opdag_op = op.conj().T @ op
@@ -211,11 +208,6 @@ def evolve(system, rho0, times) -> np.ndarray:
     return states[0] if plain else states
 
 
-def _at_unit_scale(a: np.ndarray) -> np.ndarray:
-    top = float(np.abs(a).max(initial=0.0))
-    return a / top if top > 0.0 else a
-
-
 def steady_state(system: OpenSystem) -> np.ndarray:
     """The unique trace-one kernel element of the Liouvillian.
 
@@ -225,13 +217,15 @@ def steady_state(system: OpenSystem) -> np.ndarray:
     kernel counts the singular values at most 1e-10 times the largest. The
     state is one solve of the generator with row 0 replaced by the trace row
     (QuTiP's "direct" method). Raises DegenerateSteadyState for a kernel of
-    more than one dimension, a singular solve or a state that is not positive.
+    more than one dimension, a singular solve or a state that is not positive,
+    and DomainError for a collapse operator with a non-finite entry.
     """
-    unit = OpenSystem(
-        _at_unit_scale(system.hamiltonian),
-        tuple((_at_unit_scale(op), 1.0) for op, rate in system.collapse_channels if rate > 0.0),
+    ops = [op for op, rate in system.collapse_channels if rate > 0.0]
+    unit_rate = liouvillian(
+        unit_scaled(system.hamiltonian, "hamiltonian")[0],
+        [(unit_scaled(op, "collapse operator")[0], 1.0) for op in ops],
     )
-    svals = np.linalg.svd(liouvillian(unit), compute_uv=False)
+    svals = np.linalg.svd(unit_rate, compute_uv=False)
     kernel = int(np.sum(svals <= 1e-10 * svals[0]))
     if kernel > 1:
         raise DegenerateSteadyState(

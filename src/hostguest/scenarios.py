@@ -632,9 +632,9 @@ def _json_bytes(payload) -> bytes:
 # --- scenario runners --------------------------------------------------------
 #
 # A runner maps the built points of a run, an iterable drawn in order (one
-# point for a plain run, one per sweep value), to their results, one
-# (scalars, tables) per point in the same order, yielded as it goes: a
-# sweep's points, and the states of a batch, go once its results are drawn.
+# point for a plain run, one per sweep value), and the config directory to
+# their results, one (scalars, tables) per point in the same order, yielded
+# as it goes: a sweep's points, and a batch's states, go once their results are drawn.
 # scalars are flat key -> scalar (these populate result.json and sweep
 # columns), tables is a function of no arguments that returns file name ->
 # (header, columns), where a column is a float ndarray or a list of scalars.
@@ -644,13 +644,13 @@ def _json_bytes(payload) -> bytes:
 # before any later point's, so a sweep fails on its first failing point as
 # that point's plain run fails.
 #
-# Most kinds run one point at a time behind _each. lindblad and g2 step a
-# batch of consecutive points on one time grid together (_grid_batches).
+# Most kinds run one point at a time behind _each. lindblad and g2 step
+# batches of points on one time grid (_grid_batches); raman_memory points share write stages.
 
 _NO_TABLES = dict  # the tables of a runner that writes only result.json
 
 
-def _run_spin_spectrum(params, _ctx):
+def _run_spin_spectrum(params, _config_dir):
     system = params["spin_system"]
     eig = spin.diagonalize(spin.build_spin_hamiltonian(system))
     freqs, response = spin.odmr_spectrum(system, params["grid"], params["linewidth"], eig)
@@ -669,13 +669,13 @@ def _run_spin_spectrum(params, _ctx):
     }
 
 
-def _run_odmr(drive, _ctx):
+def _run_odmr(drive, _config_dir):
     from . import dynamics
 
     return {"contrast": dynamics.odmr_contrast(*drive)}, _NO_TABLES
 
 
-def _run_crot(params, _ctx):
+def _run_crot(params, _config_dir):
     result = spin.crot_gate(
         params["spin_system"],
         drive_frequency=params["drive_frequency"],
@@ -701,7 +701,7 @@ def _run_crot(params, _ctx):
     return scalars, lambda: {"unitary.csv": (header, list(flat))}
 
 
-def _run_emission_spectrum(params, _ctx):
+def _run_emission_spectrum(params, _config_dir):
     from . import vibronic
 
     model = params["model"]
@@ -722,7 +722,7 @@ def _run_emission_spectrum(params, _ctx):
     }
 
 
-def _run_relaxation_classify(params, _ctx):
+def _run_relaxation_classify(params, _config_dir):
     from . import relaxation
 
     data, rm = params
@@ -754,7 +754,7 @@ def _grid_batches(points, grid: str):
         yield times, batch
 
 
-def _run_lindblad(points, _ctx):
+def _run_lindblad(points, _config_dir):
     from . import dynamics
 
     for times, batch in _grid_batches(points, "times"):
@@ -794,7 +794,7 @@ def _lindblad_result(times, states, rho_ss):
     return scalars, lambda: {"trajectory.csv": table}
 
 
-def _run_g2(points, _ctx):
+def _run_g2(points, _config_dir):
     from . import dynamics
 
     for taus, batch in _grid_batches(points, "taus"):
@@ -809,19 +809,20 @@ def _g2_result(taus, values):
     return scalars, lambda: {"g2.csv": (("tau_s", "g2"), (taus, values))}
 
 
-def _run_raman_memory(spec, ctx):
+def _run_raman_memory(points, _config_dir):
     from . import protocols
 
     # Sweep points of one run that differ only in the hold share one write
-    # stage; the dict lives in ctx, so nothing outlives the run.
-    stored = ctx.setdefault("raman_storage", {})
-    write_stage = replace(spec, storage_hold=0.0)
-    storage, total = protocols.raman_memory_efficiency(spec, stored.get(write_stage))
-    stored[write_stage] = storage
-    return {"storage_efficiency": storage, "total_efficiency": total}, _NO_TABLES
+    # stage; the dict is the runner's own, so nothing outlives the run.
+    stored = {}
+    for spec in points:
+        write_stage = replace(spec, storage_hold=0.0)
+        storage, total = protocols.raman_memory_efficiency(spec, stored.get(write_stage))
+        stored[write_stage] = storage
+        yield {"storage_efficiency": storage, "total_efficiency": total}, _NO_TABLES
 
 
-def _run_cavity_interface(params, _ctx):
+def _run_cavity_interface(params, _config_dir):
     from . import protocols
 
     spec, grid = params
@@ -849,7 +850,7 @@ def _run_cavity_interface(params, _ctx):
     return scalars, tables
 
 
-def _run_optomech(params, _ctx):
+def _run_optomech(params, _config_dir):
     from . import protocols
 
     result = protocols.optomech_cooperativity(*params)
@@ -861,9 +862,9 @@ def _run_optomech(params, _ctx):
     return scalars, _NO_TABLES
 
 
-def _run_screening(params, ctx):
+def _run_screening(params, config_dir):
     raw = Path(params["input_csv"])
-    path = raw if raw.is_absolute() else ctx["config_dir"] / raw
+    path = raw if raw.is_absolute() else config_dir / raw
     result = screening.ingest(path)
     chosen = screening.select_candidates(result, params["criteria"])
     fit = screening.fit_linear_scaling(result)
@@ -883,7 +884,7 @@ def _run_screening(params, ctx):
 
 def _each(run_point):
     """The runner that runs ``run_point`` on each point in turn."""
-    return lambda points, ctx: (run_point(params, ctx) for params in points)
+    return lambda points, config_dir: (run_point(params, config_dir) for params in points)
 
 
 _RUNNERS = {
@@ -894,7 +895,7 @@ _RUNNERS = {
     "relaxation_classify": _each(_run_relaxation_classify),
     "lindblad": _run_lindblad,
     "g2": _run_g2,
-    "raman_memory": _each(_run_raman_memory),
+    "raman_memory": _run_raman_memory,
     "cavity_interface": _each(_run_cavity_interface),
     "optomech": _each(_run_optomech),
     "screening": _each(_run_screening),
@@ -979,9 +980,9 @@ def run_scenario(config: dict, config_dir, output_dir=None) -> Path:
     kind = config["scenario_kind"]
     seed = int(config.get("seed", 0))
     out = Path(output_dir) if output_dir else Path(config.get("output_dir", "."))
+    config_dir = Path(config_dir)
     if not out.is_absolute():
-        out = Path(config_dir) / out
-    ctx = {"config_dir": Path(config_dir)}
+        out = config_dir / out
     runner = _RUNNERS[kind]
 
     files: dict[str, bytes] = {}
@@ -991,12 +992,12 @@ def run_scenario(config: dict, config_dir, output_dir=None) -> Path:
         # list: the built objects of its swept path go with its batch.
         points.reverse()
         drawn = (points.pop() for _ in range(len(points)))
-        results = [scalars for scalars, _ in runner(drawn, ctx)]
+        results = [scalars for scalars, _ in runner(drawn, config_dir)]
         keys = sorted(results[0])
         columns = [sweep["values"], *([point[k] for point in results] for k in keys)]
         files["sweep.csv"] = _csv_bytes("sweep.csv", [sweep["parameter"], *keys], columns)
     else:
-        ((scalars, tables),) = runner(points, ctx)
+        ((scalars, tables),) = runner(points, config_dir)
         for name, (header, columns) in tables().items():
             files[name] = _csv_bytes(name, header, columns)
         files["result.json"] = _json_bytes(

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionOverflow, DomainError, NotHermitian, PreconditionViolated
 from .units import (
-    BOHR_MAGNETON, CF4_STEP_BUDGET, GAMMA_PROTON, HBAR, cf4_propagator, lorentzian_sum
+    BOHR_MAGNETON, CF4_STEP_BUDGET, GAMMA_PROTON, HBAR, cf4_propagator, lorentzian_sum, unit_scaled
 )
 
 # Spec'd default g-factor for the triplet electron spin.
@@ -51,7 +51,8 @@ class NucleusSpec:
 
     hyperfine_tensor is the symmetric 3x3 coupling in rad/s entering
     S . A . I; gyromagnetic_ratio is in rad/(s T) and defaults to the free
-    proton for the common I = 1/2 case.
+    proton for the common I = 1/2 case. Symmetry is checked on A over its
+    largest entry (units.unit_scaled) to 1e-12; a non-finite entry raises DomainError.
     """
 
     spin: Fraction
@@ -66,8 +67,8 @@ class NucleusSpec:
         a = np.asarray(self.hyperfine_tensor, dtype=float)
         if a.shape != (3, 3):
             raise ValueError(f"hyperfine tensor must be 3x3, got shape {a.shape}")
-        scale = max(1.0, float(np.max(np.abs(a))))
-        if np.max(np.abs(a - a.T)) > 1e-12 * scale:
+        unit, _ = unit_scaled(a, "hyperfine tensor")
+        if np.max(np.abs(unit - unit.T)) > 1e-12:
             raise ValueError("hyperfine tensor must be symmetric to 1e-12 (relative)")
         object.__setattr__(self, "hyperfine_tensor", tuple(map(tuple, a)))
 
@@ -156,9 +157,8 @@ def assemble_spin_hamiltonian(
             f"product space dimension {3 * nuclear_dimension} exceeds cap {DIMENSION_CAP}"
         )
     zfs = np.asarray(zfs, dtype=float)
-    if zfs.shape != (3, 3) or np.max(np.abs(zfs - zfs.T)) > 1e-12 * max(
-        1.0, float(np.max(np.abs(zfs)))
-    ):
+    unit, _ = unit_scaled(zfs, "zfs tensor")
+    if zfs.shape != (3, 3) or np.max(np.abs(unit - unit.T)) > 1e-12:
         raise ValueError("zfs tensor must be a symmetric 3x3 matrix")
     b = np.asarray(magnetic_field, dtype=float)
     svec = np.array(angular_momentum_operators(Fraction(1)))
@@ -200,15 +200,12 @@ class SpinEigensystem:
 
 
 def diagonalize(hamiltonian: np.ndarray) -> SpinEigensystem:
-    """Eigendecomposition with Hermiticity and reconstruction checks."""
+    """Eigendecomposition, checked on h over its largest entry (units.unit_scaled):
+    Hermitian to 1e-10 and rebuilt to 1e-9 of its norm; non-finite is a DomainError."""
     h = np.asarray(hamiltonian, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"hamiltonian must be square, got shape {h.shape}")
-    # Both checks run on h over its largest entry, so no norm can overflow.
-    top = float(np.abs(h).max(initial=0.0)) or 1.0
-    if not math.isfinite(top):
-        raise DomainError("hamiltonian has non-finite entries")
-    unit = h / top
+    unit, top = unit_scaled(h, "hamiltonian")
     scale = float(np.linalg.norm(unit))
     if float(np.linalg.norm(unit - unit.conj().T)) > 1e-10 * scale:
         raise NotHermitian("hamiltonian deviates from Hermiticity beyond 1e-10 (relative)")

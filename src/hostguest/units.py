@@ -23,11 +23,9 @@ from .errors import DomainError
 
 # CODATA-2018 values, SI.
 HBAR = 1.054571817e-34          # J s
-PLANCK = 6.62607015e-34         # J s (exact)
 BOLTZMANN = 1.380649e-23        # J / K (exact)
 ELEMENTARY_CHARGE = 1.602176634e-19  # C (exact)
 BOHR_MAGNETON = 9.2740100783e-24     # J / T
-G_ELECTRON_FREE = 2.00231930436256   # dimensionless
 GAMMA_PROTON = 2.6752218744e8        # rad / (s T), free proton
 
 TWO_PI = 2.0 * math.pi
@@ -44,6 +42,15 @@ ANGULAR_UNITS = {
     "kHz": TWO_PI * 1e3,
     "rad/s": 1.0,
 }
+
+
+def unit_scaled(a: np.ndarray, what: str) -> tuple[np.ndarray, float]:
+    """(a / top, top), top the largest |entry| of ``a`` or 1.0 if all are 0: every matrix
+    check runs on a / top, so no norm overflows. Raises DomainError for a non-finite entry."""
+    top = float(np.abs(a).max(initial=0.0)) or 1.0
+    if not math.isfinite(top):
+        raise DomainError(f"{what} has non-finite entries")
+    return a / top, top
 
 
 def bose_occupation(omega, temperature: float):

@@ -62,7 +62,7 @@ def test_evolve_matches_superoperator_exponential():
         rho0 = _random_state(rng, dim)
         times = [0.0, 0.13, 0.57, 1.9]
         states = evolve(system, rho0, times)
-        gen = liouvillian(system)
+        gen = liouvillian(system.hamiltonian, system.collapse_channels)
         for t, rho in zip(times, states):
             ref = (expm(gen * t) @ rho0.reshape(-1)).reshape(dim, dim)
             assert np.max(np.abs(rho - ref)) < 1e-7
@@ -75,7 +75,7 @@ def test_evolve_matches_the_exponential_on_the_shipped_lindblad_system():
     times = np.linspace(0.0, params["times"]["stop"], params["times"]["points"])
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     states = evolve(system, rho0, times)
-    gen = liouvillian(system)
+    gen = liouvillian(system.hamiltonian, system.collapse_channels)
     for t, rho in zip(times, states):
         ref = (expm(gen * t) @ rho0.reshape(-1)).reshape(2, 2)
         assert np.max(np.abs(rho - ref)) < 1e-12
@@ -201,7 +201,7 @@ def test_stiff_g2_tends_to_one(tmp_path):
     assert abs(result["g2_final"] - 1.0) <= 1e-12
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e200, 1e300])
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e300, 1e-12, 1e-300])
 def test_hermiticity_check_is_relative_and_does_not_overflow(scale):
     h = scale * np.array([[0.0, 1.0], [1.0, 0.5]], dtype=complex)
     with warnings.catch_warnings():
@@ -209,6 +209,16 @@ def test_hermiticity_check_is_relative_and_does_not_overflow(scale):
         OpenSystem(hamiltonian=h, collapse_channels=())
         h[0, 1] *= 1.0 + 1e-9
         with pytest.raises(ValueError, match="must be Hermitian"):
+            OpenSystem(hamiltonian=h, collapse_channels=())
+
+
+@pytest.mark.parametrize("entry", [math.inf, math.nan])
+def test_non_finite_hamiltonian_is_a_domain_error_without_a_warning(entry):
+    h = np.eye(2, dtype=complex)
+    h[1, 1] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^hamiltonian has non-finite entries$"):
             OpenSystem(hamiltonian=h, collapse_channels=())
 
 
@@ -274,32 +284,39 @@ def test_repeated_times_repeat_the_state(call, times):
 @pytest.mark.parametrize("kind", ["lindblad", "g2"])
 def test_shipped_run_builds_the_liouvillian_once(kind, monkeypatch, tmp_path):
     # The run's own generator is built once; the steady state adds one
-    # Liouvillian of the unit-rate structure.
+    # Liouvillian of the unit-rate structure, from the validated arrays:
+    # the run builds no OpenSystem beyond the one its config validates to.
     config = load_config(SCENARIO_DIR / f"{kind}.json")
     (params,) = validate_config(config)
     own = params["system"]
-    calls = []
-    original = dynamics.liouvillian
+    calls, built = [], []
+    original, post_init = dynamics.liouvillian, OpenSystem.__post_init__
 
-    def counted(system):
-        calls.append(system)
-        return original(system)
+    def counted(hamiltonian, channels):
+        calls.append((hamiltonian, channels))
+        return original(hamiltonian, channels)
+
+    def counted_post_init(system):
+        built.append(system)
+        post_init(system)
 
     monkeypatch.setattr(dynamics, "liouvillian", counted)
+    monkeypatch.setattr(OpenSystem, "__post_init__", counted_post_init)
     run_scenario(config, SCENARIO_DIR, output_dir=tmp_path / "out")
 
-    def is_own(system):
-        return np.array_equal(system.hamiltonian, own.hamiltonian) and [
-            rate for _, rate in system.collapse_channels
+    def is_own(hamiltonian, channels):
+        return np.array_equal(hamiltonian, own.hamiltonian) and [
+            rate for _, rate in channels
         ] == [rate for _, rate in own.collapse_channels]
 
-    def is_unit_rate(system):
-        rates = {rate for _, rate in system.collapse_channels}
-        return np.abs(system.hamiltonian).max() == pytest.approx(1.0) and rates == {1.0}
+    def is_unit_rate(hamiltonian, channels):
+        rates = {rate for _, rate in channels}
+        return np.abs(hamiltonian).max() == pytest.approx(1.0) and rates == {1.0}
 
     assert len(calls) == 2
-    assert [is_own(s) for s in calls].count(True) == 1
-    assert [is_unit_rate(s) for s in calls].count(True) == 1
+    assert [is_own(*c) for c in calls].count(True) == 1
+    assert [is_unit_rate(*c) for c in calls].count(True) == 1
+    assert len(built) == 1
 
 
 def test_batch_rows_are_the_bytes_of_plain_calls():
@@ -410,7 +427,9 @@ def test_sweep_batches_share_one_grid_and_keep_within_the_cap(
 def test_generator_is_the_read_only_liouvillian():
     system = _two_level(3.0, 0.5, 1.0, dephasing=0.2)
     assert system.generator is system.generator
-    assert np.array_equal(system.generator, liouvillian(system))
+    assert np.array_equal(
+        system.generator, liouvillian(system.hamiltonian, system.collapse_channels)
+    )
     with pytest.raises(ValueError):
         system.generator[0, 0] = 0.0
 
@@ -421,7 +440,7 @@ def test_g2_matches_regression_oracle():
     taus = np.linspace(0.0, 6.0, 25)
     got = g2_correlation(system, lower, taus)
 
-    gen = liouvillian(system)
+    gen = liouvillian(system.hamiltonian, system.collapse_channels)
     rho_ss = steady_state(system)
     n_op = lower.conj().T @ lower
     flux = np.trace(n_op @ rho_ss).real

@@ -173,6 +173,32 @@ def test_nucleus_spec_validation():
         NucleusSpec(spin=0, hyperfine_tensor=np.eye(3))
 
 
+# Symmetry is relative to the largest entry at every scale, so a tensor whose
+# entries are all below 1 is held to 1e-12 of them too.
+_SMALL_ASYMMETRIC = np.diag([1e-3, 1e-3, 2e-3])
+_SMALL_ASYMMETRIC[0, 1] = 1e-14
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda tensor: NucleusSpec(spin="1/2", hyperfine_tensor=tensor),
+        lambda tensor: assemble_spin_hamiltonian(tensor, (0.0, 0.0, 0.0), G_ELECTRON_DEFAULT, ()),
+    ],
+    ids=["hyperfine", "zfs"],
+)
+def test_tensor_checks_refuse_small_asymmetry_and_non_finite_entries(check):
+    check(_SMALL_ASYMMETRIC + _SMALL_ASYMMETRIC.T)
+    with pytest.raises(ValueError, match="symmetric"):
+        check(_SMALL_ASYMMETRIC)
+    nan = np.eye(3)
+    nan[2, 2] = math.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="tensor has non-finite entries$"):
+            check(nan)
+
+
 def test_dimension_cap():
     # 3 * 4^6 = 12288 > 4096
     nuclei = tuple(
