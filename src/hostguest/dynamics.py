@@ -9,6 +9,7 @@ cross-checks live with the tests, not the library.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
@@ -40,9 +41,10 @@ BATCH_ENTRIES = 1 << 14
 class OpenSystem:
     """A Hamiltonian (rad/s) plus collapse channels [(operator, rate)].
 
-    Rates are in 1/s and non-negative; operators are square matrices of the
-    system dimension. H is Hermitian to 1e-10 relative to its largest entry
-    (units.unit_scaled); a non-finite entry of H raises DomainError.
+    Rates are in 1/s, finite and non-negative; operators are square
+    matrices of the system dimension. H is Hermitian to 1e-10 relative to its
+    largest entry (units.unit_scaled); a non-finite entry of H or of an
+    operator raises DomainError.
     """
 
     hamiltonian: np.ndarray
@@ -60,8 +62,9 @@ class OpenSystem:
             op = np.asarray(op, dtype=complex)
             if op.shape != h.shape:
                 raise ValueError("collapse operator shape mismatch")
-            if rate < 0.0:
-                raise ValueError(f"collapse rate must be non-negative, got {rate}")
+            unit_scaled(op, "collapse operator")
+            if not 0.0 <= rate < math.inf:
+                raise ValueError(f"collapse rate must be finite and non-negative, got {rate}")
             channels.append((op, float(rate)))
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "collapse_channels", tuple(channels))
@@ -76,6 +79,43 @@ class OpenSystem:
         gen = liouvillian(self.hamiltonian, self.collapse_channels)
         gen.flags.writeable = False
         return gen
+
+    @cached_property
+    def steady_state(self) -> np.ndarray:
+        """The unique trace-one kernel element of the Liouvillian, solved once
+        per system and read-only.
+
+        Uniqueness is decided on the unit-rate structure, the Liouvillian of H
+        and of each positive-rate channel with every operator scaled to a
+        largest entry of 1 and every rate 1, so no rate size sways it: its
+        kernel counts the singular values at most 1e-10 times the largest. The
+        state is one solve of the generator with row 0 replaced by the trace row
+        (QuTiP's "direct" method). Raises DegenerateSteadyState for a kernel of
+        more than one dimension, a singular solve or a state that is not positive.
+        """
+        ops = [op for op, rate in self.collapse_channels if rate > 0.0]
+        unit_rate = liouvillian(
+            unit_scaled(self.hamiltonian, "hamiltonian")[0],
+            [(unit_scaled(op, "collapse operator")[0], 1.0) for op in ops],
+        )
+        svals = np.linalg.svd(unit_rate, compute_uv=False)
+        kernel = int(np.sum(svals <= 1e-10 * svals[0]))
+        if kernel > 1:
+            raise DegenerateSteadyState(
+                f"steady state is not unique ({kernel}-dimensional kernel at unit rates)"
+            )
+        d = self.dimension
+        bordered = np.array(self.generator)
+        bordered[0] = np.eye(d).reshape(-1)
+        try:
+            rho = np.linalg.solve(bordered, np.r_[1.0, np.zeros(d * d - 1)]).reshape(d, d)
+        except np.linalg.LinAlgError:
+            raise DegenerateSteadyState("steady state is not unique (singular generator)") from None
+        rho = 0.5 * (rho + rho.conj().T)
+        if float(np.linalg.eigvalsh(rho).min()) < -1e-7:
+            raise DegenerateSteadyState("steady-state candidate is not positive")
+        rho.flags.writeable = False
+        return rho
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -209,39 +249,9 @@ def evolve(system, rho0, times) -> np.ndarray:
 
 
 def steady_state(system: OpenSystem) -> np.ndarray:
-    """The unique trace-one kernel element of the Liouvillian.
-
-    Uniqueness is decided on the unit-rate structure, the Liouvillian of H
-    and of each positive-rate channel with every operator scaled to a
-    largest entry of 1 and every rate 1, so no rate size sways it: its
-    kernel counts the singular values at most 1e-10 times the largest. The
-    state is one solve of the generator with row 0 replaced by the trace row
-    (QuTiP's "direct" method). Raises DegenerateSteadyState for a kernel of
-    more than one dimension, a singular solve or a state that is not positive,
-    and DomainError for a collapse operator with a non-finite entry.
-    """
-    ops = [op for op, rate in system.collapse_channels if rate > 0.0]
-    unit_rate = liouvillian(
-        unit_scaled(system.hamiltonian, "hamiltonian")[0],
-        [(unit_scaled(op, "collapse operator")[0], 1.0) for op in ops],
-    )
-    svals = np.linalg.svd(unit_rate, compute_uv=False)
-    kernel = int(np.sum(svals <= 1e-10 * svals[0]))
-    if kernel > 1:
-        raise DegenerateSteadyState(
-            f"steady state is not unique ({kernel}-dimensional kernel at unit rates)"
-        )
-    d = system.dimension
-    bordered = np.array(system.generator)
-    bordered[0] = np.eye(d).reshape(-1)
-    try:
-        rho = np.linalg.solve(bordered, np.r_[1.0, np.zeros(d * d - 1)]).reshape(d, d)
-    except np.linalg.LinAlgError:
-        raise DegenerateSteadyState("steady state is not unique (singular generator)") from None
-    rho = 0.5 * (rho + rho.conj().T)
-    if float(np.linalg.eigvalsh(rho).min()) < -1e-7:
-        raise DegenerateSteadyState("steady-state candidate is not positive")
-    return rho
+    """The unique trace-one kernel element of the Liouvillian:
+    system.steady_state, solved once per system and read-only."""
+    return system.steady_state
 
 
 def g2_correlation(system, emission_operator, taus) -> np.ndarray:
@@ -288,9 +298,9 @@ def g2_correlation(system, emission_operator, taus) -> np.ndarray:
 class RateNetwork:
     """Classical rate network over level kets.
 
-    rates maps ordered (source, target) pairs to non-negative rates in 1/s;
-    emissive_flags marks the states whose radiative decay is detected as
-    fluorescence.
+    rates maps ordered (source, target) pairs to finite, non-negative rates
+    in 1/s; emissive_flags marks the states whose radiative decay is detected
+    as fluorescence.
     """
 
     state_labels: tuple[LevelKet, ...]
@@ -308,8 +318,9 @@ class RateNetwork:
                 raise ValueError(f"self-loop on {src}")
             if src not in known or dst not in known:
                 raise ValueError(f"rate references unknown state {src} -> {dst}")
-            if rate < 0.0:
-                raise ValueError("rates must be non-negative")
+            if not 0.0 <= rate < math.inf:
+                message = f"rates must be finite and non-negative, got {rate} for {src} -> {dst}"
+                raise ValueError(message)
             rates[(src, dst)] = float(rate)
         flags = {k: bool(v) for k, v in dict(self.emissive_flags).items()}
         if any(k not in known for k in flags):
@@ -317,6 +328,26 @@ class RateNetwork:
         object.__setattr__(self, "state_labels", labels)
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "emissive_flags", flags)
+
+    @cached_property
+    def fluorescence(self) -> float:
+        """Detected fluorescence, computed once per network: emissive-state
+        populations weighted by their radiative (optically classified) decay
+        rates."""
+        p = steady_populations(self)
+        index = {k: i for i, k in enumerate(self.state_labels)}
+        signal = 0.0
+        for state, emissive in self.emissive_flags.items():
+            if not emissive:
+                continue
+            radiative = sum(
+                rate
+                for (src, dst), rate in self.rates.items()
+                if src == state
+                and classify_transition(src, dst, radiative=True) in RADIATIVE_CLASSES
+            )
+            signal += p[index[state]] * radiative
+        return signal
 
     def microwave_targets(self, mw_pair) -> tuple[LevelKet, LevelKet]:
         """The two distinct T1 states that a microwave tone on the sublevels
@@ -382,25 +413,6 @@ def steady_populations(network: RateNetwork) -> np.ndarray:
     return populations
 
 
-def _fluorescence(network: RateNetwork) -> float:
-    """Detected fluorescence: emissive-state populations weighted by their
-    radiative (optically classified) decay rates."""
-    p = steady_populations(network)
-    index = {k: i for i, k in enumerate(network.state_labels)}
-    signal = 0.0
-    for state, emissive in network.emissive_flags.items():
-        if not emissive:
-            continue
-        radiative = sum(
-            rate
-            for (src, dst), rate in network.rates.items()
-            if src == state
-            and classify_transition(src, dst, radiative=True) in RADIATIVE_CLASSES
-        )
-        signal += p[index[state]] * radiative
-    return signal
-
-
 def odmr_contrast(network: RateNetwork, mw_pair, mw_mixing_rate: float) -> float:
     """Relative fluorescence change when a microwave tone mixes two triplet
     sublevels: (F_on - F_off) / F_off from two steady-state solves.
@@ -411,13 +423,11 @@ def odmr_contrast(network: RateNetwork, mw_pair, mw_mixing_rate: float) -> float
     if mw_mixing_rate < 0.0:
         raise ValueError("mixing rate must be non-negative")
     a, b = network.microwave_targets(mw_pair)
-    f_off = _fluorescence(network)
+    f_off = network.fluorescence
     driven = dict(network.rates)
     driven[(a, b)] = driven.get((a, b), 0.0) + mw_mixing_rate
     driven[(b, a)] = driven.get((b, a), 0.0) + mw_mixing_rate
-    f_on = _fluorescence(
-        RateNetwork(network.state_labels, driven, network.emissive_flags)
-    )
+    f_on = RateNetwork(network.state_labels, driven, network.emissive_flags).fluorescence
     if f_off <= 0.0:
         raise SingularNetwork("no fluorescence without the microwave drive")
     return (f_on - f_off) / f_off

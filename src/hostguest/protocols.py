@@ -14,7 +14,7 @@ stage into segments, each stepped at the narrowest pulse width active in
 it; the dark gap between disjoint windows is in closed form. Every step
 count is fixed from the spec before any array is built. Cycles that differ
 only in the hold share one write stage: a caller passes the storage it
-already holds; this module caches nothing.
+already holds. A cavity spec computes its on-resonance response once.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -231,6 +232,13 @@ class CavityInterfaceSpec:
             return math.inf if self.g > 0.0 else 0.0
         return 4.0 * self.g**2 / (self.kappa * self.gamma)
 
+    @cached_property
+    def on_resonance(self) -> tuple[np.ndarray, np.ndarray]:
+        """cavity_response(self, 0.0), computed once per spec and read-only."""
+        reflection, transmission = cavity_response(self, 0.0)
+        reflection.flags.writeable = transmission.flags.writeable = False
+        return reflection, transmission
+
 
 def cavity_response(spec: CavityInterfaceSpec, detunings):
     """Reflection and transmission amplitudes over detuning (rad/s).
@@ -279,19 +287,16 @@ def vacuum_rabi_splitting(spec: CavityInterfaceSpec, detunings) -> float:
     return float(peak_right - peak_left)
 
 
-def spin_photon_fidelity(spec: CavityInterfaceSpec, on_resonance=None) -> float:
+def spin_photon_fidelity(spec: CavityInterfaceSpec) -> float:
     """Overlap fidelity of the reflection/transmission spin-photon gate.
 
     The singlet branch reflects with the coupled on-resonance amplitude
     r_on -> -C/(1+C); the shelved branch transmits with the bare amplitude
     t_off. The ideal map has r = -1, t = +1, giving
-    F = |t_off - r_on|^2 / 4, monotone in the cooperativity. A caller that
-    already holds ``cavity_response(spec, 0.0)`` passes it as
-    ``on_resonance`` so that it is not computed again.
+    F = |t_off - r_on|^2 / 4, monotone in the cooperativity.
     """
-    r0, t0 = cavity_response(spec, 0.0) if on_resonance is None else on_resonance
-    other = replace(spec, emitter_coupled=not spec.emitter_coupled)
-    r1, t1 = cavity_response(other, 0.0)
+    r0, t0 = spec.on_resonance
+    r1, t1 = replace(spec, emitter_coupled=not spec.emitter_coupled).on_resonance
     r_on, t_off = (r0, t1) if spec.emitter_coupled else (r1, t0)
     return float(abs(t_off[0] - r_on[0]) ** 2) / 4.0
 

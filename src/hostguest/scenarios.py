@@ -652,8 +652,8 @@ _NO_TABLES = dict  # the tables of a runner that writes only result.json
 
 def _run_spin_spectrum(params, _config_dir):
     system = params["spin_system"]
-    eig = spin.diagonalize(spin.build_spin_hamiltonian(system))
-    freqs, response = spin.odmr_spectrum(system, params["grid"], params["linewidth"], eig)
+    eig = system.eigensystem
+    freqs, response = spin.odmr_spectrum(system, params["grid"], params["linewidth"])
     gaps = np.diff(eig.energies)
     scalars = {
         "level_count": len(eig.energies),
@@ -826,12 +826,12 @@ def _run_cavity_interface(params, _config_dir):
     from . import protocols
 
     spec, grid = params
-    r0, t0 = protocols.cavity_response(spec, 0.0)
+    r0, t0 = spec.on_resonance
     scalars = {
         "cooperativity": spec.cooperativity,
         "on_resonance_reflectance": float(abs(r0[0]) ** 2),
         "on_resonance_transmittance": float(abs(t0[0]) ** 2),
-        "spin_photon_fidelity": protocols.spin_photon_fidelity(spec, (r0, t0)),
+        "spin_photon_fidelity": protocols.spin_photon_fidelity(spec),
     }
 
     def tables():

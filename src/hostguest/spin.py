@@ -12,6 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -125,6 +126,11 @@ class SpinSystemSpec:
                 f"|E| <= |D|/3 required, got D={self.zfs_d}, E={self.zfs_e}"
             )
 
+    @cached_property
+    def eigensystem(self) -> SpinEigensystem:
+        """The diagonalized spin Hamiltonian, computed once per spec."""
+        return diagonalize(build_spin_hamiltonian(self))
+
 
 def zfs_tensor(zfs_d: float, zfs_e: float) -> np.ndarray:
     """Traceless principal-axis tensor with S.T.S = D(Sz^2 - S^2/3) + E(Sx^2 - Sy^2)."""
@@ -198,10 +204,26 @@ class SpinEigensystem:
     energies: np.ndarray
     states: np.ndarray
 
+    @cached_property
+    def bright_lines(self) -> tuple[np.ndarray, np.ndarray]:
+        """(gaps, weights) of the upward eigenpair transitions of nonzero
+        weight, in pair order; computed once and read-only. The weight
+        sum_a |<f|S_a|i>|^2 is |<f|Sz|i>|^2 + (|<f|S+|i>|^2 + |<i|S+|f>|^2) / 2,
+        from the elements of :func:`_spin_elements`."""
+        raising, sz = _spin_elements(self.states)
+        weights = np.abs(sz) ** 2 + np.abs(raising) ** 2 + np.abs(raising.T) ** 2
+        lower, upper = np.triu_indices(len(self.energies), k=1)
+        weights = weights[upper, lower]
+        bright = weights > 0.0
+        gaps, weights = self.energies[upper[bright]] - self.energies[lower[bright]], weights[bright]
+        gaps.flags.writeable = weights.flags.writeable = False
+        return gaps, weights
+
 
 def diagonalize(hamiltonian: np.ndarray) -> SpinEigensystem:
-    """Eigendecomposition, checked on h over its largest entry (units.unit_scaled):
-    Hermitian to 1e-10 and rebuilt to 1e-9 of its norm; non-finite is a DomainError."""
+    """Eigendecomposition into read-only arrays, checked on h over its largest entry
+    (units.unit_scaled): Hermitian to 1e-10 and rebuilt to 1e-9 of its norm; non-finite
+    is a DomainError."""
     h = np.asarray(hamiltonian, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"hamiltonian must be square, got shape {h.shape}")
@@ -213,6 +235,7 @@ def diagonalize(hamiltonian: np.ndarray) -> SpinEigensystem:
     residual = float(np.linalg.norm((states * (energies / top)) @ states.conj().T - unit))
     if residual > 1e-9 * scale:
         raise NotHermitian(f"eigendecomposition residual {residual:.3e} too large")
+    energies.flags.writeable = states.flags.writeable = False
     return SpinEigensystem(energies=energies, states=states)
 
 
@@ -230,39 +253,19 @@ def _spin_elements(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return raising, vh[:, :n] @ states[:n] - vh[:, 2 * n :] @ states[2 * n :]
 
 
-def _transition_lines(eig: SpinEigensystem):
-    """All upward eigenpair transitions with spin matrix-element weights.
-
-    The weight sum_a |<f|S_a|i>|^2 is |<f|Sz|i>|^2 + (|<f|S+|i>|^2 +
-    |<i|S+|f>|^2) / 2, from the elements of :func:`_spin_elements`.
-    """
-    raising, sz = _spin_elements(eig.states)
-    weights = np.abs(sz) ** 2 + np.abs(raising) ** 2 + np.abs(raising.T) ** 2
-    lower, upper = np.triu_indices(len(eig.energies), k=1)
-    return eig.energies[upper] - eig.energies[lower], weights[upper, lower]
-
-
-def odmr_spectrum(
-    spec: SpinSystemSpec, grid, linewidth: float, eigensystem: SpinEigensystem | None = None
-):
+def odmr_spectrum(spec: SpinSystemSpec, grid, linewidth: float):
     """Magnetic-dipole stick spectrum convolved with a Lorentzian.
 
-    Every eigenpair gap is weighted by |<f|Sx|i>|^2 + |<f|Sy|i>|^2 +
-    |<f|Sz|i>|^2 and broadened to the given FWHM (rad/s). Returns the grid
-    frequencies and the response sampled on them. A caller that already
-    holds the diagonalized Hamiltonian of ``spec`` passes it as
-    ``eigensystem`` so that it is not computed again.
+    Every eigenpair gap of ``spec.eigensystem`` is weighted by
+    |<f|Sx|i>|^2 + |<f|Sy|i>|^2 + |<f|Sz|i>|^2 (its bright_lines) and
+    broadened to the given FWHM (rad/s). Returns the grid frequencies and
+    the response sampled on them.
     """
     if linewidth <= 0.0:
         raise ValueError(f"linewidth must be positive, got {linewidth}")
-    if eigensystem is None:
-        eigensystem = diagonalize(build_spin_hamiltonian(spec))
-    gaps, weights = _transition_lines(eigensystem)
-    bright = weights > 0.0
+    gaps, weights = spec.eigensystem.bright_lines
     freqs = grid.frequencies
-    return freqs, lorentzian_sum(
-        freqs, gaps[bright], np.full(int(bright.sum()), linewidth), weights[bright]
-    )
+    return freqs, lorentzian_sum(freqs, gaps, np.full(len(gaps), linewidth), weights)
 
 
 @dataclass(frozen=True)
@@ -354,7 +357,7 @@ def crot_gate(
     axis = axis / largest  # first, so that the norm is finite and nonzero
     axis = axis / np.linalg.norm(axis)
 
-    eig = diagonalize(build_spin_hamiltonian(spec))
+    eig = spec.eigensystem
     energies = eig.energies
     omega_scale = max(float(np.max(np.abs(energies))), drive_frequency, rabi_frequency)
     period = 2.0 * math.pi / drive_frequency

@@ -347,7 +347,8 @@ def lorentzian_sum(freqs, centers, fwhms, weights) -> np.ndarray:
     in blocks of at most 2^14 elements. For lines spread over their span the
     work grows as targets x sqrt(lines) + lines, not as targets x lines.
 
-    Raises DomainError when an offset or a half-width overflows its square.
+    Raises DomainError when an offset or a half-width overflows its square,
+    or a half-width's square underflows to 0.
     """
     f = np.asarray(freqs, dtype=float)
     c = np.asarray(centers, dtype=float)
@@ -360,6 +361,9 @@ def lorentzian_sum(freqs, centers, fwhms, weights) -> np.ndarray:
         raise DomainError(
             f"Lorentzian offset {reach:.3e} or half-width {widest:.3e} overflows its square"
         )
+    narrowest = float(h.min())
+    if narrowest * narrowest == 0.0:
+        raise DomainError(f"Lorentzian half-width {narrowest:.3e} underflows its square")
     order = np.argsort(f, axis=None, kind="stable")
     fs = f.ravel()[order]
     start, span = float(c.min()), float(c.max() - c.min())
@@ -400,7 +404,3 @@ class FrequencyGrid:
         freqs = np.linspace(self.start, self.stop, int(self.points))
         freqs.flags.writeable = False
         return freqs
-
-    @property
-    def spacing(self) -> float:
-        return (self.stop - self.start) / (int(self.points) - 1)

@@ -296,6 +296,13 @@ ROWS = [
                    "steady state is not unique (4-dimensional kernel at unit rates)"),
     _runtime_error("spin_spectrum_1e300_linewidth", "spin_spectrum", {"parameters.linewidth.value": 1e300},
                    _SQUARE.format("2.262e+10", "3.142e+306")),
+    # A half-width whose square underflows to 0 would divide by 0 on a line centre.
+    _runtime_error("spin_spectrum_1e-300_linewidth", "spin_spectrum", {"parameters.linewidth.value": 1e-300},
+                   "Lorentzian half-width 3.142e-294 underflows its square"),
+    _runtime_error("emission_1e-170_radiative_rate", "emission_spectrum",
+                   {"parameters.model.radiative_rate": {"value": 1e-170, "unit": "rad/s"},
+                    "parameters.model.extra_linewidth.value": 0.0},
+                   "Lorentzian half-width 5.000e-171 underflows its square"),
     # n_bar = 0 makes the optomech cooperativity infinite.
     _runtime_error("optomech_zero_n_bar", "optomech", {"parameters.n_bar": 0},
                    "result.json key 'cooperativity': non-finite value inf"),

@@ -222,6 +222,47 @@ def test_non_finite_hamiltonian_is_a_domain_error_without_a_warning(entry):
             OpenSystem(hamiltonian=h, collapse_channels=())
 
 
+@pytest.mark.parametrize("rate", [math.inf, math.nan])
+def test_non_finite_collapse_rate_is_refused_by_name(rate):
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^collapse rate must be finite and non-negative, got {rate}$"):
+            OpenSystem(hamiltonian=np.eye(2, dtype=complex), collapse_channels=((lower, rate),))
+
+
+def test_non_finite_collapse_operator_is_a_domain_error_without_a_warning():
+    lower = np.array([[0.0, math.nan], [0.0, 0.0]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^collapse operator has non-finite entries$"):
+            OpenSystem(hamiltonian=np.eye(2, dtype=complex), collapse_channels=((lower, 1.0),))
+
+
+def test_steady_state_is_solved_once_and_read_only():
+    system = _two_level(3.0, 0.5, 1.0, dephasing=0.2)
+    assert steady_state(system) is system.steady_state
+    with pytest.raises(ValueError):
+        system.steady_state[0, 0] = 0.0
+
+
+def test_lindblad_times_points_sweep_builds_one_unit_rate_liouvillian(monkeypatch, tmp_path):
+    # The points share one OpenSystem: its generator and the unit-rate
+    # structure of its steady state are each built once, whatever the grids.
+    calls = []
+    original = dynamics.liouvillian
+
+    def counted(hamiltonian, channels):
+        calls.append(hamiltonian)
+        return original(hamiltonian, channels)
+
+    monkeypatch.setattr(dynamics, "liouvillian", counted)
+    config = load_config(SCENARIO_DIR / "lindblad.json")
+    config["sweep"] = {"parameter": "times.points", "values": [101, 201, 501]}
+    run_scenario(config, SCENARIO_DIR, output_dir=tmp_path / "out")
+    assert len(calls) == 2
+
+
 def test_invalid_initial_states_rejected():
     system = _two_level(1.0, 0.0, 1.0)
     with pytest.raises(InvalidState):
@@ -561,6 +602,18 @@ def test_network_validation():
         )
 
 
+@pytest.mark.parametrize("rate", [math.inf, math.nan])
+def test_non_finite_network_rate_is_refused_by_name(rate):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^rates must be finite and non-negative, got {rate} for "):
+            RateNetwork(
+                state_labels=(_GROUND, _EXCITED),
+                rates={(_GROUND, _EXCITED): rate, (_EXCITED, _GROUND): 1.0},
+                emissive_flags={_EXCITED: True},
+            )
+
+
 def _odmr_network(decay_x=1e7):
     pump, radiative = 5.0e6, 6.0e7
     isc = {_TX: 5.0e7, _TY: 1.5e7, _TZ: 3.0e6}
@@ -633,6 +686,26 @@ def test_odmr_populations_past_the_float_range_exit_2_without_a_warning(tmp_path
         assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
     assert "leave the float range" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("points", [1, 4])
+def test_mixing_rate_sweep_solves_the_undriven_network_once(points, monkeypatch, tmp_path):
+    # The points share one RateNetwork, whose fluorescence F_off is solved
+    # once; each point solves its own driven network.
+    calls = []
+    original = dynamics.steady_populations
+
+    def counted(network):
+        calls.append(network)
+        return original(network)
+
+    monkeypatch.setattr(dynamics, "steady_populations", counted)
+    config = load_config(SCENARIO_DIR / "odmr.json")
+    values = [1e6 * (k + 1) for k in range(points)]
+    config["sweep"] = {"parameter": "mw_mixing_rate.value", "values": values}
+    run_scenario(config, SCENARIO_DIR, output_dir=tmp_path / "out")
+    assert len(calls) == points + 1
+    assert len({id(network) for network in calls}) == points + 1
 
 
 def test_odmr_contrast_sign_flips_with_pair_ordering_of_lifetimes():

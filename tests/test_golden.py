@@ -144,6 +144,30 @@ SWEEPS = {
         [-120.0, 0.0, 37.5],
         "077d6bce80c53561ca8e1c1106d06e8c7ed611ab7843b52f2363555f7c275bad",
     ),
+    "spin_spectrum_linewidth": (
+        "spin_spectrum",
+        "linewidth.value",
+        [1, 5, 20],
+        "302efe08782b0e8e8d2a90ff94ef0da5139ba5362395bd17de8769e5d9c8fd76",
+    ),
+    "odmr_mw_mixing_rate": (
+        "odmr",
+        "mw_mixing_rate.value",
+        [0, 1e6, 1e8],
+        "7e87ef20387a56f0cad8e9f58a735ddb98ede39c311edbb53816e8f0a91ee835",
+    ),
+    "g2_taus_points": (
+        "g2",
+        "taus.points",
+        [101, 401],
+        "8d3b1afd70475d8a5839743d6ece0123eeefa62d9a59e5ca7fe180e56dfac1f7",
+    ),
+    "crot_duration": (
+        "crot",
+        "duration.value",
+        [1.6666666666666667e-06, 8.333333333333333e-07],
+        "34ee9edb77c38bf8315f8051535747f1df516857319cc89175ab0a1a93f8d5ac",
+    ),
 }
 
 

@@ -21,7 +21,7 @@ from hostguest.spin import (
     odmr_spectrum,
     zfs_tensor,
 )
-from hostguest.scenarios import validate_config
+from hostguest.scenarios import load_config, run_scenario, validate_config
 from hostguest.units import BOHR_MAGNETON, HBAR, FrequencyGrid
 
 from line_sum_oracle import assert_matches_ordered_sum
@@ -416,10 +416,10 @@ def test_odmr_spectrum_sums_lines_in_pair_order():
     )
     grid = FrequencyGrid(start=TWO_PI * 0.1e9, stop=TWO_PI * 2.0e9, points=1001)
     linewidth = TWO_PI * 3e6
-    eig = diagonalize(build_spin_hamiltonian(spec))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, response = odmr_spectrum(spec, grid, linewidth, eigensystem=eig)
+        _, response = odmr_spectrum(spec, grid, linewidth)
+    eig = spec.eigensystem
     # The loop this replaced: one pair at a time, upper triangle, row order.
     weights = _dense_weights(eig)
     n = len(eig.energies)
@@ -458,8 +458,9 @@ def _random_spec(rng, spins):
 @pytest.mark.parametrize("spins", [("1/2",), (1, "3/2"), ("1/2",) * 4, (1, "1/2", "1/2", "1/2")])
 def test_transition_weights_match_the_dense_electron_operators(spins):
     eig = diagonalize(build_spin_hamiltonian(_random_spec(np.random.default_rng(len(spins)), spins)))
-    _, weights = spin._transition_lines(eig)
+    _, weights = eig.bright_lines
     lower, upper = np.triu_indices(len(eig.energies), k=1)
+    assert len(weights) == len(upper)  # every line of a random spec is bright
     assert np.max(np.abs(weights - _dense_weights(eig)[upper, lower])) <= 1e-14
 
 
@@ -473,7 +474,7 @@ def _block_contraction(states, op):
 
 def _three_operator_weights(eig):
     """sum_a |<f|S_a|i>|^2 by one electron-block product per S_a: the formula
-    that _transition_lines replaced, kept as its oracle."""
+    that bright_lines replaced, kept as its oracle."""
     return sum(
         np.abs(_block_contraction(eig.states, op)) ** 2 for op in angular_momentum_operators(1)
     )
@@ -486,8 +487,10 @@ def _three_operator_weights(eig):
 def test_transition_weights_match_the_three_operator_products(spins, seed):
     # Nuclear dimensions 1 to 48, several not a power of two.
     eig = diagonalize(build_spin_hamiltonian(_random_spec(np.random.default_rng(seed), spins)))
-    _, weights = spin._transition_lines(eig)
+    gaps, weights = eig.bright_lines
     lower, upper = np.triu_indices(len(eig.energies), k=1)
+    assert len(weights) == len(upper)  # every line of a random spec is bright
+    assert np.array_equal(gaps, eig.energies[upper] - eig.energies[lower])
     expected = _three_operator_weights(eig)[upper, lower]
     assert np.max(np.abs(weights - expected)) <= 1e-14 * np.max(expected)
 
@@ -545,15 +548,52 @@ def test_crot_drives_with_the_spin_element_products(seed, monkeypatch):
         assert np.max(np.abs(drive - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
+def test_eigensystem_and_bright_lines_are_computed_once_and_read_only():
+    nucleus = NucleusSpec(spin="1/2", hyperfine_tensor=np.diag([1.0, 1.0, 10.0]) * TWO_PI * 1e6)
+    spec = SpinSystemSpec(zfs_d=TWO_PI * 1.4e9, magnetic_field=(0.0, 0.0, 2e-3), nuclei=(nucleus,))
+    eig = spec.eigensystem
+    assert eig is spec.eigensystem and eig.bright_lines is eig.bright_lines
+    for array in (eig.energies, eig.states, *eig.bright_lines):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    calls, original = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _run_sweep(kind, parameter, values, tmp_path):
+    config = load_config(REPO / "scenarios" / f"{kind}.json")
+    config["sweep"] = {"parameter": parameter, "values": values}
+    run_scenario(config, REPO / "scenarios", output_dir=tmp_path / "out")
+
+
+def test_linewidth_sweep_diagonalizes_once(monkeypatch, tmp_path):
+    calls = _count_calls(monkeypatch, spin, "diagonalize")
+    _run_sweep("spin_spectrum", "linewidth.value", [1, 5, 20], tmp_path)
+    assert len(calls) == 1
+
+
+def test_crot_duration_sweep_calls_eigh_once(monkeypatch, tmp_path):
+    calls = _count_calls(monkeypatch, np.linalg, "eigh")
+    _run_sweep("crot", "duration.value", [1.6666666666666667e-06, 8.333333333333333e-07], tmp_path)
+    assert len(calls) == 1
+
+
 def _assert_odmr_matches_ordered_line_sum(spec, grid, linewidth):
-    eig = diagonalize(build_spin_hamiltonian(spec))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        freqs, response = odmr_spectrum(spec, grid, linewidth, eigensystem=eig)
-    gaps, weights = spin._transition_lines(eig)
-    bright = weights > 0.0
+        freqs, response = odmr_spectrum(spec, grid, linewidth)
+    gaps, weights = spec.eigensystem.bright_lines
     assert_matches_ordered_sum(
-        freqs, gaps[bright], np.full(bright.sum(), linewidth), weights[bright], response=response
+        freqs, gaps, np.full(len(gaps), linewidth), weights, response=response
     )
 
 

@@ -123,7 +123,7 @@ def test_bose_occupation_classical_limit():
 
 def test_frequency_grid_basics():
     grid = FrequencyGrid(start=0.0, stop=10.0, points=11)
-    assert grid.spacing == pytest.approx(1.0)
+    assert np.diff(grid.frequencies) == pytest.approx(np.ones(10))
     assert np.allclose(grid.frequencies, np.arange(11.0))
 
 
@@ -227,6 +227,17 @@ def test_lorentzian_sum_of_a_few_lines_is_the_ordered_sum(multipole_lines):
 def test_lorentzian_sum_raises_domain_error_for_unsquarable_lines(fwhm, center):
     with pytest.raises(DomainError, match="overflows its square"):
         lorentzian_sum(np.linspace(0.0, 1.0, 5), [center], [fwhm], [1.0])
+
+
+def test_lorentzian_sum_raises_domain_error_for_a_half_width_whose_square_underflows():
+    freqs = np.linspace(-1.0, 1.0, 5)  # a target on the centre
+    for fwhm, half in ((1e-300, "5.000e-301"), (2e-162, "1.000e-162")):
+        with pytest.raises(DomainError, match=f"^Lorentzian half-width {half} underflows its square$"):
+            lorentzian_sum(freqs, [0.0], [fwhm], [1.0])
+    # A subnormal square is not 0: the peak 1 / (pi h) is summed without a
+    # warning, to the few digits that the square keeps.
+    peak = lorentzian_sum(freqs, [0.0], [1e-160], [1.0])[2]
+    assert peak == pytest.approx(1.0 / (math.pi * 5e-161), rel=1e-4)
 
 
 @pytest.mark.parametrize(
